@@ -28,6 +28,10 @@ from .losses import (
 # minima carry ~1e-12 noise, so this keeps three orders of safety margin.
 CALIBRATION_TOL = 1e-9
 
+# Largest search grid: 10^7 points is 80 MB per float array, and a check holds
+# a few such arrays at once.  The default grid has 100,001 points.
+MAX_GRID_POINTS = 10**7
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -96,8 +100,13 @@ def check_calibration_at(
         )
 
     # Odd point count keeps 0 on the grid: the constrained half includes f = 0.
-    half_points = max(1, round(f_range / grid_step))
-    grid = np.linspace(-f_range, f_range, 2 * half_points + 1)
+    ratio = f_range / grid_step
+    points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"f_range / grid_step = {ratio:.6g} needs a grid above {MAX_GRID_POINTS} points"
+        )
+    grid = np.linspace(-f_range, f_range, points)
     risks = eta * margin_losses(alpha, grid) + (1.0 - eta) * margin_losses(alpha, -grid)
 
     def risk_at(f: float) -> float:

@@ -7,8 +7,9 @@ experiment, and ``losscurves`` tabulates the margin losses and derivatives.
 
 Every command writes a JSON run manifest next to its primary CSV; re-running
 with the manifest's flags reproduces the CSV byte for byte.  Exit codes:
-0 success, 1 data errors, 2 training divergence.  CSVs are UTF-8 with LF line
-endings, a header row, and floats serialized to 17 significant digits.
+0 success, 1 data, parameter or usage errors, 2 training divergence.  CSVs
+are UTF-8 with LF line endings, a header row, and floats serialized to 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -409,7 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error; here 2 means training diverged
+        return 1 if stop.code else 0
     try:
         return args.func(args)
     except TrainingDiverged as err:

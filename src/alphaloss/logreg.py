@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# margin_losses and _sigmoid_array stay bound here: perfbench/child.py wraps them by name.
 from .losses import (
     Alpha,
     check_belief,
@@ -186,11 +187,29 @@ def third_derivative_coefficient(alpha: Alpha, g: float, y: int) -> float:
     return g * h ** (c + 2.0) - mid * g * g * h ** (c + 1.0) + c * c * g**3 * (h**c)
 
 
-def _gradient_coefficients(alpha: Alpha, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    g = _sigmoid_array(scores)
-    h = _sigmoid_array(-scores)
-    c = alpha.exponent
-    return np.where(labels == 1, -(g**c) * h, g * (h**c))
+def _margin_terms(alpha: Alpha, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m), from one exp.
+
+    With e = exp(-|m|), sigmoid(m) = where(m < 0, e, 1) / (1 + e), sigmoid(-m) =
+    where(m < 0, 1, e) / (1 + e) and log sigmoid(m) = where(m < 0, m - log1p(e),
+    -log1p(e)).  Every entry is bit-identical to :func:`margin_losses` and to
+    :func:`gradient_coefficient` over the masked sigmoid, sign of zero
+    included.  The masked kernels stay the faster choice for sorted or mostly
+    one-signed margins, where masking is cheap.
+    """
+    neg = margins < 0
+    e = np.exp(-np.abs(margins))
+    denom = 1.0 + e
+    sig_neg = np.where(neg, 1.0, e) / denom
+    if alpha.is_infinite:
+        return sig_neg, -(np.where(neg, e, 1.0) / denom) * sig_neg
+    log1p_e = np.log1p(e)
+    log_sig = np.where(neg, margins - log1p_e, -log1p_e)
+    if alpha.is_log:
+        return -log_sig, -sig_neg
+    sig = np.where(neg, e, 1.0) / denom
+    losses = -alpha.scale * np.expm1(alpha.exponent * log_sig)
+    return losses, -(sig**alpha.exponent) * sig_neg
 
 
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:
@@ -203,9 +222,9 @@ def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> fl
 def empirical_gradient(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> np.ndarray:
     """Mean of the per-sample gradients, (1/n) sum coefficient_i * x_i."""
     _check_dims(model, data)
-    scores = data.features @ model.weights
-    coeffs = _gradient_coefficients(alpha, scores, data.labels)
-    return (data.features.T @ coeffs) / data.n
+    y = data.labels
+    _, slopes = _margin_terms(alpha, y * (data.features @ model.weights))
+    return (data.features.T @ (y * slopes)) / data.n
 
 
 def _check_dims(model: LinearModel, data: LabeledDataset) -> None:
@@ -220,6 +239,9 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     after each update and training aborts with :class:`TrainingDiverged` if it
     ever becomes non-finite.  The model's declared ball is the dataset's
     feature radius, which is also the projection radius when enabled.
+
+    The scores x @ w that give an epoch's risk are also the next epoch's
+    gradient input, so each epoch costs two matvecs, x @ w and x.T @ c.
     """
     rng = np.random.default_rng(config.seed)
     radius = data.feature_radius
@@ -230,30 +252,34 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     trace = np.empty(config.epochs)
     # overflow to inf is the divergence signal itself, not a numerical accident
     with np.errstate(over="ignore"):
+        scores = x @ w
+        _, slopes = _margin_terms(config.alpha, y * scores)
         for epoch in range(config.epochs):
-            coeffs = _gradient_coefficients(config.alpha, x @ w, y)
-            w = w - config.learning_rate * ((x.T @ coeffs) / n)
+            w = w - config.learning_rate * ((x.T @ (y * slopes)) / n)
             if config.projection:
                 norm = math.sqrt(float(w @ w))
                 if norm > radius:
                     w = w * (radius / norm)
-            risk = float(np.mean(margin_losses(config.alpha, y * (x @ w))))
+            scores = x @ w
+            losses, slopes = _margin_terms(config.alpha, y * scores)
+            risk = float(np.mean(losses))
             if not math.isfinite(risk):
                 raise TrainingDiverged(epoch)
             trace[epoch] = risk
-        model = LinearModel(weights=w, radius_bound=radius)
-        grad = empirical_gradient(config.alpha, model, data)
-        return TrainReport(
-            final_model=model,
-            empirical_risk_trace=trace,
-            final_gradient_norm=float(np.sqrt(grad @ grad)),
-            train_accuracy=evaluate(model, data),
-        )
+        grad = (x.T @ (y * slopes)) / n
+    return TrainReport(
+        final_model=LinearModel(weights=w, radius_bound=radius),
+        empirical_risk_trace=trace,
+        final_gradient_norm=float(np.sqrt(grad @ grad)),
+        train_accuracy=_accuracy(scores, y),
+    )
 
 
 def evaluate(model: LinearModel, data: LabeledDataset) -> float:
     """Fraction of samples with sign(w . x) = y, counting sign(0) as +1."""
     _check_dims(model, data)
-    scores = data.features @ model.weights
-    predictions = np.where(scores >= 0.0, 1, -1)
-    return float(np.mean(predictions == data.labels))
+    return _accuracy(data.features @ model.weights, data.labels)
+
+
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(np.where(scores >= 0.0, 1, -1) == labels))

@@ -16,6 +16,7 @@ from alphaloss import (
     min_conditional_risk,
     optimal_classifier,
 )
+from alphaloss.calibration import MAX_GRID_POINTS
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -101,6 +102,29 @@ class TestCheckCalibrationAt:
                 unconstrained_argmin=0.0, gap=0.5, calibrated_at_eta=False,
                 argmin_at_boundary=False,
             )
+
+
+class TestGridCap:
+    def test_default_grid_is_allowed(self):
+        assert 2 * round(50.0 / 1e-3) + 1 <= MAX_GRID_POINTS
+        check_calibration_at(Alpha(2), 0.3)
+
+    @pytest.mark.parametrize(
+        "f_range, grid_step",
+        [
+            (50.0, 1e-12),
+            (50.0, 50.0 / (MAX_GRID_POINTS // 2)),  # one point past the cap
+            (50.0, 1e-320),  # f_range / grid_step overflows to inf
+            (1e308, 1e-3),
+        ],
+    )
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch, f_range, grid_step):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(ValueError, match="grid above"):
+            check_calibration_at(Alpha(2), 0.3, f_range, grid_step)
 
 
 class TestInnerDerivative:

@@ -108,6 +108,48 @@ class TestCalibrationCommand:
         assert open(out, "rb").read() == first
 
 
+    def test_grid_above_cap_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = str(tmp_path / "cal.csv")
+        code = main(["calibration", "--alphas", "2", "--eta-grid", "0.3",
+                     "--grid-step", "1e-12", "--out", out])
+        assert code == 1
+        assert "grid above" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad flags exit 1: exit code 2 is reserved for training divergence."""
+
+    def test_unknown_flag_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "curves.csv")
+        assert main(["losscurves", "--bogus", "1", "--out", out]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_malformed_int_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "curves.csv")
+        assert main(["losscurves", "--steps", "abc", "--out", out]) == 1
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_missing_subcommand_exits_one(self, capsys):
+        assert main([]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["losscurves", "--help"]) == 0
+        assert "--steps" in capsys.readouterr().out
+
+    def test_fresh_process_exit_status(self, tmp_path):
+        import subprocess
+        import sys
+
+        out = str(tmp_path / "curves.csv")
+        proc = subprocess.run([sys.executable, "-m", "alphaloss.cli", "losscurves",
+                               "--bogus", "1", "--out", out], capture_output=True)
+        assert proc.returncode == 1, proc.stderr
+
+
 class TestTrainCommand:
     def test_end_to_end_deterministic(self, tmp_path, synthetic_mnist_dir):
         out = str(tmp_path / "train.csv")
@@ -252,3 +294,24 @@ class TestLandscapeCommand:
         assert replay(manifest_path_for(out)) == 0
         assert open(out, "rb").read() == first
         assert open(summary, "rb").read() == first_summary
+
+
+class TestBenchmarkTracing:
+    def test_traced_child_runs_landscape(self, tmp_path):
+        """The benchmark's tracer wraps module attributes by name; all must resolve."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spans_path = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
+             "landscape", "--alphas", "2", "--ns", "100,200", "--trials", "1",
+             "--holdout-n", "1000", "--epochs", "5", "--out", str(tmp_path / "gaps.csv")],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads(spans_path.read_text())
+        assert sum(1 for span in spans if span[0] == "logreg.train") == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from alphaloss import (
     third_derivative_coefficient,
     train,
 )
-from alphaloss.logreg import row_norms
+from alphaloss.logreg import _margin_terms, row_norms
+from alphaloss.losses import _sigmoid_array, margin_losses
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -322,6 +324,123 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as exc:
             train(cfg, data)
         assert exc.value.epoch == 0
+
+
+def masked_coefficients(alpha, scores, labels):
+    """Gradient coefficients from two masked sigmoids, the form the fused kernel replaced."""
+    g = _sigmoid_array(scores)
+    h = _sigmoid_array(-scores)
+    c = alpha.exponent
+    return np.where(labels == 1, -(g**c) * h, g * (h**c))
+
+
+def three_matvec_train(config, data):
+    """Reference loop: fresh scores for the gradient, the risk and the final report.
+
+    Returns (weights, risk trace, final gradient norm, train accuracy).
+    """
+    rng = np.random.default_rng(config.seed)
+    radius = data.feature_radius
+    w = rng.uniform(-config.init_scale, config.init_scale, size=data.dim)
+    x, y, n = data.features, data.labels, data.n
+    trace = np.empty(config.epochs)
+    with np.errstate(over="ignore"):
+        for epoch in range(config.epochs):
+            coeffs = masked_coefficients(config.alpha, x @ w, y)
+            w = w - config.learning_rate * ((x.T @ coeffs) / n)
+            if config.projection:
+                norm = math.sqrt(float(w @ w))
+                if norm > radius:
+                    w = w * (radius / norm)
+            risk = float(np.mean(margin_losses(config.alpha, y * (x @ w))))
+            if not math.isfinite(risk):
+                raise TrainingDiverged(epoch)
+            trace[epoch] = risk
+        grad = (x.T @ masked_coefficients(config.alpha, x @ w, y)) / n
+    accuracy = float(np.mean(np.where(x @ w >= 0.0, 1, -1) == y))
+    return w, trace, float(np.sqrt(grad @ grad)), accuracy
+
+
+def noisy_linear_dataset(seed, n=300, d=6, sort_by_class=False):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    x /= row_norms(x).max()
+    y = np.where(x @ rng.normal(size=d) + 0.3 * rng.normal(size=n) >= 0.0, 1, -1)
+    if sort_by_class:
+        order = np.argsort(y, kind="stable")
+        x, y = x[order], y[order]
+    return LabeledDataset(x, y, feature_radius=1.0)
+
+
+MARGIN_EDGES = np.array(
+    [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308, math.inf, -math.inf]
+)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFusedMarginKernel:
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_losses_match_margin_losses(self, alpha):
+        rng = np.random.default_rng(8)
+        for margins in (MARGIN_EDGES, rng.normal(scale=20.0, size=500)):
+            losses, _ = _margin_terms(alpha, margins)
+            assert same_bits(losses, margin_losses(alpha, margins))
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_coefficients_match_masked_sigmoids(self, alpha):
+        rng = np.random.default_rng(9)
+        for scores in (MARGIN_EDGES, rng.normal(scale=20.0, size=500)):
+            labels = rng.choice([-1, 1], size=scores.size)
+            _, slopes = _margin_terms(alpha, labels * scores)
+            assert same_bits(labels * slopes, masked_coefficients(alpha, scores, labels))
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_coefficients_match_scalar_closed_form(self, alpha):
+        _, slopes = _margin_terms(alpha, MARGIN_EDGES)
+        for m, slope in zip(MARGIN_EDGES, slopes):
+            for y in (1, -1):
+                expected = gradient_coefficient(alpha, sigmoid(y * m), y)
+                assert np.signbit(y * slope) == np.signbit(expected)
+                # at |m| = 745 one of sigmoid(+-m) is the smallest subnormal and
+                # the scalar's 1 - g is 0 where the kernel keeps that tail, so
+                # only signs agree there; the bitwise tests above pin the kernel
+                if abs(m) != 745.0:
+                    assert y * slope == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+class TestTrainMatchesThreeMatvecLoop:
+    @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("sort_by_class", [False, True])
+    def test_bit_identical(self, alpha, projection, sort_by_class):
+        data = noisy_linear_dataset(21, sort_by_class=sort_by_class)
+        cfg = TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5, projection=projection)
+        weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
+        if projection:  # the ball constraint must actually bind
+            unprojected = three_matvec_train(replace(cfg, projection=False), data)[0]
+            assert np.linalg.norm(unprojected) > data.feature_radius
+        report = train(cfg, data)
+        assert np.array_equal(report.final_model.weights, weights)
+        assert np.array_equal(report.empirical_risk_trace, trace)
+        assert report.final_gradient_norm == grad_norm
+        assert report.train_accuracy == accuracy
+
+    # From w = 0 the iterate on these conflicting colinear rows alternates in
+    # sign with growing amplitude: the misclassified score after epoch k is
+    # about -(k + 1) * lr * 2.5e299, so the larger rates overflow it sooner.
+    @pytest.mark.parametrize("learning_rate, epoch", [(8e8, 0), (4e8, 1), (3e8, 2)])
+    def test_divergence_epoch_matches(self, learning_rate, epoch):
+        x = np.array([[1e150, 0.0], [2e150, 0.0]])
+        data = LabeledDataset(x, np.array([1, -1]), feature_radius=3e150)
+        cfg = TrainConfig(A1, learning_rate=learning_rate, epochs=5, seed=0, init_scale=0.0)
+        with pytest.raises(TrainingDiverged) as expected:
+            three_matvec_train(cfg, data)
+        with pytest.raises(TrainingDiverged) as got:
+            train(cfg, data)
+        assert got.value.epoch == expected.value.epoch == epoch
 
 
 class TestEvaluate:
