@@ -9,17 +9,7 @@ import sys
 
 from alphaloss.cli import main
 
-DEFAULTS = [
-    "--alphas", "2",
-    "--ns", "100,1000,10000",
-    "--trials", "21",
-    "--dim", "5",
-    "--radius", "1.0",
-    "--mean-norm", "0.8",
-    "--noise", "0.14",
-    "--seed", "20240819",
-    "--out", "landscape.csv",
-]
+DEFAULTS = ["--trials", "21", "--seed", "20240819", "--out", "landscape.csv"]
 
 if __name__ == "__main__":
     extra = sys.argv[1:] or DEFAULTS

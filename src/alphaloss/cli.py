@@ -5,8 +5,10 @@ logistic-regression benchmark, ``calibration`` emits the conditional-risk
 minima behind the calibration claim, ``landscape`` runs the risk-gap scaling
 experiment, and ``losscurves`` tabulates the margin losses and derivatives.
 
-Every command writes a JSON run manifest next to its primary CSV; re-running
-with the manifest's flags reproduces the CSV byte for byte.  Exit codes:
+Every command writes a JSON run manifest next to its primary CSV.  Its flags
+are the parsed namespace itself, so the parser is the one place that knows a
+subcommand's flags; re-running with them reproduces the CSV byte for byte.
+List flags take comma-separated values and must name at least one.  Exit codes:
 0 success, 1 data, parameter or usage errors, 2 training divergence.  CSVs
 are UTF-8 with LF line endings, a header row, and floats serialized to 17
 significant digits.
@@ -44,9 +46,6 @@ from .losses import (
 from .mnist import BinaryTaskSplit, IdxFormatError, build_binary_task, load_mnist_dir
 
 MNIST_DIR_ENV = "ALPHALOSS_MNIST_DIR"
-
-DEFAULT_SWEEP_ALPHAS = "1,1.1,1.2,1.5,2"
-DEFAULT_LR_GRID = "1.0,1.3,1.9,2.0"
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,16 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_manifest(command: str, flags: dict, seed: int, outputs, started: str) -> None:
+def _write_manifest(args, outputs, started: str) -> None:
+    flags = {
+        dest.replace("_", "-"): value
+        for dest, value in vars(args).items()
+        if dest not in ("command", "func")
+    }
     manifest = RunManifest(
-        command=command,
+        command=args.command,
         flags=flags,
-        seed=seed,
+        seed=getattr(args, "seed", 0),
         version=__version__,
         started_at=started,
         finished_at=_now(),
@@ -116,54 +120,32 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _parse_alphas(text: str) -> list[Alpha]:
-    return [Alpha.parse(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, cast) -> list:
+    items = [cast(tok) for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"empty list {text!r}: give at least one comma-separated value")
+    return items
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _load_task(args) -> BinaryTaskSplit:
+    """Load the 1-vs-7 task, storing the resolved directory on args for the manifest."""
+    args.mnist_dir = args.mnist_dir or os.environ.get(MNIST_DIR_ENV)
+    if not args.mnist_dir:
+        raise FileNotFoundError(f"no MNIST directory: pass --mnist-dir or set {MNIST_DIR_ENV}")
+    images, labels, test_images, test_labels = load_mnist_dir(args.mnist_dir)
+    return build_binary_task(images, labels, test_images, test_labels, args.seed)
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _resolve_mnist_dir(args) -> str:
-    directory = args.mnist_dir or os.environ.get(MNIST_DIR_ENV)
-    if not directory:
-        raise FileNotFoundError(
-            f"no MNIST directory: pass --mnist-dir or set {MNIST_DIR_ENV}"
-        )
-    return directory
-
-
-def _load_task(directory: str, seed: int) -> BinaryTaskSplit:
-    images, labels, test_images, test_labels = load_mnist_dir(directory)
-    return build_binary_task(images, labels, test_images, test_labels, seed)
-
-
-def cmd_train(args) -> int:
-    started = _now()
-    directory = _resolve_mnist_dir(args)
+def cmd_train(args) -> list[str]:
     alpha = Alpha.parse(args.alpha)
-    flags = {
-        "alpha": args.alpha,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "mnist-dir": directory,
-        "out": args.out,
-    }
-    task = _load_task(directory, args.seed)
-    cfg = TrainConfig(
-        alpha=alpha, learning_rate=float(args.lr), epochs=int(args.epochs), seed=int(args.seed)
-    )
+    task = _load_task(args)
+    cfg = TrainConfig(alpha=alpha, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     report = train(cfg, task.train)
     row = (
         alpha,
-        float(args.lr),
-        int(args.epochs),
-        int(args.seed),
+        args.lr,
+        args.epochs,
+        args.seed,
         report.train_accuracy,
         evaluate(report.final_model, task.validation),
         evaluate(report.final_model, task.test),
@@ -174,54 +156,30 @@ def cmd_train(args) -> int:
         ["alpha", "lr", "epochs", "seed", "train_acc", "val_acc", "test_acc", "final_risk"],
         [row],
     )
-    _write_manifest("train", flags, int(args.seed), [args.out], started)
-    return 0
+    return [args.out]
 
 
-def cmd_sweep(args) -> int:
-    started = _now()
-    directory = _resolve_mnist_dir(args)
-    alphas = _parse_alphas(args.alphas)
-    lr_grid = _parse_floats(args.lr_grid)
-    if not alphas or not lr_grid:
-        raise ValueError("alphas and lr-grid must be nonempty")
-    flags = {
-        "alphas": args.alphas,
-        "lr-grid": args.lr_grid,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "mnist-dir": directory,
-        "out": args.out,
-    }
-    task = _load_task(directory, args.seed)
+def cmd_sweep(args) -> list[str]:
+    alphas = _parse_list(args.alphas, Alpha.parse)
+    lr_grid = _parse_list(args.lr_grid, float)
+    task = _load_task(args)
     rows = []
     for alpha in alphas:
         best = None
         for lr in lr_grid:
-            cfg = TrainConfig(
-                alpha=alpha, learning_rate=lr, epochs=int(args.epochs), seed=int(args.seed)
-            )
+            cfg = TrainConfig(alpha=alpha, learning_rate=lr, epochs=args.epochs, seed=args.seed)
             report = train(cfg, task.train)
             val_acc = evaluate(report.final_model, task.validation)
             if best is None or val_acc > best[1]:
                 best = (lr, val_acc, evaluate(report.final_model, task.test))
         rows.append((alpha, best[0], best[1], best[2]))
     _write_csv(args.out, ["alpha", "best_lr", "val_acc", "test_acc"], rows)
-    _write_manifest("sweep", flags, int(args.seed), [args.out], started)
-    return 0
+    return [args.out]
 
 
-def cmd_calibration(args) -> int:
-    started = _now()
-    alphas = _parse_alphas(args.alphas)
-    etas = _parse_floats(args.eta_grid)
-    flags = {
-        "alphas": args.alphas,
-        "eta-grid": args.eta_grid,
-        "f-range": args.f_range,
-        "grid-step": args.grid_step,
-        "out": args.out,
-    }
+def cmd_calibration(args) -> list[str]:
+    alphas = _parse_list(args.alphas, Alpha.parse)
+    etas = _parse_list(args.eta_grid, float)
     header = [
         "alpha",
         "eta",
@@ -238,7 +196,7 @@ def cmd_calibration(args) -> int:
             if eta == 0.5:
                 print(f"warning: skipping eta=0.5 for alpha={alpha} (excluded)", file=sys.stderr)
                 continue
-            rep = check_calibration_at(alpha, eta, float(args.f_range), float(args.grid_step))
+            rep = check_calibration_at(alpha, eta, args.f_range, args.grid_step)
             rows.append(
                 (
                     alpha,
@@ -252,8 +210,7 @@ def cmd_calibration(args) -> int:
                 )
             )
     _write_csv(args.out, header, rows)
-    _write_manifest("calibration", flags, 0, [args.out], started)
-    return 0
+    return [args.out]
 
 
 def _summary_path(out: str) -> str:
@@ -261,41 +218,24 @@ def _summary_path(out: str) -> str:
     return f"{stem}_summary{ext or '.csv'}"
 
 
-def cmd_landscape(args) -> int:
-    started = _now()
-    alphas = _parse_alphas(args.alphas)
-    sizes = _parse_ints(args.ns)
-    flags = {
-        "alphas": args.alphas,
-        "ns": args.ns,
-        "trials": args.trials,
-        "dim": args.dim,
-        "radius": args.radius,
-        "mean-norm": args.mean_norm,
-        "noise": args.noise,
-        "holdout-n": args.holdout_n,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "out": args.out,
-    }
+def cmd_landscape(args) -> list[str]:
+    alphas = _parse_list(args.alphas, Alpha.parse)
+    sizes = _parse_list(args.ns, int)
     spec = SymmetricDataSpec.along_first_axis(
-        dim=int(args.dim),
-        radius=float(args.radius),
-        mean_norm=float(args.mean_norm),
-        noise_scale=float(args.noise),
-        seed=int(args.seed),
+        dim=args.dim,
+        radius=args.radius,
+        mean_norm=args.mean_norm,
+        noise_scale=args.noise,
+        seed=args.seed,
     )
     template = TrainConfig(
         alpha=alphas[0],
-        learning_rate=float(args.lr),
-        epochs=int(args.epochs),
-        seed=int(args.seed),
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        seed=args.seed,
         projection=True,
     )
-    result = risk_gap_experiment(
-        spec, alphas, sizes, int(args.trials), int(args.holdout_n), template
-    )
+    result = risk_gap_experiment(spec, alphas, sizes, args.trials, args.holdout_n, template)
     trial_rows = [
         (rec.alpha, rec.n, rec.trial, rec.gap, rec.hoeffding_term, rec.zero_one_risk)
         for rec in result.records
@@ -308,32 +248,22 @@ def cmd_landscape(args) -> int:
     summary_rows = []
     for alpha in alphas:
         medians = median_gaps(result.records, alpha)
-        slope = (
-            log_log_slope(list(medians), list(medians.values())) if len(medians) >= 2 else None
-        )
+        gaps = list(medians.values())
+        # a zero median gap has no logarithm: the slope is undefined, left empty
+        slope = log_log_slope(list(medians), gaps) if len(gaps) >= 2 and min(gaps) > 0 else None
         n_diverged = sum(1 for a, _, _ in result.diverged if a == alpha.value)
         for n, med in medians.items():
             summary_rows.append((alpha, n, med, slope, n_diverged))
     summary = _summary_path(args.out)
     _write_csv(summary, ["alpha", "n", "median_gap", "loglog_slope", "diverged"], summary_rows)
-    _write_manifest("landscape", flags, int(args.seed), [args.out, summary], started)
-    return 0
+    return [args.out, summary]
 
 
-def cmd_losscurves(args) -> int:
-    started = _now()
-    alphas = _parse_alphas(args.alphas)
-    steps = int(args.steps)
-    if steps < 2:
+def cmd_losscurves(args) -> list[str]:
+    alphas = _parse_list(args.alphas, Alpha.parse)
+    if args.steps < 2:
         raise ValueError("steps must be at least 2")
-    flags = {
-        "alphas": args.alphas,
-        "z-min": args.z_min,
-        "z-max": args.z_max,
-        "steps": args.steps,
-        "out": args.out,
-    }
-    grid = np.linspace(float(args.z_min), float(args.z_max), steps)
+    grid = np.linspace(args.z_min, args.z_max, args.steps)
     rows = []
     for alpha in alphas:
         for z in grid:
@@ -348,8 +278,7 @@ def cmd_losscurves(args) -> int:
                 )
             )
     _write_csv(args.out, ["alpha", "z", "loss", "d1", "d2"], rows)
-    _write_manifest("losscurves", flags, 0, [args.out], started)
-    return 0
+    return [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="tune the learning rate per alpha on validation")
-    p_sweep.add_argument("--alphas", default=DEFAULT_SWEEP_ALPHAS)
-    p_sweep.add_argument("--lr-grid", default=DEFAULT_LR_GRID)
+    p_sweep.add_argument("--alphas", default="1,1.1,1.2,1.5,2")
+    p_sweep.add_argument("--lr-grid", default="1.0,1.3,1.9,2.0")
     p_sweep.add_argument("--epochs", type=int, default=200)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--mnist-dir", default=None)
@@ -415,8 +344,10 @@ def main(argv=None) -> int:
     except SystemExit as stop:
         # argparse exits 2 on a usage error; here 2 means training diverged
         return 1 if stop.code else 0
+    started = _now()
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args), started)
+        return 0
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -226,7 +226,8 @@ def risk_gap_experiment(
                     diverged.append((alpha.value, n, trial))
                     continue
                 model = report.final_model
-                emp = empirical_risk(alpha, model, dataset)
+                # the trace's last entry is the training-sample risk of the final model
+                emp = float(report.empirical_risk_trace[-1])
                 true = empirical_risk(alpha, model, holdout)
                 records.append(
                     RiskGapRecord(
@@ -254,9 +255,11 @@ def median_gaps(records, alpha: Alpha) -> dict[int, float]:
 
 
 def log_log_slope(sizes, values) -> float:
-    """Least-squares slope of log(values) against log(sizes)."""
+    """Least-squares slope of log(values) against log(sizes); all must be positive."""
     sizes = np.asarray(sizes, dtype=float)
     values = np.asarray(values, dtype=float)
     if sizes.size < 2:
         raise ValueError("need at least two points to fit a slope")
+    if not (np.all(sizes > 0) and np.all(values > 0)):
+        raise ValueError("sizes and values must be positive to take their logarithms")
     return float(np.polyfit(np.log(sizes), np.log(values), 1)[0])

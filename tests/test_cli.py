@@ -315,3 +315,191 @@ class TestBenchmarkTracing:
         assert proc.returncode == 0, proc.stderr
         spans = json.loads(spans_path.read_text())
         assert sum(1 for span in spans if span[0] == "logreg.train") == 2
+
+
+def sha256_of(path):
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Default-flag outputs of the BLAS-free commands, pinned across refactors.
+
+    Measured on numpy 2.4.6, x86-64 with AVX-512; a different libm or SIMD
+    path may legitimately move the last bits.
+    """
+
+    def test_losscurves_defaults(self, tmp_path):
+        out = str(tmp_path / "curves.csv")
+        assert main(["losscurves", "--out", out]) == 0
+        assert sha256_of(out) == "4ce62b42ebe025784ff7e04c41ceb4bd3b5adfe79b53278ae40fe6c8f6ccd76f"
+
+    def test_calibration_defaults(self, tmp_path):
+        out = str(tmp_path / "cal.csv")
+        assert main(["calibration", "--out", out]) == 0
+        assert sha256_of(out) == "472d71da2f3bdb4dc45373500cde089efbba2d6f68bf4c345501de374e96741a"
+
+
+class TestManifestFlags:
+    """The manifest records every flag of the subcommand, typed as parsed."""
+
+    @staticmethod
+    def typed(flags):
+        return {key: (value, type(value)) for key, value in flags.items()}
+
+    def flags_of(self, out):
+        with open(manifest_path_for(out), encoding="utf-8") as fh:
+            return self.typed(json.load(fh)["flags"])
+
+    def test_train(self, tmp_path, synthetic_mnist_dir):
+        out = str(tmp_path / "train.csv")
+        assert main(["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1", "--seed", "7",
+                     "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
+        assert self.flags_of(out) == self.typed({
+            "alpha": "2", "lr": 0.5, "epochs": 1, "seed": 7,
+            "mnist-dir": synthetic_mnist_dir, "out": out,
+        })
+
+    def test_sweep(self, tmp_path, synthetic_mnist_dir):
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1",
+                     "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
+        assert self.flags_of(out) == self.typed({
+            "alphas": "2", "lr-grid": "0.5", "epochs": 1, "seed": 0,
+            "mnist-dir": synthetic_mnist_dir, "out": out,
+        })
+
+    def test_calibration(self, tmp_path):
+        out = str(tmp_path / "cal.csv")
+        assert main(["calibration", "--eta-grid", "0.3", "--out", out]) == 0
+        assert self.flags_of(out) == self.typed({
+            "alphas": "1,1.5,2,inf", "eta-grid": "0.3", "f-range": 50.0,
+            "grid-step": 0.001, "out": out,
+        })
+
+    def test_landscape(self, tmp_path):
+        out = str(tmp_path / "land.csv")
+        assert main(["landscape", "--ns", "40,80", "--trials", "1", "--holdout-n", "500",
+                     "--epochs", "5", "--out", out]) == 0
+        assert self.flags_of(out) == self.typed({
+            "alphas": "2", "ns": "40,80", "trials": 1, "dim": 5, "radius": 1.0,
+            "mean-norm": 0.8, "noise": 0.14, "holdout-n": 500, "lr": 1.0, "epochs": 5,
+            "seed": 0, "out": out,
+        })
+
+    def test_losscurves(self, tmp_path):
+        out = str(tmp_path / "curves.csv")
+        assert main(["losscurves", "--steps", "3", "--out", out]) == 0
+        assert self.flags_of(out) == self.typed({
+            "alphas": "1,1.5,2,inf", "z-min": -10.0, "z-max": 10.0, "steps": 3, "out": out,
+        })
+
+
+class TestReplayMnistCommands:
+    def test_train_replays_with_env_dir_unset(self, tmp_path, synthetic_mnist_dir, monkeypatch):
+        monkeypatch.setenv("ALPHALOSS_MNIST_DIR", synthetic_mnist_dir)
+        out = str(tmp_path / "train.csv")
+        assert main(["train", "--alpha", "1.5", "--lr", "0.4", "--epochs", "2", "--seed", "3",
+                     "--out", out]) == 0
+        first = open(out, "rb").read()
+        monkeypatch.delenv("ALPHALOSS_MNIST_DIR")
+        assert replay(manifest_path_for(out)) == 0
+        assert open(out, "rb").read() == first
+
+    def test_sweep_replays(self, tmp_path, synthetic_mnist_dir):
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--alphas", "1,inf", "--lr-grid", "0.2,0.6", "--epochs", "2",
+                     "--seed", "4", "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
+        first = open(out, "rb").read()
+        assert replay(manifest_path_for(out)) == 0
+        assert open(out, "rb").read() == first
+
+
+class TestEmptyLists:
+    """An empty list flag is a parameter error (exit 1) and writes nothing."""
+
+    @pytest.mark.parametrize("text", ["", ","])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("sweep", "--alphas"),
+            ("sweep", "--lr-grid"),
+            ("calibration", "--alphas"),
+            ("calibration", "--eta-grid"),
+            ("landscape", "--alphas"),
+            ("landscape", "--ns"),
+            ("losscurves", "--alphas"),
+        ],
+    )
+    def test_exits_one(self, tmp_path, capsys, synthetic_mnist_dir, command, flag, text):
+        out = tmp_path / "out.csv"
+        argv = [command, flag, text, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--epochs", "1", "--mnist-dir", synthetic_mnist_dir]
+        if command == "landscape":
+            argv += ["--trials", "1", "--holdout-n", "500", "--epochs", "5"]
+        assert main(argv) == 1
+        assert "empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUndefinedSlope:
+    def test_zero_median_gap_leaves_slope_empty(self, tmp_path):
+        import warnings
+
+        out = str(tmp_path / "land.csv")
+        argv = ["landscape", "--alphas", "inf", "--ns", "100,200", "--trials", "1",
+                "--holdout-n", "1000", "--epochs", "5", "--noise", "0", "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        summary = str(tmp_path / "land_summary.csv")
+        text = open(summary, encoding="utf-8").read()
+        assert "nan" not in text
+        _, rows = read_csv(summary)
+        assert [row[2] for row in rows] == ["0", "0"]
+        assert [row[3] for row in rows] == ["", ""]
+
+
+class TestScripts:
+    """Each script keeps only the flags whose values differ from the CLI's."""
+
+    COMMANDS = {
+        "calibration_curves.py": "calibration",
+        "landscape_scaling.py": "landscape",
+        "loss_curves.py": "losscurves",
+    }
+
+    @staticmethod
+    def scripts_dir():
+        import os
+
+        return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+    def test_every_script_is_covered(self):
+        import os
+
+        scripts = sorted(name for name in os.listdir(self.scripts_dir()) if name.endswith(".py"))
+        assert scripts == sorted(self.COMMANDS)
+
+    @pytest.mark.parametrize("script", sorted(COMMANDS))
+    def test_defaults_parse_and_deviate(self, script):
+        import os
+        import runpy
+
+        from alphaloss.cli import build_parser
+
+        command = self.COMMANDS[script]
+        defaults = runpy.run_path(os.path.join(self.scripts_dir(), script))["DEFAULTS"]
+        parser = build_parser()
+        args = parser.parse_args([command] + defaults)
+        pairs = [defaults[i:i + 2] for i in range(0, len(defaults), 2)]
+        assert all(flag.startswith("--") for flag, _ in pairs)
+        for flag, _ in pairs:
+            if flag == "--out":
+                continue  # required, so it has no default to differ from
+            rest = sum((pair for pair in pairs if pair[0] != flag), [])
+            dest = flag[2:].replace("-", "_")
+            assert getattr(args, dest) != getattr(parser.parse_args([command] + rest), dest), flag

@@ -251,6 +251,33 @@ class TestRiskGapExperiment:
         with pytest.raises(ValueError):
             log_log_slope([100], [0.1])
 
+    @pytest.mark.parametrize("values", [[0.1, 0.0], [0.1, -0.1], [0.0, 0.0]])
+    def test_slope_rejects_nonpositive_values(self, values):
+        with pytest.raises(ValueError, match="positive"):
+            log_log_slope([100, 1000], values)
+
+    def test_empirical_risk_is_recomputable(self, monkeypatch):
+        """Each record's empirical risk is the risk of its model on its own sample."""
+        spec = default_spec(dim=3, seed=23)
+        template = TrainConfig(alpha=A2, learning_rate=1.0, epochs=30, seed=0, projection=True)
+        fits = []
+        real_train = landscape_module.train
+
+        def recording_train(cfg, data):
+            report = real_train(cfg, data)
+            fits.append((cfg.alpha, report.final_model, data))
+            return report
+
+        monkeypatch.setattr(landscape_module, "train", recording_train)
+        alphas = [A1, Alpha(1.5), A2, Alpha.parse("inf")]
+        result = risk_gap_experiment(
+            spec, alphas, [100, 1000], trials=2, holdout_n=2000, train_cfg=template
+        )
+        # alphas and sizes are given sorted, so training order is record order
+        assert len(fits) == len(result.records) == 16
+        for rec, (alpha, model, data) in zip(result.records, fits):
+            assert rec.empirical_risk == empirical_risk(alpha, model, data)
+
     def test_input_validation(self, small_experiment):
         spec, template, _ = small_experiment
         with pytest.raises(ValueError):
