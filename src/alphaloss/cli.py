@@ -8,10 +8,10 @@ experiment, and ``losscurves`` tabulates the margin losses and derivatives.
 Every command writes a JSON run manifest next to its primary CSV.  Its flags
 are the parsed namespace itself, so the parser is the one place that knows a
 subcommand's flags; re-running with them reproduces the CSV byte for byte.
-List flags take comma-separated values and must name at least one.  Exit codes:
-0 success, 1 data, parameter or usage errors, 2 training divergence.  CSVs
-are UTF-8 with LF line endings, a header row, and floats serialized to 17
-significant digits.
+List flags take comma-separated values and must name at least one, each
+once.  Exit codes: 0 success, 1 data, parameter or usage errors, 2 training
+divergence.  CSVs are UTF-8 with LF line endings, a header row, and floats
+serialized to 17 significant digits.
 """
 
 from __future__ import annotations
@@ -124,6 +124,10 @@ def _parse_list(text: str, cast) -> list:
     items = [cast(tok) for tok in text.split(",") if tok.strip()]
     if not items:
         raise ValueError(f"empty list {text!r}: give at least one comma-separated value")
+    # compared after parsing, so 2 and 2.0 name the same entry
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"duplicate entry {item} in list {text!r}: give each value once")
     return items
 
 
@@ -180,6 +184,8 @@ def cmd_sweep(args) -> list[str]:
 def cmd_calibration(args) -> list[str]:
     alphas = _parse_list(args.alphas, Alpha.parse)
     etas = _parse_list(args.eta_grid, float)
+    if all(eta == 0.5 for eta in etas):
+        raise ValueError("every eta is 0.5, which is excluded: no calibration rows to write")
     header = [
         "alpha",
         "eta",

@@ -27,6 +27,8 @@ from .logreg import (
 from .losses import Alpha, sigmoid
 
 _REJECTION_ROUNDS = 1000
+# Largest sample, counted as n x dim floats (800 MB), that generation will allocate.
+MAX_SAMPLE_FLOATS = 10**8
 _HOLDOUT_TAG = 0x484F4C44  # distinguishes the holdout seed stream from trials
 
 
@@ -130,10 +132,21 @@ def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, coun
     )
 
 
+def _check_sample_size(n: int, dim: int, what: str) -> None:
+    if n * dim > MAX_SAMPLE_FLOATS:
+        raise ValueError(
+            f"{what} {n} x dim {dim} is {n * dim} floats, above the {MAX_SAMPLE_FLOATS} allowed"
+        )
+
+
 def generate_symmetric_dataset(spec: SymmetricDataSpec, n: int) -> LabeledDataset:
-    """Draw n labeled samples, near-balanced, supported exactly inside the ball."""
+    """Draw n labeled samples, near-balanced, supported exactly inside the ball.
+
+    At most ``MAX_SAMPLE_FLOATS`` features (n x dim) are drawn.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
+    _check_sample_size(n, spec.dim, "n")
     rng = np.random.default_rng(spec.seed)
     n_pos = n - n // 2
     positives = _draw_positive_class(rng, spec, n_pos)
@@ -208,6 +221,10 @@ def risk_gap_experiment(
         raise ValueError("trials must be positive")
     if holdout_n < 2:
         raise ValueError("holdout_n must be at least 2")
+    # every size is checked before the holdout or any trial is drawn
+    _check_sample_size(holdout_n, spec.dim, "holdout_n")
+    for n in sample_sizes:
+        _check_sample_size(n, spec.dim, "n")
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n
     )

@@ -187,29 +187,57 @@ def third_derivative_coefficient(alpha: Alpha, g: float, y: int) -> float:
     return g * h ** (c + 2.0) - mid * g * g * h ** (c + 1.0) + c * c * g**3 * (h**c)
 
 
-def _margin_terms(alpha: Alpha, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m), from one exp.
+def _margin_workspace(shape) -> tuple[np.ndarray, ...]:
+    """Buffers for :func:`_margin_terms` over margins of the given shape."""
+    return tuple(np.empty(shape) for _ in range(5))
+
+
+def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m).
 
     With e = exp(-|m|), sigmoid(m) = where(m < 0, e, 1) / (1 + e), sigmoid(-m) =
     where(m < 0, 1, e) / (1 + e) and log sigmoid(m) = where(m < 0, m - log1p(e),
-    -log1p(e)).  Every entry is bit-identical to :func:`margin_losses` and to
+    -log1p(e)).  The selects need no mask, which is slow on mixed signs: with
+    low = min(m, -0), where(m < 0, e, 1) = exp(low), where(m < 0, 1, e) =
+    exp(-max(m, 0)), their product is e, and low - log1p(e) is log sigmoid(m).
+    Every entry is bit-identical to :func:`margin_losses` and to
     :func:`gradient_coefficient` over the masked sigmoid, sign of zero
-    included.  The masked kernels stay the faster choice for sorted or mostly
-    one-signed margins, where masking is cheap.
+    included.
+
+    ``work`` is a :func:`_margin_workspace` of the margins' shape; the results
+    are two of its arrays, overwritten by the next call that shares it.
     """
-    neg = margins < 0
-    e = np.exp(-np.abs(margins))
-    denom = 1.0 + e
-    sig_neg = np.where(neg, 1.0, e) / denom
-    if alpha.is_infinite:
-        return sig_neg, -(np.where(neg, e, 1.0) / denom) * sig_neg
-    log1p_e = np.log1p(e)
-    log_sig = np.where(neg, margins - log1p_e, -log1p_e)
+    low, sig, sig_neg, denom, log_sig = (
+        work if work is not None else _margin_workspace(margins.shape)
+    )
+    # sig, sig_neg and denom first hold the numerators and e, then are divided in place
+    np.minimum(margins, -0.0, out=low)
+    np.exp(low, out=sig)
+    np.maximum(margins, 0.0, out=sig_neg)
+    np.negative(sig_neg, out=sig_neg)
+    np.exp(sig_neg, out=sig_neg)
+    np.multiply(sig, sig_neg, out=denom)
+    if not alpha.is_infinite:
+        np.log1p(denom, out=log_sig)
+        np.subtract(low, log_sig, out=log_sig)
+    np.add(1.0, denom, out=denom)
+    sig_neg /= denom
     if alpha.is_log:
-        return -log_sig, -sig_neg
-    sig = np.where(neg, e, 1.0) / denom
-    losses = -alpha.scale * np.expm1(alpha.exponent * log_sig)
-    return losses, -(sig**alpha.exponent) * sig_neg
+        np.negative(log_sig, out=log_sig)
+        np.negative(sig_neg, out=sig_neg)
+        return log_sig, sig_neg
+    sig /= denom
+    if alpha.is_infinite:
+        np.negative(sig, out=sig)
+        sig *= sig_neg
+        return sig_neg, sig
+    log_sig *= alpha.exponent
+    np.expm1(log_sig, out=log_sig)
+    log_sig *= -alpha.scale
+    sig **= alpha.exponent
+    np.negative(sig, out=sig)
+    sig *= sig_neg
+    return log_sig, sig
 
 
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:
@@ -247,31 +275,43 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     radius = data.feature_radius
     w = rng.uniform(-config.init_scale, config.init_scale, size=data.dim)
     x = data.features
-    y = data.labels
     n = data.n
+    # every per-sample array is allocated once and rewritten in place each epoch
+    y = data.labels.astype(float)
+    scores = np.empty(n)
+    margins = np.empty(n)
+    coefs = np.empty(n)
+    grad = np.empty(data.dim)
+    work = _margin_workspace(n)
     trace = np.empty(config.epochs)
+
+    alpha = config.alpha
     # overflow to inf is the divergence signal itself, not a numerical accident
     with np.errstate(over="ignore"):
-        scores = x @ w
-        _, slopes = _margin_terms(config.alpha, y * scores)
+        np.matmul(x, w, out=scores)
+        _, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
         for epoch in range(config.epochs):
-            w = w - config.learning_rate * ((x.T @ (y * slopes)) / n)
+            np.matmul(x.T, np.multiply(y, slopes, out=coefs), out=grad)
+            grad /= n
+            w -= config.learning_rate * grad
             if config.projection:
                 norm = math.sqrt(float(w @ w))
                 if norm > radius:
-                    w = w * (radius / norm)
-            scores = x @ w
-            losses, slopes = _margin_terms(config.alpha, y * scores)
-            risk = float(np.mean(losses))
+                    w *= radius / norm
+            np.matmul(x, w, out=scores)
+            losses, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
+            # the pairwise sum and division of np.mean, without its call overhead
+            risk = float(losses.sum() / n)
             if not math.isfinite(risk):
                 raise TrainingDiverged(epoch)
             trace[epoch] = risk
-        grad = (x.T @ (y * slopes)) / n
+        np.matmul(x.T, np.multiply(y, slopes, out=coefs), out=grad)
+        grad /= n
     return TrainReport(
         final_model=LinearModel(weights=w, radius_bound=radius),
         empirical_risk_trace=trace,
         final_gradient_norm=float(np.sqrt(grad @ grad)),
-        train_accuracy=_accuracy(scores, y),
+        train_accuracy=_accuracy(scores, data.labels),
     )
 
 

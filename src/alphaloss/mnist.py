@@ -143,10 +143,22 @@ def _class_indices(labels: np.ndarray, digit: int, needed: int, what: str) -> np
     return idx
 
 
-def _features(images: IdxImages, indices: np.ndarray) -> np.ndarray:
-    pixels = images.pixels[indices].astype(float) / 255.0
-    bias = np.ones((indices.size, 1))
-    return np.hstack([pixels, bias])
+def _labeled_rows(images: IdxImages, pos_rows: np.ndarray, neg_rows: np.ndarray) -> tuple:
+    """Features and +-1 labels of the given image rows, written into one buffer.
+
+    Pixels land as exact uint8 -> float64 casts and are divided by 255 in
+    place; the last column is the constant bias feature, stored as 255 so the
+    one division over the whole buffer leaves it exactly 1.
+    """
+    rows = np.concatenate([pos_rows, neg_rows])
+    features = np.empty((rows.size, images.pixels.shape[1] + 1))
+    features[:, :-1] = images.pixels[rows]
+    features[:, -1] = 255.0
+    features /= 255.0
+    labels = np.concatenate(
+        [np.ones(pos_rows.size, dtype=np.int64), -np.ones(neg_rows.size, dtype=np.int64)]
+    )
+    return features, labels
 
 
 def build_binary_task(
@@ -179,33 +191,22 @@ def build_binary_task(
         idx = _class_indices(source_labels, digit, needed, what)
         picks[(digit, what)] = np.sort(rng.choice(idx, size=needed, replace=False))
 
-    pool_pos = _features(images, picks[(POSITIVE_DIGIT, "train set")])
-    pool_neg = _features(images, picks[(NEGATIVE_DIGIT, "train set")])
-    test_pos = _features(test_images, picks[(POSITIVE_DIGIT, "test set")])
-    test_neg = _features(test_images, picks[(NEGATIVE_DIGIT, "test set")])
-
     n_train = TRAIN_POOL_PER_CLASS - VALIDATION_PER_CLASS
-    perm_pos = rng.permutation(TRAIN_POOL_PER_CLASS)
-    perm_neg = rng.permutation(TRAIN_POOL_PER_CLASS)
-
-    radius = float(
-        max(
-            row_norms(pool_pos).max(),
-            row_norms(pool_neg).max(),
-            row_norms(test_pos).max(),
-            row_norms(test_neg).max(),
-        )
+    # composing each sorted pick with its permutation gives the corpus rows of a split
+    pool_pos = picks[(POSITIVE_DIGIT, "train set")][rng.permutation(TRAIN_POOL_PER_CLASS)]
+    pool_neg = picks[(NEGATIVE_DIGIT, "train set")][rng.permutation(TRAIN_POOL_PER_CLASS)]
+    parts = (
+        _labeled_rows(images, pool_pos[:n_train], pool_neg[:n_train]),
+        _labeled_rows(images, pool_pos[n_train:], pool_neg[n_train:]),
+        _labeled_rows(
+            test_images,
+            picks[(POSITIVE_DIGIT, "test set")],
+            picks[(NEGATIVE_DIGIT, "test set")],
+        ),
     )
-
-    def assemble(pos: np.ndarray, neg: np.ndarray) -> LabeledDataset:
-        features = np.vstack([pos, neg])
-        lab = np.concatenate(
-            [np.ones(pos.shape[0], dtype=np.int64), -np.ones(neg.shape[0], dtype=np.int64)]
-        )
-        return LabeledDataset(features=features, labels=lab, feature_radius=radius)
-
-    return BinaryTaskSplit(
-        train=assemble(pool_pos[perm_pos[:n_train]], pool_neg[perm_neg[:n_train]]),
-        validation=assemble(pool_pos[perm_pos[n_train:]], pool_neg[perm_neg[n_train:]]),
-        test=assemble(test_pos, test_neg),
+    radius = float(max(row_norms(features).max() for features, _ in parts))
+    train, validation, test = (
+        LabeledDataset(features=features, labels=labels, feature_radius=radius)
+        for features, labels in parts
     )
+    return BinaryTaskSplit(train=train, validation=validation, test=test)

@@ -316,6 +316,27 @@ class TestBenchmarkTracing:
         spans = json.loads(spans_path.read_text())
         assert sum(1 for span in spans if span[0] == "logreg.train") == 2
 
+    def test_traced_child_runs_sweep(self, tmp_path, synthetic_mnist_dir):
+        """A traced sweep loads and builds the task once and trains |alpha| x |lr| models."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spans_path = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
+             "sweep", "--alphas", "1,2", "--lr-grid", "1,2", "--epochs", "1",
+             "--mnist-dir", synthetic_mnist_dir, "--out", str(tmp_path / "sweep.csv")],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = [span[0] for span in json.loads(spans_path.read_text())]
+        assert names.count("mnist.load") == 1
+        assert names.count("mnist.task_build") == 1
+        assert names.count("logreg.train") == 4
+
 
 def sha256_of(path):
     import hashlib
@@ -442,6 +463,65 @@ class TestEmptyLists:
             argv += ["--trials", "1", "--holdout-n", "500", "--epochs", "5"]
         assert main(argv) == 1
         assert "empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDuplicateEntries:
+    """A list flag naming one value twice is a parameter error (exit 1) and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("sweep", "--alphas", "2,2.0"),
+            ("sweep", "--lr-grid", "1,1.0"),
+            ("calibration", "--alphas", "inf,Infinity"),
+            ("calibration", "--eta-grid", "0.3,0.30"),
+            ("landscape", "--alphas", "2,2"),
+            ("landscape", "--ns", "40,40"),
+            ("losscurves", "--alphas", "1,1.5,1"),
+        ],
+    )
+    def test_exits_one(self, tmp_path, capsys, synthetic_mnist_dir, command, flag, text):
+        out = tmp_path / "out.csv"
+        argv = [command, flag, text, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--epochs", "1", "--mnist-dir", synthetic_mnist_dir]
+        if command == "landscape":
+            argv += ["--trials", "1", "--holdout-n", "500", "--epochs", "5"]
+        assert main(argv) == 1
+        assert "duplicate" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCalibrationAllEtasExcluded:
+    def test_only_half_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "cal.csv"
+        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.5", "--out", str(out)]) == 1
+        assert "0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLandscapeSizeCap:
+    """Sizes whose n x dim exceed MAX_SAMPLE_FLOATS exit 1 before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--holdout-n", str(10**13)],
+            ["--ns", "100,30000000"],
+            ["--ns", "100", "--dim", "200", "--holdout-n", "600000"],
+        ],
+    )
+    def test_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch, flags):
+        from alphaloss import landscape
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(landscape, "_draw_positive_class", refuse)
+        out = tmp_path / "gaps.csv"
+        assert main(["landscape", "--trials", "1", "--epochs", "5", "--out", str(out)] + flags) == 1
+        assert "floats" in capsys.readouterr().err
         assert not out.exists()
 
 

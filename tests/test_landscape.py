@@ -96,6 +96,28 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_symmetric_dataset(default_spec(), 1)
 
+    def test_size_cap_rejects_before_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
+        cap = landscape_module.MAX_SAMPLE_FLOATS
+        for n in (10**13, cap // 2 + 1):
+            with pytest.raises(ValueError, match="floats"):
+                generate_symmetric_dataset(default_spec(), n)
+
+    def test_size_cap_admits_its_bound(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def record(rng, spec, count):
+            raise Drawn(count)
+
+        monkeypatch.setattr(landscape_module, "_draw_positive_class", record)
+        # n x dim equal to the cap is allowed: the draw is reached
+        with pytest.raises(Drawn):
+            generate_symmetric_dataset(default_spec(), landscape_module.MAX_SAMPLE_FLOATS // 2)
+
     def test_deterministic(self):
         a = generate_symmetric_dataset(default_spec(), 64)
         b = generate_symmetric_dataset(default_spec(), 64)
@@ -277,6 +299,17 @@ class TestRiskGapExperiment:
         assert len(fits) == len(result.records) == 16
         for rec, (alpha, model, data) in zip(result.records, fits):
             assert rec.empirical_risk == empirical_risk(alpha, model, data)
+
+    @pytest.mark.parametrize("sizes, holdout_n", [([50, 10**8], 100), ([50], 10**13)])
+    def test_size_cap_checked_before_any_draw(self, small_experiment, monkeypatch, sizes, holdout_n):
+        spec, template, _ = small_experiment
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
+        with pytest.raises(ValueError, match="floats"):
+            risk_gap_experiment(spec, [A2], sizes, trials=1, holdout_n=holdout_n, train_cfg=template)
 
     def test_input_validation(self, small_experiment):
         spec, template, _ = small_experiment

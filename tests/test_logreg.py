@@ -22,7 +22,7 @@ from alphaloss import (
     third_derivative_coefficient,
     train,
 )
-from alphaloss.logreg import _margin_terms, row_norms
+from alphaloss.logreg import _margin_terms, _margin_workspace, row_norms
 from alphaloss.losses import _sigmoid_array, margin_losses
 
 A1 = Alpha.log_loss()
@@ -409,6 +409,18 @@ class TestFusedMarginKernel:
                 # only signs agree there; the bitwise tests above pin the kernel
                 if abs(m) != 745.0:
                     assert y * slope == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_shared_workspace_matches_fresh_buffers(self):
+        rng = np.random.default_rng(10)
+        margins = np.concatenate([MARGIN_EDGES, rng.normal(scale=20.0, size=500)])
+        work = _margin_workspace(margins.shape)
+        # every alpha twice, so each call starts from another alpha's leftovers
+        for alpha in ALPHA_CYCLE + ALPHA_CYCLE[::-1]:
+            losses, slopes = _margin_terms(alpha, margins, work)
+            fresh_losses, fresh_slopes = _margin_terms(alpha, margins)
+            assert same_bits(losses, fresh_losses)
+            assert same_bits(slopes, fresh_slopes)
+            assert all(any(out is buf for buf in work) for out in (losses, slopes))
 
 
 class TestTrainMatchesThreeMatvecLoop:

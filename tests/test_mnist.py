@@ -181,6 +181,69 @@ class TestBuildBinaryTask:
             build_binary_task(images, labels[:-1], test_images, test_labels, seed=0)
 
 
+def pooled_build(images, labels, test_images, test_labels, seed):
+    """The task built as class pools -> hstack -> row gathers -> vstack, as an oracle.
+
+    Returns (features, labels, feature_radius) for train, validation and test.
+    """
+    rng = np.random.default_rng(seed)
+    picks = [
+        np.sort(rng.choice(np.flatnonzero(source == digit), size=needed, replace=False))
+        for digit, source, needed in (
+            (1, labels, 6250), (7, labels, 6250), (1, test_labels, 1025), (7, test_labels, 1025)
+        )
+    ]
+
+    def pool(imgs, idx):
+        pixels = imgs.pixels[idx].astype(float) / 255.0
+        return np.hstack([pixels, np.ones((idx.size, 1))])
+
+    pool_pos, pool_neg = pool(images, picks[0]), pool(images, picks[1])
+    test_pos, test_neg = pool(test_images, picks[2]), pool(test_images, picks[3])
+    perm_pos, perm_neg = rng.permutation(6250), rng.permutation(6250)
+    radius = float(max(row_norms(p).max() for p in (pool_pos, pool_neg, test_pos, test_neg)))
+
+    def assemble(pos, neg):
+        lab = np.concatenate([np.ones(pos.shape[0], dtype=np.int64), -np.ones(neg.shape[0], dtype=np.int64)])
+        return np.vstack([pos, neg]), lab, radius
+
+    return (
+        assemble(pool_pos[perm_pos[:5750]], pool_neg[perm_neg[:5750]]),
+        assemble(pool_pos[perm_pos[5750:]], pool_neg[perm_neg[5750:]]),
+        assemble(test_pos, test_neg),
+    )
+
+
+class TestBuildMatchesPooledConstruction:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical(self, synthetic_full_corpus, seed):
+        split = build_binary_task(*synthetic_full_corpus, seed=seed)
+        expected = pooled_build(*synthetic_full_corpus, seed=seed)
+        for part, (features, labels, radius) in zip((split.train, split.validation, split.test), expected):
+            assert part.features.dtype == np.float64
+            assert part.features.flags.c_contiguous
+            assert part.features.shape == features.shape
+            assert np.array_equal(part.features, features)
+            assert np.array_equal(part.labels, labels)
+            assert part.feature_radius == radius
+
+
+class TestBuildMemory:
+    def test_peak_near_output_size(self, synthetic_full_corpus):
+        """Allocations during the build peak at most 1.25x the bytes it returns."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            split = build_binary_task(*synthetic_full_corpus, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        parts = (split.train, split.validation, split.test)
+        returned = sum(part.features.nbytes + part.labels.nbytes for part in parts)
+        assert peak <= 1.25 * returned, f"peak {peak / returned:.2f}x the returned bytes"
+
+
 @pytest.mark.usefixtures("real_mnist_dir")
 class TestRealMnist:
     def test_official_counts_and_split(self, real_mnist_dir):
