@@ -29,7 +29,8 @@ from .losses import (
 CALIBRATION_TOL = 1e-9
 
 # Largest search grid: 10^7 points is 80 MB per float array, and a check holds
-# a few such arrays at once.  The default grid has 100,001 points.
+# at most four such arrays at once (the grid, the risks and the two buffers of
+# a margin_losses call), 320 MB.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -81,6 +82,29 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float
     return x, fn(x)
 
 
+def _search_grid(f_range: float, grid_step: float) -> np.ndarray:
+    """The sorted grid over [-f_range, f_range] at about ``grid_step`` spacing."""
+    # Odd point count keeps 0 on the grid: the constrained half includes f = 0.
+    ratio = f_range / grid_step
+    points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"f_range / grid_step = {ratio:.6g} needs a grid above {MAX_GRID_POINTS} points"
+        )
+    return np.linspace(-f_range, f_range, points)
+
+
+def _wrong_side(grid: np.ndarray, eta: float) -> slice:
+    """The indices of the sorted grid on the wrong side, f * (2 eta - 1) <= 0.
+
+    The test is on signs: the prefix f <= 0 for eta > 1/2 and the suffix
+    f >= 0 for eta < 1/2, both holding f = 0 (and -0).
+    """
+    if eta > 0.5:
+        return slice(0, int(np.searchsorted(grid, 0.0, side="right")))
+    return slice(int(np.searchsorted(grid, 0.0, side="left")), grid.size)
+
+
 def check_calibration_at(
     alpha: Alpha,
     eta: float,
@@ -99,15 +123,15 @@ def check_calibration_at(
             f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}"
         )
 
-    # Odd point count keeps 0 on the grid: the constrained half includes f = 0.
-    ratio = f_range / grid_step
-    points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
-    if points > MAX_GRID_POINTS:
-        raise ValueError(
-            f"f_range / grid_step = {ratio:.6g} needs a grid above {MAX_GRID_POINTS} points"
-        )
-    grid = np.linspace(-f_range, f_range, points)
-    risks = eta * margin_losses(alpha, grid) + (1.0 - eta) * margin_losses(alpha, -grid)
+    grid = _search_grid(f_range, grid_step)
+    # eta * L(f) + (1 - eta) * L(-f), combined in place.  L(-f) is taken on the
+    # grid negated in place and then restored, both exact, instead of a copy.
+    risks = margin_losses(alpha, grid)
+    risks *= eta
+    other = margin_losses(alpha, np.negative(grid, out=grid))
+    np.negative(grid, out=grid)
+    other *= 1.0 - eta
+    risks += other
 
     def risk_at(f: float) -> float:
         return conditional_risk(alpha, eta, f)
@@ -124,8 +148,8 @@ def check_calibration_at(
     if at_boundary:
         argmin = -f_range if risks[0] <= risks[-1] else f_range
 
-    wrong_side = grid * (2.0 * eta - 1.0) <= 0.0
-    j = int(np.flatnonzero(wrong_side)[np.argmin(risks[wrong_side])])
+    side = _wrong_side(grid, eta)
+    j = side.start + int(np.argmin(risks[side]))
     # Refine without leaving the constrained half [-f_range, 0] (or mirrored).
     if eta > 0.5:
         c_lo, c_hi = max(grid[max(j - 1, 0)], -f_range), min(grid[min(j + 1, grid.size - 1)], 0.0)

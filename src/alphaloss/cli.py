@@ -88,12 +88,32 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temp file in the same directory, which ``os.replace``
+    then renames over ``path`` in one step; on any failure the temp file is
+    removed and an existing ``path`` is left as it was.
+    """
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)),
+        f".{os.path.basename(path)}.{os.getpid()}.tmp",
+    )
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_csv(path: str, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(args, outputs, started: str) -> None:
@@ -111,9 +131,8 @@ def _write_manifest(args, outputs, started: str) -> None:
         finished_at=_now(),
         outputs=list(outputs),
     )
-    with open(manifest_path_for(outputs[0]), "w", encoding="utf-8") as fh:
-        json.dump(manifest.__dict__, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n"
+    _write_atomically(manifest_path_for(outputs[0]), text)
 
 
 def _now() -> str:

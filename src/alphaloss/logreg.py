@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# margin_losses and _sigmoid_array stay bound here: perfbench/child.py wraps them by name.
+# The array kernels live in losses; _sigmoid_array is unused here but stays
+# bound because perfbench/child.py wraps logreg's bindings by name.
 from .losses import (
     Alpha,
     check_belief,
@@ -22,6 +23,8 @@ from .losses import (
     margin_alpha_loss,
     margin_losses,
     sigmoid,
+    _margin_terms,
+    _margin_workspace,
     _sigmoid_array,
 )
 
@@ -185,59 +188,6 @@ def third_derivative_coefficient(alpha: Alpha, g: float, y: int) -> float:
     if y == 1:
         return -(g ** (c + 2.0) * h - mid * g ** (c + 1.0) * h * h + c * c * (g**c) * h**3)
     return g * h ** (c + 2.0) - mid * g * g * h ** (c + 1.0) + c * c * g**3 * (h**c)
-
-
-def _margin_workspace(shape) -> tuple[np.ndarray, ...]:
-    """Buffers for :func:`_margin_terms` over margins of the given shape."""
-    return tuple(np.empty(shape) for _ in range(5))
-
-
-def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m).
-
-    With e = exp(-|m|), sigmoid(m) = where(m < 0, e, 1) / (1 + e), sigmoid(-m) =
-    where(m < 0, 1, e) / (1 + e) and log sigmoid(m) = where(m < 0, m - log1p(e),
-    -log1p(e)).  The selects need no mask, which is slow on mixed signs: with
-    low = min(m, -0), where(m < 0, e, 1) = exp(low), where(m < 0, 1, e) =
-    exp(-max(m, 0)), their product is e, and low - log1p(e) is log sigmoid(m).
-    Every entry is bit-identical to :func:`margin_losses` and to
-    :func:`gradient_coefficient` over the masked sigmoid, sign of zero
-    included.
-
-    ``work`` is a :func:`_margin_workspace` of the margins' shape; the results
-    are two of its arrays, overwritten by the next call that shares it.
-    """
-    low, sig, sig_neg, denom, log_sig = (
-        work if work is not None else _margin_workspace(margins.shape)
-    )
-    # sig, sig_neg and denom first hold the numerators and e, then are divided in place
-    np.minimum(margins, -0.0, out=low)
-    np.exp(low, out=sig)
-    np.maximum(margins, 0.0, out=sig_neg)
-    np.negative(sig_neg, out=sig_neg)
-    np.exp(sig_neg, out=sig_neg)
-    np.multiply(sig, sig_neg, out=denom)
-    if not alpha.is_infinite:
-        np.log1p(denom, out=log_sig)
-        np.subtract(low, log_sig, out=log_sig)
-    np.add(1.0, denom, out=denom)
-    sig_neg /= denom
-    if alpha.is_log:
-        np.negative(log_sig, out=log_sig)
-        np.negative(sig_neg, out=sig_neg)
-        return log_sig, sig_neg
-    sig /= denom
-    if alpha.is_infinite:
-        np.negative(sig, out=sig)
-        sig *= sig_neg
-        return sig_neg, sig
-    log_sig *= alpha.exponent
-    np.expm1(log_sig, out=log_sig)
-    log_sig *= -alpha.scale
-    sig **= alpha.exponent
-    np.negative(sig, out=sig)
-    sig *= sig_neg
-    return log_sig, sig
 
 
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:

@@ -3,8 +3,9 @@
 The family is driven by a single parameter alpha in [1, inf].  alpha = 1 is
 log-loss, alpha = inf is sigmoid loss (whose expectation is the probability of
 error), and finite alpha in between interpolates continuously.  Every function
-here is a pure function of its scalar inputs; :func:`margin_losses` is the
-vectorized companion used by the grid searches and the regression engine.
+here is a pure function of its scalar inputs.  The array kernels at the end,
+:func:`margin_losses` for the grid searches and risks and ``_margin_terms``
+for the training loop's losses and slopes, share one mask-free construction.
 
 Conventions: labels live in {-1, +1}, beliefs are probabilities of the event
 {Y = +1}, margins are y * f(x) on the extended real line.
@@ -272,31 +273,91 @@ def tilted_posterior(alpha: Alpha, p: float) -> float:
     return sigmoid(alpha.value * logit(p))
 
 
-def _sigmoid_array(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape, dtype=float)
-    neg = z < 0
-    pos = ~neg
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[neg])
-    out[neg] = ez / (1.0 + ez)
-    return out
-
-
-def _log_sigmoid_array(z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape, dtype=float)
-    neg = z < 0
-    pos = ~neg
-    out[pos] = -np.log1p(np.exp(-z[pos]))
-    out[neg] = z[neg] - np.log1p(np.exp(z[neg]))
-    return out
-
-
 def margin_losses(alpha: Alpha, margins: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`margin_alpha_loss` over an array of margins."""
-    z = np.asarray(margins, dtype=float)
+    """Vectorized :func:`margin_alpha_loss` over an array of margins.
+
+    The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
+    log sigmoid(m) = min(m, -0) - log1p(e) and sigmoid(-m) = exp(-max(m, 0)) /
+    (1 + e), computed in two buffers without masks.  Every entry is
+    bit-identical to the split forms of :func:`log_sigmoid` and
+    :func:`sigmoid`, sign of zero included.
+    """
+    m = np.asarray(margins, dtype=float)
+    # explicit buffers keep a 0-d input an array through the in-place steps
+    out = np.empty(m.shape)
+    e = np.abs(m, out=np.empty(m.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     if alpha.is_infinite:
-        return _sigmoid_array(-z)
-    ls = _log_sigmoid_array(z)
+        np.maximum(m, 0.0, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        e += 1.0
+        out /= e
+        return out
+    np.minimum(m, -0.0, out=out)
+    out -= np.log1p(e, out=e)
     if alpha.is_log:
-        return -ls
-    return -alpha.scale * np.expm1(alpha.exponent * ls)
+        return np.negative(out, out=out)
+    out *= alpha.exponent
+    np.expm1(out, out=out)
+    out *= -alpha.scale
+    return out
+
+
+def _sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`sigmoid`: the infinite-alpha loss of the negated margin."""
+    return margin_losses(Alpha.infinite(), -np.asarray(z, dtype=float))
+
+
+def _margin_workspace(shape) -> tuple[np.ndarray, ...]:
+    """Buffers for :func:`_margin_terms` over margins of the given shape."""
+    return tuple(np.empty(shape) for _ in range(5))
+
+
+def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m).
+
+    With e = exp(-|m|), sigmoid(m) = where(m < 0, e, 1) / (1 + e), sigmoid(-m) =
+    where(m < 0, 1, e) / (1 + e) and log sigmoid(m) = where(m < 0, m - log1p(e),
+    -log1p(e)).  The selects need no mask, which is slow on mixed signs: with
+    low = min(m, -0), where(m < 0, e, 1) = exp(low), where(m < 0, 1, e) =
+    exp(-max(m, 0)), their product is e, and low - log1p(e) is log sigmoid(m).
+    Every entry is bit-identical to :func:`margin_losses` and to the belief
+    form ``logreg.gradient_coefficient`` over the split-form sigmoid, sign of
+    zero included.
+
+    ``work`` is a :func:`_margin_workspace` of the margins' shape; the results
+    are two of its arrays, overwritten by the next call that shares it.
+    """
+    low, sig, sig_neg, denom, log_sig = (
+        work if work is not None else _margin_workspace(margins.shape)
+    )
+    # sig, sig_neg and denom first hold the numerators and e, then are divided in place
+    np.minimum(margins, -0.0, out=low)
+    np.exp(low, out=sig)
+    np.maximum(margins, 0.0, out=sig_neg)
+    np.negative(sig_neg, out=sig_neg)
+    np.exp(sig_neg, out=sig_neg)
+    np.multiply(sig, sig_neg, out=denom)
+    if not alpha.is_infinite:
+        np.log1p(denom, out=log_sig)
+        np.subtract(low, log_sig, out=log_sig)
+    np.add(1.0, denom, out=denom)
+    sig_neg /= denom
+    if alpha.is_log:
+        np.negative(log_sig, out=log_sig)
+        np.negative(sig_neg, out=sig_neg)
+        return log_sig, sig_neg
+    sig /= denom
+    if alpha.is_infinite:
+        np.negative(sig, out=sig)
+        sig *= sig_neg
+        return sig_neg, sig
+    log_sig *= alpha.exponent
+    np.expm1(log_sig, out=log_sig)
+    log_sig *= -alpha.scale
+    sig **= alpha.exponent
+    np.negative(sig, out=sig)
+    sig *= sig_neg
+    return log_sig, sig

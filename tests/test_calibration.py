@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from alphaloss import (
     min_conditional_risk,
     optimal_classifier,
 )
-from alphaloss.calibration import MAX_GRID_POINTS
+from alphaloss import margin_losses
+from alphaloss.calibration import MAX_GRID_POINTS, _search_grid, _wrong_side
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -125,6 +127,56 @@ class TestGridCap:
         monkeypatch.setattr(np, "linspace", refuse)
         with pytest.raises(ValueError, match="grid above"):
             check_calibration_at(Alpha(2), 0.3, f_range, grid_step)
+
+
+# Posteriors 0.01..0.99 without 1/2, and 1/2 plus or minus one ulp.
+SLICE_ETAS = [k / 100 for k in range(1, 100) if k != 50] + [
+    math.nextafter(0.5, 0.0),
+    math.nextafter(0.5, 1.0),
+]
+
+
+class TestWrongSideSlice:
+    """The constrained half as a slice of the sorted grid, against the sign mask."""
+
+    @pytest.mark.parametrize(
+        "f_range, grid_step",
+        [
+            (50.0, 1e-3),  # the default grid, with f = 0 on it
+            (50.0, 1 / 3),
+            (7.0, 1e-3 / 7),  # the middle point is +8.9e-16, not 0
+            (2.9, 1 / 3),  # the middle point is -4.4e-16
+            (1e-6, 1e-9 / 3),
+            (1e-300, 1e-301 / 3),
+        ],
+    )
+    def test_matches_mask_form(self, f_range, grid_step):
+        grid = _search_grid(f_range, grid_step)
+        for alpha in (A1, A2, AINF):
+            loss, loss_neg = margin_losses(alpha, grid), margin_losses(alpha, -grid)
+            for eta in SLICE_ETAS:
+                risks = eta * loss + (1.0 - eta) * loss_neg
+                mask = grid * (2.0 * eta - 1.0) <= 0.0
+                side = _wrong_side(grid, eta)
+                assert np.array_equal(np.arange(grid.size)[side], np.flatnonzero(mask)), eta
+                masked_j = int(np.flatnonzero(mask)[np.argmin(risks[mask])])
+                assert side.start + int(np.argmin(risks[side])) == masked_j, eta
+
+
+class TestCheckMemory:
+    GRID_POINTS = 5_000_001  # f_range 50 at step 2e-5
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_peak_is_at_most_four_grids(self, alpha):
+        # the grid, the risks and the two buffers of one margin_losses call
+        tracemalloc.start()
+        try:
+            check_calibration_at(alpha, 0.7, 50.0, 2e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _search_grid(50.0, 2e-5).size == self.GRID_POINTS
+        assert peak <= 4.25 * self.GRID_POINTS * 8
 
 
 class TestInnerDerivative:

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -362,6 +364,12 @@ class TestPinnedBytes:
         assert main(["calibration", "--out", out]) == 0
         assert sha256_of(out) == "472d71da2f3bdb4dc45373500cde089efbba2d6f68bf4c345501de374e96741a"
 
+    def test_calibration_near_half_and_tails(self, tmp_path):
+        out = str(tmp_path / "cal.csv")
+        assert main(["calibration", "--alphas", "1.2,5,inf",
+                     "--eta-grid", "0.01,0.49,0.51,0.99", "--out", out]) == 0
+        assert sha256_of(out) == "c79a273d1208a9d59d7df1e14aa68b641105e50f55de3e9c135d2552e05f90a9"
+
 
 class TestManifestFlags:
     """The manifest records every flag of the subcommand, typed as parsed."""
@@ -583,3 +591,79 @@ class TestScripts:
             rest = sum((pair for pair in pairs if pair[0] != flag), [])
             dest = flag[2:].replace("-", "_")
             assert getattr(args, dest) != getattr(parser.parse_args([command] + rest), dest), flag
+
+
+class TestAtomicWrites:
+    """A failed write leaves no partial output and no temp file behind."""
+
+    ARGS = ["calibration", "--alphas", "2", "--eta-grid", "0.7", "--f-range", "5",
+            "--grid-step", "0.01"]
+
+    @staticmethod
+    def fail_on_write(monkeypatch, which):
+        """Make the ``which``-th file the CLI writes (0-based) fail halfway through."""
+        from alphaloss import cli
+
+        opened = []
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            opened.append(path)
+            return HalfWriter(fh) if len(opened) - 1 == which else fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+    def run(self, out):
+        return main(self.ARGS + ["--out", str(out)])
+
+    def test_success_leaves_only_outputs(self, tmp_path):
+        out = tmp_path / "cal.csv"
+        assert self.run(out) == 0
+        assert sorted(os.listdir(tmp_path)) == ["cal.csv", "cal.csv.manifest.json"]
+
+    def test_failed_csv_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        self.fail_on_write(monkeypatch, 0)
+        assert self.run(tmp_path / "cal.csv") == 1
+        assert "No space left" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_csv_write_keeps_previous_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "cal.csv"
+        assert self.run(out) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        self.fail_on_write(monkeypatch, 0)
+        assert self.run(out) == 1
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "cal.csv"
+        assert self.run(out) == 0
+        csv_bytes = out.read_bytes()
+        os.remove(manifest_path_for(str(out)))
+        self.fail_on_write(monkeypatch, 1)
+        assert self.run(out) == 1
+        assert os.listdir(tmp_path) == ["cal.csv"]
+        assert out.read_bytes() == csv_bytes
+
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert self.run(tmp_path / "cal.csv") == 1
+        assert os.listdir(tmp_path) == []

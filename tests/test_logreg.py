@@ -22,8 +22,8 @@ from alphaloss import (
     third_derivative_coefficient,
     train,
 )
-from alphaloss.logreg import _margin_terms, _margin_workspace, row_norms
-from alphaloss.losses import _sigmoid_array, margin_losses
+from alphaloss.logreg import row_norms
+from alphaloss.losses import _margin_terms, _margin_workspace, _sigmoid_array, margin_losses
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -326,10 +326,41 @@ class TestTrain:
         assert exc.value.epoch == 0
 
 
+# The masked split-form array kernels that the mask-free ones replaced, kept
+# here as independent references.
+def masked_sigmoid(z):
+    out = np.empty(z.shape, dtype=float)
+    neg = z < 0
+    pos = ~neg
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[neg])
+    out[neg] = ez / (1.0 + ez)
+    return out
+
+
+def masked_log_sigmoid(z):
+    out = np.empty(z.shape, dtype=float)
+    neg = z < 0
+    pos = ~neg
+    out[pos] = -np.log1p(np.exp(-z[pos]))
+    out[neg] = z[neg] - np.log1p(np.exp(z[neg]))
+    return out
+
+
+def masked_margin_losses(alpha, margins):
+    z = np.asarray(margins, dtype=float)
+    if alpha.is_infinite:
+        return masked_sigmoid(-z)
+    ls = masked_log_sigmoid(z)
+    if alpha.is_log:
+        return -ls
+    return -alpha.scale * np.expm1(alpha.exponent * ls)
+
+
 def masked_coefficients(alpha, scores, labels):
     """Gradient coefficients from two masked sigmoids, the form the fused kernel replaced."""
-    g = _sigmoid_array(scores)
-    h = _sigmoid_array(-scores)
+    g = masked_sigmoid(scores)
+    h = masked_sigmoid(-scores)
     c = alpha.exponent
     return np.where(labels == 1, -(g**c) * h, g * (h**c))
 
@@ -352,7 +383,7 @@ def three_matvec_train(config, data):
                 norm = math.sqrt(float(w @ w))
                 if norm > radius:
                     w = w * (radius / norm)
-            risk = float(np.mean(margin_losses(config.alpha, y * (x @ w))))
+            risk = float(np.mean(masked_margin_losses(config.alpha, y * (x @ w))))
             if not math.isfinite(risk):
                 raise TrainingDiverged(epoch)
             trace[epoch] = risk
@@ -379,6 +410,45 @@ MARGIN_EDGES = np.array(
 
 def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def oracle_margins():
+    """Named margin sets: edges, cancellation and subnormal-tail points, grids."""
+    rng = np.random.default_rng(11)
+    tiny = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 1e-310])
+    grid = np.linspace(-50.0, 50.0, 100_001)
+    return {
+        "edges": MARGIN_EDGES,
+        "subnormals": np.concatenate([tiny, -tiny]),
+        "cancellation": np.array([36.7, -36.7, 708.5, -708.5]),
+        "grid": grid,
+        "negated_grid": -grid,
+        "mixed_normals": rng.normal(scale=30.0, size=2_000),
+    }
+
+
+class TestMaskFreeMarginLosses:
+    """margin_losses against an in-test copy of the masked kernel it replaced."""
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE + [Alpha(1e6)], ids=str)
+    def test_matches_masked_kernel(self, alpha):
+        for name, margins in oracle_margins().items():
+            assert same_bits(margin_losses(alpha, margins), masked_margin_losses(alpha, margins)), name
+            losses, _ = _margin_terms(alpha, margins)
+            assert same_bits(losses, masked_margin_losses(alpha, margins)), name
+
+    def test_sigmoid_matches_masked_sigmoid(self):
+        for name, margins in oracle_margins().items():
+            assert same_bits(_sigmoid_array(margins), masked_sigmoid(margins)), name
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_keeps_shape_and_input(self, alpha):
+        for margins in (np.array(-3.0), np.array([[0.5, -0.5], [40.0, -40.0]])):
+            before = margins.copy()
+            got = margin_losses(alpha, margins)
+            assert got.shape == margins.shape
+            assert same_bits(got, masked_margin_losses(alpha, margins))
+            assert same_bits(margins, before)
 
 
 class TestFusedMarginKernel:
