@@ -20,6 +20,7 @@ from .losses import (
     Alpha,
     check_posterior,
     margin_losses,
+    margin_alpha_loss_d1,
     conditional_risk,
     optimal_classifier,
 )
@@ -133,14 +134,15 @@ def check_calibration_at(
     other *= 1.0 - eta
     risks += other
 
-    def risk_at(f: float) -> float:
-        return conditional_risk(alpha, eta, f)
+    # golden section around the best grid cell of a side, kept inside [lo, hi]
+    def refine(side: slice, lo: float, hi: float) -> tuple[float, float]:
+        k = side.start + int(np.argmin(risks[side]))
+        cell_lo = max(grid[max(k - 1, 0)], lo)
+        cell_hi = min(grid[min(k + 1, grid.size - 1)], hi)
+        x, refined = _golden_section(lambda f: conditional_risk(alpha, eta, f), cell_lo, cell_hi)
+        return x, min(refined, float(risks[k]))
 
-    i = int(np.argmin(risks))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    argmin, refined = _golden_section(risk_at, lo, hi)
-    unconstrained = min(refined, float(risks[i]))
+    argmin, unconstrained = refine(slice(0, grid.size), -f_range, f_range)
     # An infimum only approached in the limit (the infinite-alpha loss) shows up
     # as a boundary risk that already equals the minimum to double precision.
     boundary_risk = min(float(risks[0]), float(risks[-1]))
@@ -148,15 +150,9 @@ def check_calibration_at(
     if at_boundary:
         argmin = -f_range if risks[0] <= risks[-1] else f_range
 
-    side = _wrong_side(grid, eta)
-    j = side.start + int(np.argmin(risks[side]))
     # Refine without leaving the constrained half [-f_range, 0] (or mirrored).
-    if eta > 0.5:
-        c_lo, c_hi = max(grid[max(j - 1, 0)], -f_range), min(grid[min(j + 1, grid.size - 1)], 0.0)
-    else:
-        c_lo, c_hi = max(grid[max(j - 1, 0)], 0.0), min(grid[min(j + 1, grid.size - 1)], f_range)
-    _, c_refined = _golden_section(risk_at, c_lo, c_hi)
-    constrained = min(c_refined, float(risks[j]))
+    bounds = (-f_range, 0.0) if eta > 0.5 else (0.0, f_range)
+    _, constrained = refine(_wrong_side(grid, eta), *bounds)
 
     unconstrained = min(unconstrained, constrained)
     gap = constrained - unconstrained
@@ -177,7 +173,8 @@ def inner_derivative(alpha: Alpha, eta: float, f: float) -> float:
 
     For finite alpha > 1 the minimum conditional risk is scale * (1 - sup_f
     [eta * sigmoid(f)^c + (1-eta) * sigmoid(-f)^c]); this is d/df of the
-    bracket, with its unique zero at f0 = alpha * log(eta / (1 - eta)).
+    bracket, c * ((1-eta) * L'(-f) - eta * L'(f)) for the margin-loss
+    derivative L', whose unique zero is f0 = alpha * log(eta / (1 - eta)).
     """
     if alpha.is_log or alpha.is_infinite:
         raise ValueError("inner derivative is defined for finite alpha > 1 only")
@@ -185,9 +182,9 @@ def inner_derivative(alpha: Alpha, eta: float, f: float) -> float:
     f = float(f)
     if not math.isfinite(f):
         raise ValueError("f must be finite")
-    inv_a = 1.0 / alpha.value
-    bracket = eta * (1.0 + math.exp(-f)) ** inv_a - (1.0 - eta) * (1.0 + math.exp(f)) ** inv_a
-    return (1.0 - inv_a) * bracket / (math.exp(f) + 2.0 + math.exp(-f))
+    return alpha.exponent * (
+        (1.0 - eta) * margin_alpha_loss_d1(alpha, -f) - eta * margin_alpha_loss_d1(alpha, f)
+    )
 
 
 def calibration_sweep(

@@ -288,20 +288,15 @@ def cmd_losscurves(args) -> list[str]:
     alphas = _parse_list(args.alphas, Alpha.parse)
     if args.steps < 2:
         raise ValueError("steps must be at least 2")
+    if args.steps * len(alphas) > 10**6:
+        raise ValueError(f"{args.steps} steps x {len(alphas)} alphas is above 10^6 rows")
     grid = np.linspace(args.z_min, args.z_max, args.steps)
-    rows = []
-    for alpha in alphas:
-        for z in grid:
-            z = float(z)
-            rows.append(
-                (
-                    alpha,
-                    z,
-                    margin_alpha_loss(alpha, z),
-                    margin_alpha_loss_d1(alpha, z),
-                    margin_alpha_loss_d2(alpha, z),
-                )
-            )
+    rows = [
+        (alpha, z, margin_alpha_loss(alpha, z), margin_alpha_loss_d1(alpha, z),
+         margin_alpha_loss_d2(alpha, z))
+        for alpha in alphas
+        for z in grid.tolist()
+    ]
     _write_csv(args.out, ["alpha", "z", "loss", "d1", "d2"], rows)
     return [args.out]
 

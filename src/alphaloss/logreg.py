@@ -154,6 +154,9 @@ def gradient_coefficient(alpha: Alpha, g: float, y: int) -> float:
     """Scalar multiplying x in the per-sample gradient; bounded by 1 in magnitude.
 
     ((1-y)/2) * g * (1-g)^(1-1/alpha) - ((1+y)/2) * g^(1-1/alpha) * (1-g).
+    1 - g is only as accurate as g: sigmoid(36.7) rounds to 1 - 2^-52, about
+    twice the true tail, so take margins past |m| = 37 through
+    ``margin_alpha_loss_d1``.
     """
     g = check_belief(g)
     y = check_label(y)

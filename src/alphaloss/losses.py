@@ -120,13 +120,29 @@ def check_margin(z: float) -> float:
     return z
 
 
+def _split_sigmoid(z: float) -> tuple[float, float, float, float]:
+    """log sigmoid(+-z) and sigmoid(+-z) from one exp(-|z|), split at z = 0."""
+    z = check_margin(z)
+    e = math.exp(-abs(z))
+    log1p_e = math.log1p(e)
+    if z >= 0:
+        return -log1p_e, -z - log1p_e, 1.0 / (1.0 + e), e / (1.0 + e)
+    return z - log1p_e, -log1p_e, e / (1.0 + e), 1.0 / (1.0 + e)
+
+
+def _loss(alpha: Alpha, log_p: float, miss: float) -> float:
+    """The loss of belief p in the true label, from log p and 1 - p."""
+    if alpha.is_log:
+        return -log_p
+    if alpha.is_infinite:
+        return miss
+    # 1 - p^c via expm1 keeps full precision as alpha -> 1 (c -> 0).
+    return -alpha.scale * math.expm1(alpha.exponent * log_p)
+
+
 def sigmoid(z: float) -> float:
     """1 / (1 + exp(-z)) on the extended reals; sigmoid(+-inf) = 1, 0."""
-    z = check_margin(z)
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+    return _split_sigmoid(z)[2]
 
 
 def logit(p: float) -> float:
@@ -141,10 +157,7 @@ def logit(p: float) -> float:
 
 def log_sigmoid(z: float) -> float:
     """log(sigmoid(z)) without overflow for any |z|."""
-    z = check_margin(z)
-    if z >= 0:
-        return -math.log1p(math.exp(-z))
-    return z - math.log1p(math.exp(z))
+    return _split_sigmoid(z)[0]
 
 
 def alpha_loss(alpha: Alpha, y: int, belief_in_label: float) -> float:
@@ -156,14 +169,7 @@ def alpha_loss(alpha: Alpha, y: int, belief_in_label: float) -> float:
     """
     check_label(y)
     p = check_belief(belief_in_label)
-    if alpha.is_log:
-        return math.inf if p == 0.0 else -math.log(p)
-    if alpha.is_infinite:
-        return 1.0 - p
-    if p == 0.0:
-        return alpha.scale
-    # 1 - p^c via expm1 keeps full precision as alpha -> 1 (c -> 0).
-    return -alpha.scale * math.expm1(alpha.exponent * math.log(p))
+    return _loss(alpha, math.log(p) if p > 0.0 else -math.inf, 1.0 - p)
 
 
 def margin_alpha_loss(alpha: Alpha, z: float) -> float:
@@ -172,12 +178,8 @@ def margin_alpha_loss(alpha: Alpha, z: float) -> float:
     Monotone nonincreasing in z; equals ``alpha_loss`` of the matching belief
     when z = y * logit(belief of +1).
     """
-    ls = log_sigmoid(z)
-    if alpha.is_log:
-        return -ls
-    if alpha.is_infinite:
-        return sigmoid(-z)
-    return -alpha.scale * math.expm1(alpha.exponent * ls)
+    log_sz, _, _, smz = _split_sigmoid(z)
+    return _loss(alpha, log_sz, smz)
 
 
 def margin_alpha_loss_d1(alpha: Alpha, z: float) -> float:
@@ -185,11 +187,10 @@ def margin_alpha_loss_d1(alpha: Alpha, z: float) -> float:
 
     Equals -sigmoid(z)^(1-1/alpha) * sigmoid(-z).
     """
-    z = check_margin(z)
-    smz = sigmoid(-z)
+    log_sz, _, _, smz = _split_sigmoid(z)
     if alpha.is_log:
         return -smz
-    return -math.exp(alpha.exponent * log_sigmoid(z)) * smz
+    return -math.exp(alpha.exponent * log_sz) * smz
 
 
 def margin_alpha_loss_d2(alpha: Alpha, z: float) -> float:
@@ -199,11 +200,9 @@ def margin_alpha_loss_d2(alpha: Alpha, z: float) -> float:
     sigmoid(-z)); nonnegative everywhere iff alpha = 1, with a sign change at
     z = log((alpha-1)/alpha) for alpha > 1.
     """
-    z = check_margin(z)
-    sz = sigmoid(z)
-    smz = sigmoid(-z)
+    log_sz, _, sz, smz = _split_sigmoid(z)
     c = alpha.exponent
-    power = 1.0 if alpha.is_log else math.exp(c * log_sigmoid(z))
+    power = 1.0 if alpha.is_log else math.exp(c * log_sz)
     return power * smz * (sz - c * smz)
 
 
@@ -219,7 +218,8 @@ def second_deriv_sign_change(alpha: Alpha) -> float:
 def conditional_risk(alpha: Alpha, eta: float, f: float) -> float:
     """Pointwise risk eta * loss(f) + (1 - eta) * loss(-f) at posterior eta."""
     eta = check_posterior(eta)
-    return eta * margin_alpha_loss(alpha, f) + (1.0 - eta) * margin_alpha_loss(alpha, -f)
+    log_sf, log_smf, sf, smf = _split_sigmoid(f)
+    return eta * _loss(alpha, log_sf, smf) + (1.0 - eta) * _loss(alpha, log_smf, sf)
 
 
 def optimal_classifier(alpha: Alpha, eta: float) -> float:
@@ -278,9 +278,9 @@ def margin_losses(alpha: Alpha, margins: np.ndarray) -> np.ndarray:
 
     The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
     log sigmoid(m) = min(m, -0) - log1p(e) and sigmoid(-m) = exp(-max(m, 0)) /
-    (1 + e), computed in two buffers without masks.  Every entry is
-    bit-identical to the split forms of :func:`log_sigmoid` and
-    :func:`sigmoid`, sign of zero included.
+    (1 + e), computed in two buffers without masks.  Equal to the losses of
+    ``_margin_terms`` bit for bit, and to :func:`margin_alpha_loss` within
+    rounding (numpy's exp and log1p are not the math module's).
     """
     m = np.asarray(margins, dtype=float)
     # explicit buffers keep a 0-d input an array through the in-place steps
@@ -323,9 +323,9 @@ def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndar
     -log1p(e)).  The selects need no mask, which is slow on mixed signs: with
     low = min(m, -0), where(m < 0, e, 1) = exp(low), where(m < 0, 1, e) =
     exp(-max(m, 0)), their product is e, and low - log1p(e) is log sigmoid(m).
-    Every entry is bit-identical to :func:`margin_losses` and to the belief
-    form ``logreg.gradient_coefficient`` over the split-form sigmoid, sign of
-    zero included.
+    sigmoid(m)^c is exp(c * log sigmoid(m)), as in :func:`margin_alpha_loss_d1`:
+    a pow of sigmoid(m) loses bits where it is subnormal, below m = -708.  The
+    losses equal :func:`margin_losses` bit for bit, sign of zero included.
 
     ``work`` is a :func:`_margin_workspace` of the margins' shape; the results
     are two of its arrays, overwritten by the next call that shares it.
@@ -333,7 +333,7 @@ def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndar
     low, sig, sig_neg, denom, log_sig = (
         work if work is not None else _margin_workspace(margins.shape)
     )
-    # sig, sig_neg and denom first hold the numerators and e, then are divided in place
+    # sig, sig_neg and denom first hold the two numerators and e
     np.minimum(margins, -0.0, out=low)
     np.exp(low, out=sig)
     np.maximum(margins, 0.0, out=sig_neg)
@@ -349,15 +349,15 @@ def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndar
         np.negative(log_sig, out=log_sig)
         np.negative(sig_neg, out=sig_neg)
         return log_sig, sig_neg
-    sig /= denom
     if alpha.is_infinite:
+        sig /= denom
         np.negative(sig, out=sig)
         sig *= sig_neg
         return sig_neg, sig
     log_sig *= alpha.exponent
-    np.expm1(log_sig, out=log_sig)
-    log_sig *= -alpha.scale
-    sig **= alpha.exponent
+    np.exp(log_sig, out=sig)
     np.negative(sig, out=sig)
     sig *= sig_neg
+    np.expm1(log_sig, out=log_sig)
+    log_sig *= -alpha.scale
     return log_sig, sig

@@ -217,6 +217,18 @@ class TestInnerDerivative:
                 assert inner_derivative(alpha, eta, f0 - 1.0) > 0.0
                 assert inner_derivative(alpha, eta, f0 + 1.0) < 0.0
 
+    @pytest.mark.parametrize("alpha", [Alpha(1.5), A2, Alpha(10)], ids=str)
+    @pytest.mark.parametrize("eta", [0.3, 0.7])
+    def test_finite_where_exp_of_f_overflows(self, alpha, eta):
+        # exp(f) overflows a double from f = 710 on; the derivative does not
+        for f in (710.0, 1e3, 1e308):
+            for signed in (f, -f):
+                assert math.isfinite(inner_derivative(alpha, eta, signed)), signed
+        f0 = alpha.value * logit(eta)
+        assert -710.0 < f0 < 710.0
+        assert inner_derivative(alpha, eta, -710.0) > 0.0
+        assert inner_derivative(alpha, eta, 710.0) < 0.0
+
     def test_rejects_endpoints_and_nonfinite(self):
         with pytest.raises(ValueError):
             inner_derivative(A1, 0.7, 0.0)

@@ -65,6 +65,33 @@ class TestLossCurves:
         assert replay(manifest_file) == 0
         assert open(out, "rb").read() == first
 
+    @pytest.mark.parametrize(
+        "alphas, steps", [("2", 10**6 + 1), ("1,2,inf", 333_334), ("1,1.5,2,inf", 10**9)]
+    )
+    def test_rows_above_cap_exit_one_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                        alphas, steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "curves.csv"
+        assert main(["losscurves", "--alphas", alphas, "--steps", str(steps),
+                     "--out", str(out)]) == 1
+        assert "10^6 rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_at_cap_reach_the_grid(self, tmp_path, monkeypatch):
+        class GridBuilt(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise GridBuilt
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(GridBuilt):
+            main(["losscurves", "--alphas", "2", "--steps", str(10**6),
+                  "--out", str(tmp_path / "curves.csv")])
+
     def test_fresh_process_reproduces_bytes(self, tmp_path):
         import subprocess
         import sys

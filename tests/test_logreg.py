@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -358,11 +359,20 @@ def masked_margin_losses(alpha, margins):
 
 
 def masked_coefficients(alpha, scores, labels):
-    """Gradient coefficients from two masked sigmoids, the form the fused kernel replaced."""
+    """Gradient coefficients from masked sigmoids, the form the fused kernel replaced.
+
+    For finite alpha > 1 the powers sigmoid^c are exp(c * log sigmoid), which
+    stay accurate where sigmoid is subnormal.
+    """
     g = masked_sigmoid(scores)
     h = masked_sigmoid(-scores)
     c = alpha.exponent
-    return np.where(labels == 1, -(g**c) * h, g * (h**c))
+    if alpha.is_log or alpha.is_infinite:
+        g_c, h_c = g**c, h**c
+    else:
+        g_c = np.exp(c * masked_log_sigmoid(scores))
+        h_c = np.exp(c * masked_log_sigmoid(-scores))
+    return np.where(labels == 1, -g_c * h, g * h_c)
 
 
 def three_matvec_train(config, data):
@@ -479,6 +489,20 @@ class TestFusedMarginKernel:
                 # only signs agree there; the bitwise tests above pin the kernel
                 if abs(m) != 745.0:
                     assert y * slope == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [Alpha(1.01), A2, Alpha(10)], ids=str)
+    def test_slopes_match_decimal_reference_in_subnormal_tail(self, alpha):
+        # below m = -708 sigmoid(m) is subnormal, so a pow of it would lose bits
+        margins = np.array([-30.0, -700.0, -720.0, -745.0])
+        _, slopes = _margin_terms(alpha, margins)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            one = Decimal(1)
+            c = one - one / Decimal(alpha.value)
+            for m, slope in zip(margins, slopes):
+                sig = one / (one + Decimal(-m).exp())
+                exact = -(c * sig.ln()).exp() / (one + Decimal(m).exp())
+                assert abs((Decimal(float(slope)) - exact) / exact) <= Decimal("1e-13"), m
 
     def test_shared_workspace_matches_fresh_buffers(self):
         rng = np.random.default_rng(10)

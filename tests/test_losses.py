@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -382,3 +384,125 @@ def test_probability_of_error_identity():
     beliefs_in_label = rng.uniform(0, 1, size=200)
     losses = np.array([alpha_loss(AINF, 1, p) for p in beliefs_in_label])
     assert np.mean(losses) == np.mean(1.0 - beliefs_in_label)
+
+
+# The scalar bodies as they were written before the shared sigmoid split and
+# loss helpers, kept as references: each public function must reproduce them
+# bit for bit, sign of zero included.
+def split_form_sigmoid(z):
+    z = check_margin(z)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def split_form_log_sigmoid(z):
+    z = check_margin(z)
+    if z >= 0:
+        return -math.log1p(math.exp(-z))
+    return z - math.log1p(math.exp(z))
+
+
+def branchwise_alpha_loss(alpha, y, belief_in_label):
+    check_label(y)
+    p = check_belief(belief_in_label)
+    if alpha.is_log:
+        return math.inf if p == 0.0 else -math.log(p)
+    if alpha.is_infinite:
+        return 1.0 - p
+    if p == 0.0:
+        return alpha.scale
+    return -alpha.scale * math.expm1(alpha.exponent * math.log(p))
+
+
+def branchwise_margin_loss(alpha, z):
+    ls = split_form_log_sigmoid(z)
+    if alpha.is_log:
+        return -ls
+    if alpha.is_infinite:
+        return split_form_sigmoid(-z)
+    return -alpha.scale * math.expm1(alpha.exponent * ls)
+
+
+def branchwise_d1(alpha, z):
+    z = check_margin(z)
+    smz = split_form_sigmoid(-z)
+    if alpha.is_log:
+        return -smz
+    return -math.exp(alpha.exponent * split_form_log_sigmoid(z)) * smz
+
+
+def branchwise_d2(alpha, z):
+    z = check_margin(z)
+    sz = split_form_sigmoid(z)
+    smz = split_form_sigmoid(-z)
+    c = alpha.exponent
+    power = 1.0 if alpha.is_log else math.exp(c * split_form_log_sigmoid(z))
+    return power * smz * (sz - c * smz)
+
+
+def branchwise_conditional_risk(alpha, eta, f):
+    eta = check_posterior(eta)
+    return eta * branchwise_margin_loss(alpha, f) + (1.0 - eta) * branchwise_margin_loss(alpha, -f)
+
+
+def same_float(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+ALPHA_CYCLE = [A1, Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF, Alpha(1e6)]
+ORACLE_ETAS = (0.01, 0.3, 0.49, 0.51, 0.7, 0.99)
+
+
+def oracle_scalar_margins():
+    edges = [0.0, 5e-324, 1e-300, 36.7, 708.5, 745.0, 1e308, math.inf]
+    rng = np.random.default_rng(12)
+    normals = [float(z) for scale in (1.0, 30.0, 300.0) for z in rng.normal(scale=scale, size=1000)]
+    return [s * z for z in edges for s in (1.0, -1.0)] + normals
+
+
+class TestScalarFormsMatchBranchwiseReferences:
+    def test_sigmoid_and_log_sigmoid(self):
+        for z in oracle_scalar_margins():
+            assert same_float(sigmoid(z), split_form_sigmoid(z)), z
+            assert same_float(log_sigmoid(z), split_form_log_sigmoid(z)), z
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_margin_loss_and_derivatives(self, alpha):
+        for z in oracle_scalar_margins():
+            assert same_float(margin_alpha_loss(alpha, z), branchwise_margin_loss(alpha, z)), z
+            assert same_float(margin_alpha_loss_d1(alpha, z), branchwise_d1(alpha, z)), z
+            assert same_float(margin_alpha_loss_d2(alpha, z), branchwise_d2(alpha, z)), z
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_conditional_risk(self, alpha):
+        for eta in ORACLE_ETAS:
+            for f in oracle_scalar_margins():
+                got = conditional_risk(alpha, eta, f)
+                assert same_float(got, branchwise_conditional_risk(alpha, eta, f)), (eta, f)
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_alpha_loss(self, alpha):
+        rng = np.random.default_rng(13)
+        for p in [0.0, 1e-300, 0.5, 1.0] + [float(u) for u in rng.uniform(size=200)]:
+            for y in (1, -1):
+                assert same_float(alpha_loss(alpha, y, p), branchwise_alpha_loss(alpha, y, p)), p
+
+    def test_validation_errors_unchanged(self):
+        cases = [
+            (sigmoid, split_form_sigmoid, (math.nan,)),
+            (log_sigmoid, split_form_log_sigmoid, (math.nan,)),
+            (margin_alpha_loss, branchwise_margin_loss, (A2, math.nan)),
+            (margin_alpha_loss_d1, branchwise_d1, (A2, math.nan)),
+            (margin_alpha_loss_d2, branchwise_d2, (A2, math.nan)),
+            (conditional_risk, branchwise_conditional_risk, (A2, 0.0, math.nan)),
+            (conditional_risk, branchwise_conditional_risk, (A2, 0.3, math.nan)),
+            (alpha_loss, branchwise_alpha_loss, (A2, 0, 0.5)),
+            (alpha_loss, branchwise_alpha_loss, (A2, 1, 1.5)),
+        ]
+        for fn, reference, args in cases:
+            with pytest.raises(ValueError) as expected:
+                reference(*args)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                fn(*args)
