@@ -26,6 +26,7 @@ from .calibration import (
     CALIBRATION_TOL,
     CalibrationReport,
     calibration_sweep,
+    calibration_workspace,
     check_calibration_at,
     inner_derivative,
 )

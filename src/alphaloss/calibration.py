@@ -29,9 +29,10 @@ from .losses import (
 # minima carry ~1e-12 noise, so this keeps three orders of safety margin.
 CALIBRATION_TOL = 1e-9
 
-# Largest search grid: 10^7 points is 80 MB per float array, and a check holds
-# at most four such arrays at once (the grid, the risks and the two buffers of
-# a margin_losses call), 320 MB.  The default grid has 100,001 points.
+# Largest search grid: 10^7 points is 80 MB per float array, and a calibration
+# workspace holds four such arrays (the grid, the risks, the other side's losses
+# and a scratch buffer), 320 MB, for as long as the run that shares it.  The
+# default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -92,7 +93,36 @@ def _search_grid(f_range: float, grid_step: float) -> np.ndarray:
         raise ValueError(
             f"f_range / grid_step = {ratio:.6g} needs a grid above {MAX_GRID_POINTS} points"
         )
+    # np.linspace would overflow to a grid of inf and nan
+    if not math.isfinite(2.0 * f_range):
+        raise ValueError(f"f_range={f_range:.6g} is too large: 2 * f_range overflows")
     return np.linspace(-f_range, f_range, points)
+
+
+@dataclass(frozen=True, eq=False)
+class CalibrationWorkspace:
+    """The search grid of one (f_range, grid_step) and the buffers of a check.
+
+    Every :func:`check_calibration_at` given the workspace overwrites
+    ``risks``, ``other`` and ``scratch``, and leaves ``grid`` as it found it.
+    """
+
+    f_range: float
+    grid_step: float
+    grid: np.ndarray
+    risks: np.ndarray
+    other: np.ndarray
+    scratch: np.ndarray
+
+
+def calibration_workspace(f_range: float, grid_step: float) -> CalibrationWorkspace:
+    """Build the grid and buffers that checks at (f_range, grid_step) can share."""
+    if f_range <= 0.0 or grid_step <= 0.0:
+        raise ValueError("f_range and grid_step must be positive")
+    grid = _search_grid(f_range, grid_step)
+    return CalibrationWorkspace(
+        f_range, grid_step, grid, *(np.empty(grid.shape) for _ in range(3))
+    )
 
 
 def _wrong_side(grid: np.ndarray, eta: float) -> slice:
@@ -111,26 +141,40 @@ def check_calibration_at(
     eta: float,
     f_range: float = 50.0,
     grid_step: float = 1e-3,
+    *,
+    work: CalibrationWorkspace | None = None,
 ) -> CalibrationReport:
-    """Evaluate the calibration inequality at one posterior eta != 1/2."""
+    """Evaluate the calibration inequality at one posterior eta != 1/2.
+
+    ``work`` is a :func:`calibration_workspace` built for the same
+    (f_range, grid_step), shared by the checks of one run; without it the
+    check builds its own.
+    """
     eta = check_posterior(eta)
     if eta == 0.5:
         raise ValueError("eta = 1/2 is excluded: both infima coincide there")
-    if f_range <= 0.0 or grid_step <= 0.0:
-        raise ValueError("f_range and grid_step must be positive")
+    if work is None:
+        work = calibration_workspace(f_range, grid_step)
+    elif (work.f_range, work.grid_step) != (f_range, grid_step):
+        raise ValueError(
+            f"workspace built for f_range={work.f_range}, grid_step={work.grid_step}, "
+            f"not f_range={f_range}, grid_step={grid_step}"
+        )
     f_star = optimal_classifier(alpha, eta)
     if math.isfinite(f_star) and f_range <= abs(f_star):
         raise ValueError(
             f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}"
         )
 
-    grid = _search_grid(f_range, grid_step)
+    grid = work.grid
     # eta * L(f) + (1 - eta) * L(-f), combined in place.  L(-f) is taken on the
     # grid negated in place and then restored, both exact, instead of a copy.
-    risks = margin_losses(alpha, grid)
+    risks = margin_losses(alpha, grid, work=(work.risks, work.scratch))
     risks *= eta
-    other = margin_losses(alpha, np.negative(grid, out=grid))
-    np.negative(grid, out=grid)
+    try:
+        other = margin_losses(alpha, np.negative(grid, out=grid), work=(work.other, work.scratch))
+    finally:
+        np.negative(grid, out=grid)
     other *= 1.0 - eta
     risks += other
 
@@ -194,10 +238,11 @@ def calibration_sweep(
     grid_step: float = 1e-3,
 ) -> list[CalibrationReport]:
     """Run :func:`check_calibration_at` over a grid of posteriors, in order."""
+    work = calibration_workspace(f_range, grid_step)
     reports = []
     for eta in eta_grid:
         try:
-            reports.append(check_calibration_at(alpha, eta, f_range, grid_step))
+            reports.append(check_calibration_at(alpha, eta, f_range, grid_step, work=work))
         except ValueError as err:
             raise ValueError(f"eta={eta}: {err}") from err
     return reports

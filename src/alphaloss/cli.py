@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .calibration import check_calibration_at
+from .calibration import calibration_workspace, check_calibration_at
 from .landscape import (
     GenerationFailed,
     SymmetricDataSpec,
@@ -215,13 +216,14 @@ def cmd_calibration(args) -> list[str]:
         "closed_form_argmin",
         "min_cond_risk_closed_form",
     ]
+    work = calibration_workspace(args.f_range, args.grid_step)
     rows = []
     for alpha in alphas:
         for eta in etas:
             if eta == 0.5:
                 print(f"warning: skipping eta=0.5 for alpha={alpha} (excluded)", file=sys.stderr)
                 continue
-            rep = check_calibration_at(alpha, eta, args.f_range, args.grid_step)
+            rep = check_calibration_at(alpha, eta, args.f_range, args.grid_step, work=work)
             rows.append(
                 (
                     alpha,
@@ -290,6 +292,12 @@ def cmd_losscurves(args) -> list[str]:
         raise ValueError("steps must be at least 2")
     if args.steps * len(alphas) > 10**6:
         raise ValueError(f"{args.steps} steps x {len(alphas)} alphas is above 10^6 rows")
+    # also false for an infinite or NaN end: np.linspace would make inf and nan
+    if not math.isfinite(args.z_max - args.z_min):
+        raise ValueError(
+            f"--z-min {args.z_min:.6g} and --z-max {args.z_max:.6g} must be finite"
+            " and less than the largest float apart"
+        )
     grid = np.linspace(args.z_min, args.z_max, args.steps)
     rows = [
         (alpha, z, margin_alpha_loss(alpha, z), margin_alpha_loss_d1(alpha, z),

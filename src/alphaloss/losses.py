@@ -273,7 +273,7 @@ def tilted_posterior(alpha: Alpha, p: float) -> float:
     return sigmoid(alpha.value * logit(p))
 
 
-def margin_losses(alpha: Alpha, margins: np.ndarray) -> np.ndarray:
+def margin_losses(alpha: Alpha, margins: np.ndarray, work=None) -> np.ndarray:
     """Vectorized :func:`margin_alpha_loss` over an array of margins.
 
     The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
@@ -281,11 +281,15 @@ def margin_losses(alpha: Alpha, margins: np.ndarray) -> np.ndarray:
     (1 + e), computed in two buffers without masks.  Equal to the losses of
     ``_margin_terms`` bit for bit, and to :func:`margin_alpha_loss` within
     rounding (numpy's exp and log1p are not the math module's).
+
+    ``work`` is an ``(out, scratch)`` pair of float arrays of the margins'
+    shape, neither of them the margins; the result is ``out``, overwritten by
+    the next call that shares it.  Without it both buffers are allocated.
     """
     m = np.asarray(margins, dtype=float)
     # explicit buffers keep a 0-d input an array through the in-place steps
-    out = np.empty(m.shape)
-    e = np.abs(m, out=np.empty(m.shape))
+    out, e = work if work is not None else (np.empty(m.shape), np.empty(m.shape))
+    np.abs(m, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     if alpha.is_infinite:

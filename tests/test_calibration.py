@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,12 @@ from alphaloss import (
     optimal_classifier,
 )
 from alphaloss import margin_losses
-from alphaloss.calibration import MAX_GRID_POINTS, _search_grid, _wrong_side
+from alphaloss.calibration import (
+    MAX_GRID_POINTS,
+    _search_grid,
+    _wrong_side,
+    calibration_workspace,
+)
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -128,6 +135,20 @@ class TestGridCap:
         with pytest.raises(ValueError, match="grid above"):
             check_calibration_at(Alpha(2), 0.3, f_range, grid_step)
 
+    @pytest.mark.parametrize("f_range", [1e308, math.nextafter(sys.float_info.max / 2, math.inf)])
+    def test_overflowing_range_rejected_before_allocation(self, monkeypatch, f_range):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(ValueError, match="f_range"):
+            calibration_workspace(f_range, 1e305)
+
+    def test_widest_range_gives_a_finite_grid(self):
+        grid = _search_grid(sys.float_info.max / 2, 1e305)
+        assert np.isfinite(grid).all()
+        assert grid[0] == -grid[-1] == -sys.float_info.max / 2
+
 
 # Posteriors 0.01..0.99 without 1/2, and 1/2 plus or minus one ulp.
 SLICE_ETAS = [k / 100 for k in range(1, 100) if k != 50] + [
@@ -177,6 +198,40 @@ class TestCheckMemory:
             tracemalloc.stop()
         assert _search_grid(50.0, 2e-5).size == self.GRID_POINTS
         assert peak <= 4.25 * self.GRID_POINTS * 8
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_check_with_a_workspace_allocates_no_grid(self, alpha):
+        work = calibration_workspace(50.0, 2e-5)
+        assert work.grid.size == self.GRID_POINTS
+        tracemalloc.start()
+        try:
+            check_calibration_at(alpha, 0.7, 50.0, 2e-5, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * self.GRID_POINTS * 8
+
+
+class TestSharedWorkspace:
+    """Checks sharing one workspace give exactly the reports of fresh checks."""
+
+    def test_reports_and_grid_match_fresh_checks(self):
+        work = calibration_workspace(50.0, 1e-3)
+        fresh_grid = _search_grid(50.0, 1e-3).tobytes()
+        for alpha in (A1, AINF, A2, Alpha(1.5), A1):
+            for eta in (0.01, 0.3, 0.7, 0.99):
+                shared = check_calibration_at(alpha, eta, 50.0, 1e-3, work=work)
+                fresh = check_calibration_at(alpha, eta, 50.0, 1e-3)
+                for field in dataclasses.fields(CalibrationReport):
+                    name = field.name
+                    assert getattr(shared, name) == getattr(fresh, name), (alpha, eta, name)
+                assert work.grid.tobytes() == fresh_grid, (alpha, eta)
+
+    @pytest.mark.parametrize("f_range, grid_step", [(50.0, 2e-3), (40.0, 1e-3)])
+    def test_workspace_of_another_grid_rejected(self, f_range, grid_step):
+        work = calibration_workspace(50.0, 1e-3)
+        with pytest.raises(ValueError, match="workspace built for"):
+            check_calibration_at(A2, 0.7, f_range, grid_step, work=work)
 
 
 class TestInnerDerivative:

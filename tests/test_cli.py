@@ -80,6 +80,23 @@ class TestLossCurves:
         assert "10^6 rows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--z-min=-1e308", "--z-max=1e308"], ["--z-min=-inf"], ["--z-max=inf"],
+         ["--z-max=nan"]],
+    )
+    def test_nonfinite_range_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                         bounds):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "curves.csv"
+        assert main(["losscurves", *bounds, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--z-min" in err and "--z-max" in err
+        assert not out.exists()
+
     def test_rows_at_cap_reach_the_grid(self, tmp_path, monkeypatch):
         class GridBuilt(Exception):
             pass
@@ -148,6 +165,17 @@ class TestCalibrationCommand:
         assert code == 1
         assert "grid above" in capsys.readouterr().err
 
+    def test_overflowing_range_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "cal.csv"
+        code = main(["calibration", "--alphas", "2", "--eta-grid", "0.3", "--f-range", "1e308",
+                     "--grid-step", "1e305", "--out", str(out)])
+        assert code == 1
+        assert "f_range" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestUsageErrors:
     """Bad flags exit 1: exit code 2 is reserved for training divergence."""
@@ -365,6 +393,29 @@ class TestBenchmarkTracing:
         assert names.count("mnist.load") == 1
         assert names.count("mnist.task_build") == 1
         assert names.count("logreg.train") == 4
+
+    def test_traced_child_runs_calibration(self, tmp_path):
+        """Each traced check makes two grid margin_losses calls: the benchmark counts them."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spans_path = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
+             "calibration", "--alphas", "2,inf", "--eta-grid", "0.3,0.7", "--grid-step", "0.01",
+             "--out", str(tmp_path / "cal.csv")],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads(spans_path.read_text())
+        checks = [i for i, span in enumerate(spans) if span[0] == "calibration.check"]
+        assert len(checks) == 4
+        for index in checks:
+            children = [span[0] for span in spans if span[3] == index]
+            assert children.count("losses.margin_losses") == 2
 
 
 def sha256_of(path):

@@ -460,6 +460,17 @@ class TestMaskFreeMarginLosses:
             assert same_bits(got, masked_margin_losses(alpha, margins))
             assert same_bits(margins, before)
 
+    @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
+    def test_work_pair_gives_the_same_bits(self, alpha):
+        for margins in (MARGIN_EDGES, np.array(-3.0), np.array(0.0), np.array(-0.0)):
+            # stale contents, as a reused pair holds, must not leak into the result
+            work = (np.full(margins.shape, np.nan), np.full(margins.shape, -np.inf))
+            for _ in range(2):
+                got = margin_losses(alpha, margins, work=work)
+                assert got is work[0]
+                assert got.shape == margins.shape
+                assert same_bits(got, margin_losses(alpha, margins))
+
 
 class TestFusedMarginKernel:
     @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
