@@ -117,8 +117,11 @@ class CalibrationWorkspace:
 
 def calibration_workspace(f_range: float, grid_step: float) -> CalibrationWorkspace:
     """Build the grid and buffers that checks at (f_range, grid_step) can share."""
-    if f_range <= 0.0 or grid_step <= 0.0:
-        raise ValueError("f_range and grid_step must be positive")
+    # written so that NaN fails it too
+    if not (f_range > 0.0 and grid_step > 0.0):
+        raise ValueError(
+            f"f_range and grid_step must be positive, got {f_range!r} and {grid_step!r}"
+        )
     grid = _search_grid(f_range, grid_step)
     return CalibrationWorkspace(
         f_range, grid_step, grid, *(np.empty(grid.shape) for _ in range(3))

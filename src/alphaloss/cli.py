@@ -5,9 +5,11 @@ logistic-regression benchmark, ``calibration`` emits the conditional-risk
 minima behind the calibration claim, ``landscape`` runs the risk-gap scaling
 experiment, and ``losscurves`` tabulates the margin losses and derivatives.
 
-Every command writes a JSON run manifest next to its primary CSV.  Its flags
-are the parsed namespace itself, so the parser is the one place that knows a
-subcommand's flags; re-running with them reproduces the CSV byte for byte.
+Each command computes its tables without touching the file system; ``main``
+then writes them together with a JSON run manifest next to the primary CSV.
+The manifest's flags are the parsed namespace itself, so the parser is the
+one place that knows a subcommand's flags; re-running with them reproduces
+the CSVs byte for byte.
 List flags take comma-separated values and must name at least one, each
 once.  Exit codes: 0 success, 1 data, parameter or usage errors, 2 training
 divergence.  CSVs are UTF-8 with LF line endings, a header row, and floats
@@ -89,35 +91,19 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def _commit(args, tables: dict, started: str) -> None:
+    """Write a run's tables and its manifest, which names them and sits beside the first.
 
-    The text goes to a temp file in the same directory, which ``os.replace``
-    then renames over ``path`` in one step; on any failure the temp file is
-    removed and an existing ``path`` is left as it was.
+    Every file goes to a temp file in its target's directory; only when all are
+    complete are they renamed over their targets, the manifest last.  On any
+    failure the temp files still held are removed and earlier outputs stay as
+    they were: only a process killed between two renames can mix two runs.
     """
-    tmp = os.path.join(
-        os.path.dirname(os.path.abspath(path)),
-        f".{os.path.basename(path)}.{os.getpid()}.tmp",
-    )
-    fh = open(tmp, "x", encoding="utf-8", newline="")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomically(path, "\n".join(lines) + "\n")
-
-
-def _write_manifest(args, outputs, started: str) -> None:
+    texts = {}
+    for path, (header, rows) in tables.items():
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        texts[path] = "\n".join(lines) + "\n"
+    outputs = list(tables)
     flags = {
         dest.replace("_", "-"): value
         for dest, value in vars(args).items()
@@ -130,10 +116,26 @@ def _write_manifest(args, outputs, started: str) -> None:
         version=__version__,
         started_at=started,
         finished_at=_now(),
-        outputs=list(outputs),
+        outputs=outputs,
     )
-    text = json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n"
-    _write_atomically(manifest_path_for(outputs[0]), text)
+    manifest_text = json.dumps(vars(manifest), indent=2, sort_keys=True) + "\n"
+    texts[manifest_path_for(outputs[0])] = manifest_text
+    held = []
+    try:
+        for path, text in texts.items():
+            folder, name = os.path.split(os.path.abspath(path))
+            tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+            held.append((tmp, path))
+            with fh:
+                fh.write(text)
+        while held:
+            os.replace(*held[0])
+            del held[0]
+    except BaseException:
+        for tmp, _ in held:
+            os.unlink(tmp)
+        raise
 
 
 def _now() -> str:
@@ -160,10 +162,10 @@ def _load_task(args) -> BinaryTaskSplit:
     return build_binary_task(images, labels, test_images, test_labels, args.seed)
 
 
-def cmd_train(args) -> list[str]:
+def cmd_train(args) -> dict:
     alpha = Alpha.parse(args.alpha)
-    task = _load_task(args)
     cfg = TrainConfig(alpha=alpha, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    task = _load_task(args)
     report = train(cfg, task.train)
     row = (
         alpha,
@@ -175,47 +177,36 @@ def cmd_train(args) -> list[str]:
         evaluate(report.final_model, task.test),
         report.empirical_risk_trace[-1],
     )
-    _write_csv(
-        args.out,
-        ["alpha", "lr", "epochs", "seed", "train_acc", "val_acc", "test_acc", "final_risk"],
-        [row],
-    )
-    return [args.out]
+    header = ["alpha", "lr", "epochs", "seed", "train_acc", "val_acc", "test_acc", "final_risk"]
+    return {args.out: (header, [row])}
 
 
-def cmd_sweep(args) -> list[str]:
+def cmd_sweep(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     lr_grid = _parse_list(args.lr_grid, float)
+    # every config is built, and so checked, before the task is loaded
+    grid = [[TrainConfig(alpha=alpha, learning_rate=lr, epochs=args.epochs, seed=args.seed)
+             for lr in lr_grid] for alpha in alphas]
     task = _load_task(args)
     rows = []
-    for alpha in alphas:
+    for configs in grid:
         best = None
-        for lr in lr_grid:
-            cfg = TrainConfig(alpha=alpha, learning_rate=lr, epochs=args.epochs, seed=args.seed)
+        for cfg in configs:
             report = train(cfg, task.train)
             val_acc = evaluate(report.final_model, task.validation)
             if best is None or val_acc > best[1]:
-                best = (lr, val_acc, evaluate(report.final_model, task.test))
-        rows.append((alpha, best[0], best[1], best[2]))
-    _write_csv(args.out, ["alpha", "best_lr", "val_acc", "test_acc"], rows)
-    return [args.out]
+                best = (cfg.learning_rate, val_acc, evaluate(report.final_model, task.test))
+        rows.append((cfg.alpha, best[0], best[1], best[2]))
+    return {args.out: (["alpha", "best_lr", "val_acc", "test_acc"], rows)}
 
 
-def cmd_calibration(args) -> list[str]:
+def cmd_calibration(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     etas = _parse_list(args.eta_grid, float)
     if all(eta == 0.5 for eta in etas):
         raise ValueError("every eta is 0.5, which is excluded: no calibration rows to write")
-    header = [
-        "alpha",
-        "eta",
-        "unconstrained_min",
-        "constrained_min",
-        "gap",
-        "argmin",
-        "closed_form_argmin",
-        "min_cond_risk_closed_form",
-    ]
+    header = ["alpha", "eta", "unconstrained_min", "constrained_min", "gap", "argmin",
+              "closed_form_argmin", "min_cond_risk_closed_form"]
     work = calibration_workspace(args.f_range, args.grid_step)
     rows = []
     for alpha in alphas:
@@ -236,8 +227,7 @@ def cmd_calibration(args) -> list[str]:
                     min_conditional_risk(alpha, eta),
                 )
             )
-    _write_csv(args.out, header, rows)
-    return [args.out]
+    return {args.out: (header, rows)}
 
 
 def _summary_path(out: str) -> str:
@@ -245,7 +235,7 @@ def _summary_path(out: str) -> str:
     return f"{stem}_summary{ext or '.csv'}"
 
 
-def cmd_landscape(args) -> list[str]:
+def cmd_landscape(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     sizes = _parse_list(args.ns, int)
     spec = SymmetricDataSpec.along_first_axis(
@@ -267,11 +257,6 @@ def cmd_landscape(args) -> list[str]:
         (rec.alpha, rec.n, rec.trial, rec.gap, rec.hoeffding_term, rec.zero_one_risk)
         for rec in result.records
     ]
-    _write_csv(
-        args.out,
-        ["alpha", "n", "trial", "gap", "hoeffding_eps", "zero_one_test_risk"],
-        trial_rows,
-    )
     summary_rows = []
     for alpha in alphas:
         medians = median_gaps(result.records, alpha)
@@ -279,14 +264,15 @@ def cmd_landscape(args) -> list[str]:
         # a zero median gap has no logarithm: the slope is undefined, left empty
         slope = log_log_slope(list(medians), gaps) if len(gaps) >= 2 and min(gaps) > 0 else None
         n_diverged = sum(1 for a, _, _ in result.diverged if a == alpha.value)
-        for n, med in medians.items():
-            summary_rows.append((alpha, n, med, slope, n_diverged))
-    summary = _summary_path(args.out)
-    _write_csv(summary, ["alpha", "n", "median_gap", "loglog_slope", "diverged"], summary_rows)
-    return [args.out, summary]
+        # a cell whose every trial diverged keeps its row, with no median
+        for n in sorted(sizes):
+            summary_rows.append((alpha, n, medians.get(n), slope, n_diverged))
+    trials = (["alpha", "n", "trial", "gap", "hoeffding_eps", "zero_one_test_risk"], trial_rows)
+    summary = (["alpha", "n", "median_gap", "loglog_slope", "diverged"], summary_rows)
+    return {args.out: trials, _summary_path(args.out): summary}
 
 
-def cmd_losscurves(args) -> list[str]:
+def cmd_losscurves(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     if args.steps < 2:
         raise ValueError("steps must be at least 2")
@@ -305,8 +291,7 @@ def cmd_losscurves(args) -> list[str]:
         for alpha in alphas
         for z in grid.tolist()
     ]
-    _write_csv(args.out, ["alpha", "z", "loss", "d1", "d2"], rows)
-    return [args.out]
+    return {args.out: (["alpha", "z", "loss", "d1", "d2"], rows)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +359,7 @@ def main(argv=None) -> int:
         return 1 if stop.code else 0
     started = _now()
     try:
-        _write_manifest(args, args.func(args), started)
+        _commit(args, args.func(args), started)
         return 0
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)

@@ -115,8 +115,10 @@ class TrainConfig:
     projection: bool = False
 
     def __post_init__(self):
-        if not self.learning_rate >= 0.0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
+            )
         if int(self.epochs) != self.epochs or self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not 0 <= int(self.seed) < 2**64:

@@ -144,6 +144,16 @@ class TestGridCap:
         with pytest.raises(ValueError, match="f_range"):
             calibration_workspace(f_range, 1e305)
 
+    @pytest.mark.parametrize("f_range, grid_step", [(math.nan, 1e-3), (50.0, math.nan)])
+    def test_nan_input_named_not_blamed_on_the_cap(self, monkeypatch, f_range, grid_step):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(ValueError, match="must be positive, got") as err:
+            calibration_workspace(f_range, grid_step)
+        assert "grid above" not in str(err.value)
+
     def test_widest_range_gives_a_finite_grid(self):
         grid = _search_grid(sys.float_info.max / 2, 1e305)
         assert np.isfinite(grid).all()

@@ -8,6 +8,10 @@ import pytest
 
 from alphaloss.cli import main, manifest_path_for, replay
 
+# The checkout's own sources, for child processes: an import error there also
+# exits 1, so a child that cannot import the package must not pass as a result.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def read_csv(path):
     with open(path, "rb") as fh:
@@ -118,7 +122,8 @@ class TestLossCurves:
                 "--holdout-n", "500", "--epochs", "20", "--seed", "9", "--out", out]
         assert main(argv) == 0
         first = open(out, "rb").read()
-        proc = subprocess.run([sys.executable, "-m", "alphaloss.cli"] + argv, capture_output=True)
+        proc = subprocess.run([sys.executable, "-m", "alphaloss.cli"] + argv,
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert open(out, "rb").read() == first
 
@@ -203,8 +208,10 @@ class TestUsageErrors:
 
         out = str(tmp_path / "curves.csv")
         proc = subprocess.run([sys.executable, "-m", "alphaloss.cli", "losscurves",
-                               "--bogus", "1", "--out", out], capture_output=True)
+                               "--bogus", "1", "--out", out],
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
         assert proc.returncode == 1, proc.stderr
+        assert b"unrecognized arguments: --bogus" in proc.stderr
 
 
 class TestTrainCommand:
@@ -744,4 +751,151 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", refuse)
         assert self.run(tmp_path / "cal.csv") == 1
+        assert os.listdir(tmp_path) == []
+
+
+class TestOneOutputStep:
+    """A re-run whose write fails leaves every file of the earlier run as it was."""
+
+    LANDSCAPE = ["landscape", "--alphas", "2", "--ns", "40,80", "--holdout-n", "500",
+                 "--epochs", "5"]
+    CALIBRATION = ["calibration", "--alphas", "2", "--f-range", "5", "--grid-step", "0.01"]
+
+    @staticmethod
+    def snapshot(folder):
+        return {name: (folder / name).read_bytes() for name in os.listdir(folder)}
+
+    def check(self, tmp_path, monkeypatch, first, second, which):
+        out = str(tmp_path / "out.csv")
+        assert main(first + ["--out", out]) == 0
+        before = self.snapshot(tmp_path)
+        if which == "replace":
+            def refuse(src, dst):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        else:
+            TestAtomicWrites.fail_on_write(monkeypatch, which)
+        assert main(second + ["--out", out]) == 1
+        # equal name sets also mean no temp file was left behind
+        assert self.snapshot(tmp_path) == before
+        monkeypatch.undo()
+        assert main(second + ["--out", out]) == 0
+        after = self.snapshot(tmp_path)
+        assert all(after[name] != before[name] for name in before)
+
+    @pytest.mark.parametrize("which", [0, 1, 2, "replace"])
+    def test_landscape(self, tmp_path, monkeypatch, which):
+        """Files 0, 1 and 2 are the trial CSV, the summary and the manifest."""
+        self.check(tmp_path, monkeypatch, self.LANDSCAPE + ["--trials", "1"],
+                   self.LANDSCAPE + ["--trials", "2"], which)
+
+    @pytest.mark.parametrize("which", [0, 1, "replace"])
+    def test_calibration(self, tmp_path, monkeypatch, which):
+        self.check(tmp_path, monkeypatch, self.CALIBRATION + ["--eta-grid", "0.7"],
+                   self.CALIBRATION + ["--eta-grid", "0.3,0.7"], which)
+
+
+class TestCommandsReturnTables:
+    """A subcommand computes its tables and writes nothing; ``main`` writes them."""
+
+    ARGV = {
+        "train": ["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1"],
+        "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1"],
+        "calibration": ["calibration", "--alphas", "2", "--eta-grid", "0.7",
+                        "--f-range", "5", "--grid-step", "0.01"],
+        "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500",
+                      "--epochs", "5"],
+        "losscurves": ["losscurves", "--steps", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_tables_and_no_file(self, tmp_path, monkeypatch, synthetic_mnist_dir, command):
+        from alphaloss.cli import build_parser
+
+        monkeypatch.chdir(tmp_path)
+        argv = self.ARGV[command] + ["--out", "out.csv"]
+        if command in ("train", "sweep"):
+            argv += ["--mnist-dir", synthetic_mnist_dir]
+        args = build_parser().parse_args(argv)
+        tables = args.func(args)
+        expected = ["out.csv", "out_summary.csv"] if command == "landscape" else ["out.csv"]
+        assert list(tables) == expected
+        for header, rows in tables.values():
+            assert header[0] == "alpha"
+            assert rows and all(len(row) == len(header) for row in rows)
+        assert os.listdir(tmp_path) == []
+
+
+class TestLandscapeSummaryCells:
+    """The summary has one row per requested (alpha, n), even when every trial diverged."""
+
+    ARGV = ["landscape", "--alphas", "1.5,2", "--ns", "80,40,120", "--trials", "2",
+            "--holdout-n", "500", "--epochs", "5"]
+
+    def run(self, tmp_path, monkeypatch, diverges):
+        from alphaloss import landscape
+        from alphaloss.logreg import TrainingDiverged
+
+        real_train = landscape.train
+
+        def train(cfg, data):
+            if diverges(cfg.alpha.value, data.n):
+                raise TrainingDiverged(1)
+            return real_train(cfg, data)
+
+        monkeypatch.setattr(landscape, "train", train)
+        out = tmp_path / "land.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        _, trial_rows = read_csv(out)
+        _, rows = read_csv(tmp_path / "land_summary.csv")
+        assert [row[:2] for row in rows] == [
+            [alpha, n] for alpha in ("1.5", "2") for n in ("40", "80", "120")
+        ]
+        return trial_rows, rows
+
+    def test_one_diverged_cell_keeps_its_row(self, tmp_path, monkeypatch):
+        from alphaloss.landscape import log_log_slope
+
+        trial_rows, rows = self.run(tmp_path, monkeypatch, lambda a, n: a == 2.0 and n == 80)
+        assert not [row for row in trial_rows if row[:2] == ["2", "80"]]
+        assert [row[2] == "" for row in rows] == [False] * 4 + [True, False]
+        assert [row[4] for row in rows] == ["0"] * 3 + ["2"] * 3
+        # the slope is fitted over the cells that have a median
+        slope = log_log_slope([40, 120], [float(rows[3][2]), float(rows[5][2])])
+        assert {row[3] for row in rows[3:]} == {"%.17g" % slope}
+
+    def test_every_cell_of_one_alpha_diverged(self, tmp_path, monkeypatch):
+        _, clean = self.run(tmp_path, monkeypatch, lambda a, n: False)
+        trial_rows, rows = self.run(tmp_path, monkeypatch, lambda a, n: a == 2.0)
+        assert {row[0] for row in trial_rows} == {"1.5"}
+        assert [row[2:] for row in rows[3:]] == [["", "", "6"]] * 3
+        assert rows[:3] == clean[:3]
+
+
+class TestNonFiniteGridFlags:
+    @pytest.mark.parametrize("flag", ["--f-range", "--grid-step"])
+    def test_nan_exits_one_naming_the_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "cal.csv"
+        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.3", flag, "nan",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "f_range and grid_step must be positive" in err
+        assert "grid above" not in err
+        assert os.listdir(tmp_path) == []
+
+
+class TestNonFiniteLearningRate:
+    """An infinite rate is a bad flag, exit 1, not a training divergence, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--alpha", "2", "--lr", "inf", "--epochs", "1"],
+        ["sweep", "--alphas", "2", "--lr-grid", "1,inf", "--epochs", "1"],
+        ["landscape", "--lr", "inf", "--ns", "40", "--trials", "1", "--holdout-n", "500"],
+    ])
+    def test_exits_one_naming_the_rate(self, tmp_path, capsys, synthetic_mnist_dir, argv):
+        if argv[0] != "landscape":
+            argv = argv + ["--mnist-dir", synthetic_mnist_dir]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert "learning_rate" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []

@@ -71,6 +71,8 @@ class TestTypes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(A2, learning_rate=-0.1, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(A2, learning_rate=math.inf, epochs=1, seed=0)
         with pytest.raises(ValueError):
             TrainConfig(A2, learning_rate=0.1, epochs=0, seed=0)
         with pytest.raises(ValueError):
