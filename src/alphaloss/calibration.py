@@ -84,8 +84,28 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float
     return x, fn(x)
 
 
-def _search_grid(f_range: float, grid_step: float) -> np.ndarray:
-    """The sorted grid over [-f_range, f_range] at about ``grid_step`` spacing."""
+@dataclass(frozen=True, eq=False)
+class CalibrationWorkspace:
+    """The read-only search grid over [-f_range, f_range] and the buffers of a check.
+
+    Every :func:`check_calibration_at` given the workspace overwrites
+    ``risks``, ``other`` and ``scratch``, and only reads ``grid``.
+    """
+
+    f_range: float
+    grid: np.ndarray
+    risks: np.ndarray
+    other: np.ndarray
+    scratch: np.ndarray
+
+
+def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> CalibrationWorkspace:
+    """Build the sorted grid at about ``grid_step`` spacing and the buffers checks share."""
+    # written so that NaN fails it too
+    if not (f_range > 0.0 and grid_step > 0.0):
+        raise ValueError(
+            f"f_range and grid_step must be positive, got {f_range!r} and {grid_step!r}"
+        )
     # Odd point count keeps 0 on the grid: the constrained half includes f = 0.
     ratio = f_range / grid_step
     points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
@@ -96,36 +116,9 @@ def _search_grid(f_range: float, grid_step: float) -> np.ndarray:
     # np.linspace would overflow to a grid of inf and nan
     if not math.isfinite(2.0 * f_range):
         raise ValueError(f"f_range={f_range:.6g} is too large: 2 * f_range overflows")
-    return np.linspace(-f_range, f_range, points)
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationWorkspace:
-    """The search grid of one (f_range, grid_step) and the buffers of a check.
-
-    Every :func:`check_calibration_at` given the workspace overwrites
-    ``risks``, ``other`` and ``scratch``, and leaves ``grid`` as it found it.
-    """
-
-    f_range: float
-    grid_step: float
-    grid: np.ndarray
-    risks: np.ndarray
-    other: np.ndarray
-    scratch: np.ndarray
-
-
-def calibration_workspace(f_range: float, grid_step: float) -> CalibrationWorkspace:
-    """Build the grid and buffers that checks at (f_range, grid_step) can share."""
-    # written so that NaN fails it too
-    if not (f_range > 0.0 and grid_step > 0.0):
-        raise ValueError(
-            f"f_range and grid_step must be positive, got {f_range!r} and {grid_step!r}"
-        )
-    grid = _search_grid(f_range, grid_step)
-    return CalibrationWorkspace(
-        f_range, grid_step, grid, *(np.empty(grid.shape) for _ in range(3))
-    )
+    grid = np.linspace(-f_range, f_range, points)
+    grid.flags.writeable = False
+    return CalibrationWorkspace(f_range, grid, *(np.empty(points) for _ in range(3)))
 
 
 def _wrong_side(grid: np.ndarray, eta: float) -> slice:
@@ -140,29 +133,20 @@ def _wrong_side(grid: np.ndarray, eta: float) -> slice:
 
 
 def check_calibration_at(
-    alpha: Alpha,
-    eta: float,
-    f_range: float = 50.0,
-    grid_step: float = 1e-3,
-    *,
-    work: CalibrationWorkspace | None = None,
+    alpha: Alpha, eta: float, *, work: CalibrationWorkspace | None = None
 ) -> CalibrationReport:
     """Evaluate the calibration inequality at one posterior eta != 1/2.
 
-    ``work`` is a :func:`calibration_workspace` built for the same
-    (f_range, grid_step), shared by the checks of one run; without it the
-    check builds its own.
+    ``work`` is the :func:`calibration_workspace` shared by the checks of one
+    run, and its grid is the search grid; without it the check builds the
+    default one.
     """
     eta = check_posterior(eta)
     if eta == 0.5:
         raise ValueError("eta = 1/2 is excluded: both infima coincide there")
     if work is None:
-        work = calibration_workspace(f_range, grid_step)
-    elif (work.f_range, work.grid_step) != (f_range, grid_step):
-        raise ValueError(
-            f"workspace built for f_range={work.f_range}, grid_step={work.grid_step}, "
-            f"not f_range={f_range}, grid_step={grid_step}"
-        )
+        work = calibration_workspace()
+    f_range = work.f_range
     f_star = optimal_classifier(alpha, eta)
     if math.isfinite(f_star) and f_range <= abs(f_star):
         raise ValueError(
@@ -170,14 +154,11 @@ def check_calibration_at(
         )
 
     grid = work.grid
-    # eta * L(f) + (1 - eta) * L(-f), combined in place.  L(-f) is taken on the
-    # grid negated in place and then restored, both exact, instead of a copy.
+    # eta * L(f) + (1 - eta) * L(-f), combined in place; L(-f) is taken on -grid
+    # written into the buffer that receives it, which margin_losses allows.
     risks = margin_losses(alpha, grid, work=(work.risks, work.scratch))
     risks *= eta
-    try:
-        other = margin_losses(alpha, np.negative(grid, out=grid), work=(work.other, work.scratch))
-    finally:
-        np.negative(grid, out=grid)
+    other = margin_losses(alpha, np.negative(grid, out=work.other), work=(work.other, work.scratch))
     other *= 1.0 - eta
     risks += other
 
@@ -235,17 +216,15 @@ def inner_derivative(alpha: Alpha, eta: float, f: float) -> float:
 
 
 def calibration_sweep(
-    alpha: Alpha,
-    eta_grid,
-    f_range: float = 50.0,
-    grid_step: float = 1e-3,
+    alpha: Alpha, eta_grid, *, work: CalibrationWorkspace | None = None
 ) -> list[CalibrationReport]:
-    """Run :func:`check_calibration_at` over a grid of posteriors, in order."""
-    work = calibration_workspace(f_range, grid_step)
+    """Run :func:`check_calibration_at` over a grid of posteriors, in order, on one workspace."""
+    if work is None:
+        work = calibration_workspace()
     reports = []
     for eta in eta_grid:
         try:
-            reports.append(check_calibration_at(alpha, eta, f_range, grid_step, work=work))
+            reports.append(check_calibration_at(alpha, eta, work=work))
         except ValueError as err:
             raise ValueError(f"eta={eta}: {err}") from err
     return reports

@@ -33,6 +33,7 @@ from .calibration import calibration_workspace, check_calibration_at
 from .landscape import (
     GenerationFailed,
     SymmetricDataSpec,
+    check_experiment_sizes,
     log_log_slope,
     median_gaps,
     risk_gap_experiment,
@@ -97,7 +98,8 @@ def _commit(args, tables: dict, started: str) -> None:
     Every file goes to a temp file in its target's directory; only when all are
     complete are they renamed over their targets, the manifest last.  On any
     failure the temp files still held are removed and earlier outputs stay as
-    they were: only a process killed between two renames can mix two runs.
+    they were.  A directory at a target is refused before any write; another
+    refused rename (EBUSY, EPERM) or a kill between renames can still mix runs.
     """
     texts = {}
     for path, (header, rows) in tables.items():
@@ -120,6 +122,9 @@ def _commit(args, tables: dict, started: str) -> None:
     )
     manifest_text = json.dumps(vars(manifest), indent=2, sort_keys=True) + "\n"
     texts[manifest_path_for(outputs[0])] = manifest_text
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory: no file of this run was written")
     held = []
     try:
         for path, text in texts.items():
@@ -214,7 +219,7 @@ def cmd_calibration(args) -> dict:
             if eta == 0.5:
                 print(f"warning: skipping eta=0.5 for alpha={alpha} (excluded)", file=sys.stderr)
                 continue
-            rep = check_calibration_at(alpha, eta, args.f_range, args.grid_step, work=work)
+            rep = check_calibration_at(alpha, eta, work=work)
             rows.append(
                 (
                     alpha,
@@ -238,6 +243,8 @@ def _summary_path(out: str) -> str:
 def cmd_landscape(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     sizes = _parse_list(args.ns, int)
+    # before the spec, whose mean direction is a dim-sized array
+    check_experiment_sizes(args.dim, sizes, args.trials, args.holdout_n)
     spec = SymmetricDataSpec.along_first_axis(
         dim=args.dim,
         radius=args.radius,

@@ -133,6 +133,8 @@ def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, coun
 
 
 def _check_sample_size(n: int, dim: int, what: str) -> None:
+    if n < 2:
+        raise ValueError(f"{what} must be at least 2")
     if n * dim > MAX_SAMPLE_FLOATS:
         raise ValueError(
             f"{what} {n} x dim {dim} is {n * dim} floats, above the {MAX_SAMPLE_FLOATS} allowed"
@@ -144,8 +146,6 @@ def generate_symmetric_dataset(spec: SymmetricDataSpec, n: int) -> LabeledDatase
 
     At most ``MAX_SAMPLE_FLOATS`` features (n x dim) are drawn.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     _check_sample_size(n, spec.dim, "n")
     rng = np.random.default_rng(spec.seed)
     n_pos = n - n // 2
@@ -202,6 +202,17 @@ def morse_epsilon(r: float, mean_abs_norm: float) -> float:
     return sigmoid(-r * r) ** 2 * mean_abs_norm
 
 
+def check_experiment_sizes(dim: int, sample_sizes, trials: int, holdout_n: int) -> None:
+    """Check trials, dim and every sample size before any sample or dim-sized array exists."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    _check_sample_size(holdout_n, dim, "holdout_n")
+    for n in sample_sizes:
+        _check_sample_size(n, dim, "n")
+
+
 def risk_gap_experiment(
     spec: SymmetricDataSpec,
     alphas,
@@ -217,14 +228,7 @@ def risk_gap_experiment(
     trial seeds derive deterministically from the spec seed, so trials are
     independent of execution order; diverged trials are excluded and counted.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if holdout_n < 2:
-        raise ValueError("holdout_n must be at least 2")
-    # every size is checked before the holdout or any trial is drawn
-    _check_sample_size(holdout_n, spec.dim, "holdout_n")
-    for n in sample_sizes:
-        _check_sample_size(n, spec.dim, "n")
+    check_experiment_sizes(spec.dim, sample_sizes, trials, holdout_n)
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n
     )

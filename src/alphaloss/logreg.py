@@ -251,7 +251,16 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
             w -= config.learning_rate * grad
             if config.projection:
                 norm = math.sqrt(float(w @ w))
-                if norm > radius:
+                if not math.isfinite(norm):
+                    # w @ w overflows past |w| ~ 1.3e154; the norm of w / max|w| does not
+                    peak = float(np.abs(w).max())
+                    if not math.isfinite(peak):
+                        raise TrainingDiverged(epoch)
+                    unit = w / peak
+                    norm = math.sqrt(float(unit @ unit))
+                    if norm > radius / peak:
+                        np.multiply(unit, radius / norm, out=w)
+                elif norm > radius:
                     w *= radius / norm
             np.matmul(x, w, out=scores)
             losses, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)

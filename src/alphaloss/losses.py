@@ -283,8 +283,9 @@ def margin_losses(alpha: Alpha, margins: np.ndarray, work=None) -> np.ndarray:
     rounding (numpy's exp and log1p are not the math module's).
 
     ``work`` is an ``(out, scratch)`` pair of float arrays of the margins'
-    shape, neither of them the margins; the result is ``out``, overwritten by
-    the next call that shares it.  Without it both buffers are allocated.
+    shape; the result is ``out``, overwritten by the next call that shares it.
+    ``out`` may be the margins, which are read only before ``out`` is first
+    written; ``scratch`` may not.  Without it both buffers are allocated.
     """
     m = np.asarray(margins, dtype=float)
     # explicit buffers keep a 0-d input an array through the in-place steps

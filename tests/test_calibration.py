@@ -22,7 +22,6 @@ from alphaloss import (
 from alphaloss import margin_losses
 from alphaloss.calibration import (
     MAX_GRID_POINTS,
-    _search_grid,
     _wrong_side,
     calibration_workspace,
 )
@@ -83,13 +82,13 @@ class TestCheckCalibrationAt:
     def test_rejects_range_not_covering_optimum(self):
         # optimal classifier at (4, 0.9) is about 8.8
         with pytest.raises(ValueError):
-            check_calibration_at(Alpha(4), 0.9, f_range=5.0)
+            check_calibration_at(Alpha(4), 0.9, work=calibration_workspace(f_range=5.0))
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            check_calibration_at(A2, 0.7, f_range=-1.0)
+            check_calibration_at(A2, 0.7, work=calibration_workspace(f_range=-1.0))
         with pytest.raises(ValueError):
-            check_calibration_at(A2, 0.7, grid_step=0.0)
+            check_calibration_at(A2, 0.7, work=calibration_workspace(grid_step=0.0))
 
     def test_subset_bound_holds_exactly(self):
         for alpha in (A1, Alpha(1.1), A2, AINF):
@@ -133,7 +132,7 @@ class TestGridCap:
 
         monkeypatch.setattr(np, "linspace", refuse)
         with pytest.raises(ValueError, match="grid above"):
-            check_calibration_at(Alpha(2), 0.3, f_range, grid_step)
+            check_calibration_at(Alpha(2), 0.3, work=calibration_workspace(f_range, grid_step))
 
     @pytest.mark.parametrize("f_range", [1e308, math.nextafter(sys.float_info.max / 2, math.inf)])
     def test_overflowing_range_rejected_before_allocation(self, monkeypatch, f_range):
@@ -155,7 +154,7 @@ class TestGridCap:
         assert "grid above" not in str(err.value)
 
     def test_widest_range_gives_a_finite_grid(self):
-        grid = _search_grid(sys.float_info.max / 2, 1e305)
+        grid = calibration_workspace(sys.float_info.max / 2, 1e305).grid
         assert np.isfinite(grid).all()
         assert grid[0] == -grid[-1] == -sys.float_info.max / 2
 
@@ -182,7 +181,7 @@ class TestWrongSideSlice:
         ],
     )
     def test_matches_mask_form(self, f_range, grid_step):
-        grid = _search_grid(f_range, grid_step)
+        grid = calibration_workspace(f_range, grid_step).grid
         for alpha in (A1, A2, AINF):
             loss, loss_neg = margin_losses(alpha, grid), margin_losses(alpha, -grid)
             for eta in SLICE_ETAS:
@@ -202,11 +201,11 @@ class TestCheckMemory:
         # the grid, the risks and the two buffers of one margin_losses call
         tracemalloc.start()
         try:
-            check_calibration_at(alpha, 0.7, 50.0, 2e-5)
+            check_calibration_at(alpha, 0.7, work=calibration_workspace(50.0, 2e-5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _search_grid(50.0, 2e-5).size == self.GRID_POINTS
+        assert calibration_workspace(50.0, 2e-5).grid.size == self.GRID_POINTS
         assert peak <= 4.25 * self.GRID_POINTS * 8
 
     @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
@@ -215,7 +214,7 @@ class TestCheckMemory:
         assert work.grid.size == self.GRID_POINTS
         tracemalloc.start()
         try:
-            check_calibration_at(alpha, 0.7, 50.0, 2e-5, work=work)
+            check_calibration_at(alpha, 0.7, work=work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -227,21 +226,24 @@ class TestSharedWorkspace:
 
     def test_reports_and_grid_match_fresh_checks(self):
         work = calibration_workspace(50.0, 1e-3)
-        fresh_grid = _search_grid(50.0, 1e-3).tobytes()
+        fresh_grid = calibration_workspace(50.0, 1e-3).grid.tobytes()
         for alpha in (A1, AINF, A2, Alpha(1.5), A1):
             for eta in (0.01, 0.3, 0.7, 0.99):
-                shared = check_calibration_at(alpha, eta, 50.0, 1e-3, work=work)
-                fresh = check_calibration_at(alpha, eta, 50.0, 1e-3)
+                shared = check_calibration_at(alpha, eta, work=work)
+                fresh = check_calibration_at(alpha, eta, work=calibration_workspace(50.0, 1e-3))
                 for field in dataclasses.fields(CalibrationReport):
                     name = field.name
                     assert getattr(shared, name) == getattr(fresh, name), (alpha, eta, name)
                 assert work.grid.tobytes() == fresh_grid, (alpha, eta)
 
-    @pytest.mark.parametrize("f_range, grid_step", [(50.0, 2e-3), (40.0, 1e-3)])
-    def test_workspace_of_another_grid_rejected(self, f_range, grid_step):
-        work = calibration_workspace(50.0, 1e-3)
-        with pytest.raises(ValueError, match="workspace built for"):
-            check_calibration_at(A2, 0.7, f_range, grid_step, work=work)
+    def test_checks_only_read_the_grid(self):
+        # one workspace shared by every alpha, its grid read-only throughout
+        work = calibration_workspace()
+        assert not work.grid.flags.writeable
+        for alpha in (A1, Alpha(1.5), A2, AINF):
+            for eta in (0.3, 0.7):
+                shared = check_calibration_at(alpha, eta, work=work)
+                assert shared == check_calibration_at(alpha, eta), (alpha, eta)
 
 
 class TestInnerDerivative:
@@ -318,6 +320,10 @@ class TestCalibrationSweep:
         (rep,) = calibration_sweep(AINF, [0.4])
         # risk at f = 0 is 1/2 and the unconstrained infimum is min(eta, 1-eta)
         assert rep.gap == pytest.approx(0.5 - 0.4, abs=1e-6)
+
+    def test_runs_on_the_given_workspace(self):
+        with pytest.raises(ValueError, match="eta=0.9: f_range=5.0 does not cover"):
+            calibration_sweep(Alpha(4), [0.3, 0.9], work=calibration_workspace(5.0))
 
     def test_error_names_offending_eta(self):
         with pytest.raises(ValueError, match="eta=0.5"):

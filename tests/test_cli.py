@@ -618,6 +618,52 @@ class TestLandscapeSizeCap:
         assert not out.exists()
 
 
+class TestLandscapeSizesBeforeWork:
+    """Every size flag is checked before a dim-sized array, a sample or a model exists."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "10000000", "--holdout-n", "100"],
+        ["--dim", "1000000000000"],
+        ["--dim", "0"],
+    ])
+    def test_dim_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dim-sized array was allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        out = tmp_path / "gaps.csv"
+        assert main(["landscape", "--trials", "1", "--out", str(out)] + flags) == 1
+        assert "dim" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("ns", ["100,1", "100,-5"])
+    def test_n_below_two_exits_one_before_training(self, tmp_path, capsys, monkeypatch, ns):
+        from alphaloss import landscape
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(landscape, "train", refuse)
+        out = tmp_path / "gaps.csv"
+        argv = ["landscape", "--alphas", "1,2", "--ns", ns, "--trials", "3",
+                "--holdout-n", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        assert "n must be at least 2" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+class TestProjectionOverflow:
+    def test_overflowing_iterates_diverge_silently(self, tmp_path, capfd):
+        out = tmp_path / "gaps.csv"
+        argv = ["landscape", "--alphas", "2", "--ns", "100,1000", "--trials", "2",
+                "--lr", "1e308", "--radius", "10", "--mean-norm", "8", "--noise", "1",
+                "--holdout-n", "1000", "--out", str(out)]
+        assert main(argv) == 0
+        assert capfd.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "gaps_summary.csv")
+        assert [row[4] for row in rows] == ["4", "4"]
+
+
 class TestUndefinedSlope:
     def test_zero_median_gap_leaves_slope_empty(self, tmp_path):
         import warnings
@@ -789,6 +835,22 @@ class TestOneOutputStep:
         """Files 0, 1 and 2 are the trial CSV, the summary and the manifest."""
         self.check(tmp_path, monkeypatch, self.LANDSCAPE + ["--trials", "1"],
                    self.LANDSCAPE + ["--trials", "2"], which)
+
+    @pytest.mark.parametrize("target", ["out.csv", "out_summary.csv", "out.csv.manifest.json"])
+    def test_directory_at_a_target(self, tmp_path, capsys, target):
+        out = str(tmp_path / "out.csv")
+        assert main(self.LANDSCAPE + ["--trials", "1", "--out", out]) == 0
+        (tmp_path / target).unlink()
+        (tmp_path / target).mkdir()
+        before = self.snapshot_tree(tmp_path)
+        assert main(self.LANDSCAPE + ["--trials", "2", "--out", out]) == 1
+        assert "is a directory" in capsys.readouterr().err
+        assert self.snapshot_tree(tmp_path) == before
+
+    @staticmethod
+    def snapshot_tree(folder):
+        return {name: (folder / name).is_dir() or (folder / name).read_bytes()
+                for name in os.listdir(folder)}
 
     @pytest.mark.parametrize("which", [0, 1, "replace"])
     def test_calibration(self, tmp_path, monkeypatch, which):

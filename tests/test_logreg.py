@@ -317,6 +317,31 @@ class TestTrain:
         rep = train(cfg, data)
         assert np.linalg.norm(rep.final_model.weights) <= data.feature_radius + 1e-12
 
+    @pytest.mark.parametrize("learning_rate", [1e160, 1e308])
+    def test_projection_of_an_overflowing_norm(self, learning_rate):
+        # w @ w overflows past |w| ~ 1.3e154: the step still lands on the sphere,
+        # in the direction a rate of 1e150, whose w @ w is finite, gives
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        data = LabeledDataset(x, np.array([1, 1, -1, -1]), feature_radius=1.0)
+        cfg = TrainConfig(A2, 1e150, 1, seed=0, projection=True)
+        expected = train(cfg, data).final_model.weights
+        got = train(replace(cfg, learning_rate=learning_rate), data).final_model.weights
+        assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_projection_of_an_infinite_iterate_diverges_without_warning(self):
+        import warnings
+
+        # the first gradient is -17.7 per coordinate, so 1e308 times it is -inf
+        x = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0]])
+        data = LabeledDataset(x, np.array([1, 1, -1, -1]), feature_radius=100.0)
+        cfg = TrainConfig(A2, 1e308, 3, seed=0, projection=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as exc:
+                train(cfg, data)
+        assert exc.value.epoch == 0
+
     def test_divergence_aborts_with_epoch(self):
         # conflicting labels on colinear huge-norm rows force the first update
         # to overflow a score, so one margin hits -inf and the risk is infinite
@@ -472,6 +497,11 @@ class TestMaskFreeMarginLosses:
                 assert got is work[0]
                 assert got.shape == margins.shape
                 assert same_bits(got, margin_losses(alpha, margins))
+            # out may be the margins themselves: they are read before it is written
+            out = margins.copy()
+            got = margin_losses(alpha, out, work=(out, np.full(margins.shape, -np.inf)))
+            assert got is out
+            assert same_bits(got, margin_losses(alpha, margins))
 
 
 class TestFusedMarginKernel:
