@@ -1,6 +1,6 @@
 """Tunable alpha-loss family for binary classification."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .losses import (
     Alpha,

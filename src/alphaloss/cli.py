@@ -260,6 +260,9 @@ def cmd_landscape(args) -> dict:
         projection=True,
     )
     result = risk_gap_experiment(spec, alphas, sizes, args.trials, args.holdout_n, template)
+    for alpha, n, trial in result.diverged:
+        print(f"warning: training diverged at alpha={alpha!r}, n={n}, trial={trial};"
+              " the trial is left out of the gaps and counted in diverged", file=sys.stderr)
     trial_rows = [
         (rec.alpha, rec.n, rec.trial, rec.gap, rec.hoeffding_term, rec.zero_one_risk)
         for rec in result.records

@@ -114,14 +114,14 @@ def _alpha_bits(alpha: Alpha) -> int:
     return int(np.float64(alpha.value).view(np.uint64))
 
 
-def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, count: int) -> np.ndarray:
-    """Rejection-sample `count` points from the +1 class law, all inside the ball."""
+def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, out: np.ndarray) -> None:
+    """Rejection-sample one point of the +1 class law, inside the ball, into each row of ``out``."""
+    count = out.shape[0]
     center = spec.mean_norm * spec.mean_direction
-    out = np.empty((count, spec.dim))
     pending = np.arange(count)
     for _ in range(_REJECTION_ROUNDS):
         if pending.size == 0:
-            return out
+            return
         candidates = center + spec.noise_scale * rng.standard_normal((pending.size, spec.dim))
         inside = row_norms(candidates) <= spec.radius
         out[pending[inside]] = candidates[inside]
@@ -144,14 +144,20 @@ def _check_sample_size(n: int, dim: int, what: str) -> None:
 def generate_symmetric_dataset(spec: SymmetricDataSpec, n: int) -> LabeledDataset:
     """Draw n labeled samples, near-balanced, supported exactly inside the ball.
 
-    At most ``MAX_SAMPLE_FLOATS`` features (n x dim) are drawn.
+    At most ``MAX_SAMPLE_FLOATS`` features (n x dim) are drawn.  The first
+    n - n // 2 rows are the +1 class and the rest the -1 class, each drawn in
+    place.  The features are column-major: with n much larger than dim,
+    ``x @ w`` and ``x.T @ c`` then read dim contiguous columns instead of n
+    short rows.
     """
     _check_sample_size(n, spec.dim, "n")
     rng = np.random.default_rng(spec.seed)
     n_pos = n - n // 2
-    positives = _draw_positive_class(rng, spec, n_pos)
-    negatives = -_draw_positive_class(rng, spec, n - n_pos)
-    features = np.vstack([positives, negatives])
+    features = np.empty((n, spec.dim), order="F")
+    negatives = features[n_pos:]
+    _draw_positive_class(rng, spec, features[:n_pos])
+    _draw_positive_class(rng, spec, negatives)
+    np.negative(negatives, out=negatives)
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n - n_pos, dtype=np.int64)])
     return LabeledDataset(features=features, labels=labels, feature_radius=spec.radius)
 

@@ -659,7 +659,12 @@ class TestProjectionOverflow:
                 "--lr", "1e308", "--radius", "10", "--mean-norm", "8", "--noise", "1",
                 "--holdout-n", "1000", "--out", str(out)]
         assert main(argv) == 0
-        assert capfd.readouterr().err == ""
+        # no numpy warning: the only lines name the diverged trials
+        assert capfd.readouterr().err == "".join(
+            f"warning: training diverged at alpha=2.0, n={n}, trial={trial};"
+            " the trial is left out of the gaps and counted in diverged\n"
+            for n in (100, 1000) for trial in (0, 1)
+        )
         _, rows = read_csv(tmp_path / "gaps_summary.csv")
         assert [row[4] for row in rows] == ["4", "4"]
 
@@ -933,6 +938,27 @@ class TestLandscapeSummaryCells:
         assert {row[0] for row in trial_rows} == {"1.5"}
         assert [row[2:] for row in rows[3:]] == [["", "", "6"]] * 3
         assert rows[:3] == clean[:3]
+
+    def test_diverged_trials_are_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        self.run(tmp_path, monkeypatch, lambda a, n: a == 2.0 and n == 80)
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: training diverged at alpha=2.0, n=80, trial={trial};"
+            " the trial is left out of the gaps and counted in diverged"
+            for trial in (0, 1)
+        ]
+
+    def test_naming_diverged_trials_leaves_the_files_as_they_were(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # with every trial diverged no model is trained, so the bytes do not
+        # depend on the BLAS build: these are the files written before the names
+        self.run(tmp_path, monkeypatch, lambda a, n: True)
+        assert len(capsys.readouterr().err.splitlines()) == 12
+        with open(tmp_path / "land.csv", "rb") as fh:
+            assert fh.read() == b"alpha,n,trial,gap,hoeffding_eps,zero_one_test_risk\n"
+        with open(tmp_path / "land_summary.csv", "rb") as fh:
+            assert fh.read() == b"alpha,n,median_gap,loglog_slope,diverged\n" + b"".join(
+                b"%s,%d,,,6\n" % (alpha, n) for alpha in (b"1.5", b"2") for n in (40, 80, 120)
+            )
 
 
 class TestNonFiniteGridFlags:

@@ -125,6 +125,54 @@ class TestGeneration:
         assert np.array_equal(a.labels, b.labels)
 
 
+def vstack_reference(spec, n):
+    """The row-major construction the generator replaced: each class drawn
+    into its own array, the second negated, the two stacked."""
+    rng = np.random.default_rng(spec.seed)
+    center = spec.mean_norm * spec.mean_direction
+
+    def draw(count):
+        out = np.empty((count, spec.dim))
+        pending = np.arange(count)
+        while pending.size:
+            candidates = center + spec.noise_scale * rng.standard_normal((pending.size, spec.dim))
+            inside = row_norms(candidates) <= spec.radius
+            out[pending[inside]] = candidates[inside]
+            pending = pending[~inside]
+        return out
+
+    n_pos = n - n // 2
+    return np.vstack([draw(n_pos), -draw(n - n_pos)])
+
+
+class TestLayout:
+    # noise 0.4 around a mean of norm 0.5 rejects draws, so the refill path runs
+    @pytest.mark.parametrize("n", [2, 7, 1000])
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 0.4])
+    def test_column_major_with_the_row_major_draws(self, n, noise):
+        spec = default_spec(dim=5, noise_scale=noise, seed=n)
+        features = generate_symmetric_dataset(spec, n).features
+        assert features.flags.f_contiguous
+        expected = vstack_reference(spec, n)
+        assert features.shape == expected.shape
+        # bit for bit, so the sign of every zero is kept too
+        assert np.array_equal(features.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("alpha", [A1, A2, Alpha.parse("inf")], ids=str)
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_training_does_not_depend_on_the_layout(self, alpha, projection):
+        # only the BLAS reduction order differs: 2.6e-16 apart at most, measured
+        spec = SymmetricDataSpec.along_first_axis(5, 1.0, 0.8, 0.14, 3)
+        data = generate_symmetric_dataset(spec, 2000)
+        row_major = LabeledDataset(np.ascontiguousarray(data.features), data.labels, 1.0)
+        assert row_major.features.flags.c_contiguous
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=4, projection=projection)
+        got, expected = train(cfg, data), train(cfg, row_major)
+        assert got.train_accuracy == expected.train_accuracy
+        w, w_ref = got.final_model.weights, expected.final_model.weights
+        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+
 class TestCheckAssumptions:
     def test_noiseless_case(self):
         data = generate_symmetric_dataset(default_spec(noise_scale=0.0), 100)

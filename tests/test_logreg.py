@@ -342,6 +342,60 @@ class TestTrain:
                 train(cfg, data)
         assert exc.value.epoch == 0
 
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_infinite_iterate_diverges_before_the_product(self, projection):
+        import warnings
+
+        # 1e308 times the first gradient is infinite, and the zero row's score
+        # would be inf * 0 = NaN if the iterate reached x @ w
+        x = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0], [0.0, 0.0]])
+        data = LabeledDataset(x, np.array([1, 1, -1, -1, 1]), feature_radius=100.0)
+        cfg = TrainConfig(A2, 1e308, 3, seed=0, projection=projection)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as exc:
+                train(cfg, data)
+        assert exc.value.epoch == 0
+
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_inf_minus_inf_score_diverges_without_warning(self, projection):
+        import warnings
+
+        # Finite initial weights near 1e307 against rows of +-100 whose signs
+        # alternate those of w: the products overflow to +inf and -inf in turn.
+        d = 16
+        w0 = np.random.default_rng(0).uniform(-1e307, 1e307, size=d)
+        signs = np.sign(w0) * np.resize([1.0, -1.0], d)
+        x = np.vstack([100.0 * signs, -100.0 * signs])
+        data = LabeledDataset(x, np.array([1, -1]), feature_radius=400.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isnan(x @ w0).all():
+                pytest.skip("this BLAS sums each row in one accumulator: no inf - inf")
+        cfg = TrainConfig(A2, 1.0, 3, seed=0, init_scale=1e307, projection=projection)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as exc:
+                train(cfg, data)
+        assert exc.value.epoch == 0
+
+    def test_finite_iterate_whose_square_overflows_trains_on(self):
+        import warnings
+
+        # the first step puts w near 1.8e157 per coordinate, so w @ w overflows,
+        # while the scores, about 1.8e7, and the risk stay finite
+        t = 1e-150
+        x = np.array([[t, 0.0], [0.0, t], [-t, 0.0], [0.0, -t]])
+        data = LabeledDataset(x, np.array([1, 1, -1, -1]), feature_radius=t)
+        cfg = TrainConfig(A2, 1e308, 3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = train(cfg, data)
+        weights, trace, _, accuracy = three_matvec_train(cfg, data)
+        assert np.abs(weights).min() > 1e155  # so w @ w is above 2e310
+        assert np.array_equal(report.final_model.weights, weights)
+        assert np.array_equal(report.empirical_risk_trace, trace)
+        assert report.train_accuracy == accuracy == 1.0
+
     def test_divergence_aborts_with_epoch(self):
         # conflicting labels on colinear huge-norm rows force the first update
         # to overflow a score, so one margin hits -inf and the risk is infinite
