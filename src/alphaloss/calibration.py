@@ -12,13 +12,14 @@ on both the full grid and the constrained half {f : f * (2 eta - 1) <= 0}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .losses import (
     Alpha,
     check_posterior,
+    margin_loss_tail,
     margin_losses,
     margin_alpha_loss_d1,
     conditional_risk,
@@ -31,8 +32,8 @@ CALIBRATION_TOL = 1e-9
 
 # Largest search grid: 10^7 points is 80 MB per float array, and a calibration
 # workspace holds four such arrays (the grid, the risks, the other side's losses
-# and a scratch buffer), 320 MB, for as long as the run that shares it.  The
-# default grid has 100,001 points.
+# and the alpha-free loss tail shared by grid and -grid), 320 MB, for as long as
+# the run that shares it.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,14 +90,27 @@ class CalibrationWorkspace:
     """The read-only search grid over [-f_range, f_range] and the buffers of a check.
 
     Every :func:`check_calibration_at` given the workspace overwrites
-    ``risks``, ``other`` and ``scratch``, and only reads ``grid``.
+    ``risks`` and ``other``, and only reads ``grid``.  ``tail`` holds the
+    :func:`margin_loss_tail` of ``grid``, which is also that of ``-grid``, for
+    the kind of alpha (finite or infinite) recorded in ``tail_infinite``; a
+    check rebuilds it in place only when its alpha is of the other kind, and
+    ``tail_infinite`` is the one field it sets.
     """
 
     f_range: float
     grid: np.ndarray
     risks: np.ndarray
     other: np.ndarray
-    scratch: np.ndarray
+    tail: np.ndarray
+    # None until a check first builds the tail
+    tail_infinite: bool | None = field(default=None, init=False)
+
+    def tail_for(self, alpha: Alpha) -> np.ndarray:
+        """The tail of ``grid`` for ``alpha``, rebuilt in place if it is of the other kind."""
+        if self.tail_infinite != alpha.is_infinite:
+            margin_loss_tail(alpha, self.grid, out=self.tail)
+            object.__setattr__(self, "tail_infinite", alpha.is_infinite)
+        return self.tail
 
 
 def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> CalibrationWorkspace:
@@ -106,6 +120,10 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
         raise ValueError(
             f"f_range and grid_step must be positive, got {f_range!r} and {grid_step!r}"
         )
+    # an infinite step would round up to a 3-point grid, an infinite range past the cap
+    for name, value in (("f_range", f_range), ("grid_step", grid_step)):
+        if math.isinf(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     # Odd point count keeps 0 on the grid: the constrained half includes f = 0.
     ratio = f_range / grid_step
     points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
@@ -154,11 +172,14 @@ def check_calibration_at(
         )
 
     grid = work.grid
+    tail = work.tail_for(alpha)
     # eta * L(f) + (1 - eta) * L(-f), combined in place; L(-f) is taken on -grid
-    # written into the buffer that receives it, which margin_losses allows.
-    risks = margin_losses(alpha, grid, work=(work.risks, work.scratch))
+    # written into the buffer that receives it, which margin_losses allows, and
+    # both calls share the tail, a function of |f|.
+    risks = margin_losses(alpha, grid, work=(work.risks, None), tail=tail)
     risks *= eta
-    other = margin_losses(alpha, np.negative(grid, out=work.other), work=(work.other, work.scratch))
+    neg_grid = np.negative(grid, out=work.other)
+    other = margin_losses(alpha, neg_grid, work=(work.other, None), tail=tail)
     other *= 1.0 - eta
     risks += other
 

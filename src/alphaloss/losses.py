@@ -273,35 +273,57 @@ def tilted_posterior(alpha: Alpha, p: float) -> float:
     return sigmoid(alpha.value * logit(p))
 
 
-def margin_losses(alpha: Alpha, margins: np.ndarray, work=None) -> np.ndarray:
-    """Vectorized :func:`margin_alpha_loss` over an array of margins.
+def margin_loss_tail(alpha: Alpha, margins: np.ndarray, out=None) -> np.ndarray:
+    """The alpha-free part of :func:`margin_losses`, a function of |m| alone.
 
-    The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
-    log sigmoid(m) = min(m, -0) - log1p(e) and sigmoid(-m) = exp(-max(m, 0)) /
-    (1 + e), computed in two buffers without masks.  Equal to the losses of
-    ``_margin_terms`` bit for bit, and to :func:`margin_alpha_loss` within
-    rounding (numpy's exp and log1p are not the math module's).
-
-    ``work`` is an ``(out, scratch)`` pair of float arrays of the margins'
-    shape; the result is ``out``, overwritten by the next call that shares it.
-    ``out`` may be the margins, which are read only before ``out`` is first
-    written; ``scratch`` may not.  Without it both buffers are allocated.
+    With e = exp(-|m|): log1p(e) for finite alpha and 1 + e at alpha = inf.
+    Since |-m| = |m| exactly, the tail of m is also the tail of -m.  Only the
+    kind of alpha, finite or infinite, matters.  ``out`` is a float array of
+    the margins' shape to write it into, or None to allocate one.
     """
     m = np.asarray(margins, dtype=float)
-    # explicit buffers keep a 0-d input an array through the in-place steps
-    out, e = work if work is not None else (np.empty(m.shape), np.empty(m.shape))
+    # an explicit buffer keeps a 0-d input an array through the in-place steps
+    e = np.empty(m.shape) if out is None else out
     np.abs(m, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     if alpha.is_infinite:
+        e += 1.0
+        return e
+    return np.log1p(e, out=e)
+
+
+def margin_losses(alpha: Alpha, margins: np.ndarray, work=None, *, tail=None) -> np.ndarray:
+    """Vectorized :func:`margin_alpha_loss` over an array of margins.
+
+    The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
+    log sigmoid(m) = min(m, -0) - log1p(e) and sigmoid(-m) = exp(-max(m, 0)) /
+    (1 + e), computed without masks.  Equal to the losses of ``_margin_terms``
+    bit for bit, and to :func:`margin_alpha_loss` within rounding (numpy's exp
+    and log1p are not the math module's).
+
+    ``tail`` is the :func:`margin_loss_tail` of the margins, or of their
+    negation, for an alpha of the same kind; without it the tail is computed
+    here, in the same operations, so the result has the same bits either way.
+    ``work`` is an ``(out, scratch)`` pair of float arrays of the margins'
+    shape; the result is ``out``, overwritten by the next call that shares it,
+    and ``scratch`` receives the tail, so it is not used when ``tail`` is given
+    and may be None.  ``out`` may be the margins, which are read only before
+    ``out`` is first written; ``scratch`` may not.  Without ``work`` the
+    buffers are allocated.
+    """
+    m = np.asarray(margins, dtype=float)
+    out, scratch = work if work is not None else (np.empty(m.shape), None)
+    if tail is None:
+        tail = margin_loss_tail(alpha, m, out=scratch)
+    if alpha.is_infinite:
         np.maximum(m, 0.0, out=out)
         np.negative(out, out=out)
         np.exp(out, out=out)
-        e += 1.0
-        out /= e
+        out /= tail
         return out
     np.minimum(m, -0.0, out=out)
-    out -= np.log1p(e, out=e)
+    out -= tail
     if alpha.is_log:
         return np.negative(out, out=out)
     out *= alpha.exponent

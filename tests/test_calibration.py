@@ -20,6 +20,7 @@ from alphaloss import (
     optimal_classifier,
 )
 from alphaloss import margin_losses
+from alphaloss.losses import margin_loss_tail
 from alphaloss.calibration import (
     MAX_GRID_POINTS,
     _wrong_side,
@@ -225,15 +226,19 @@ class TestSharedWorkspace:
     """Checks sharing one workspace give exactly the reports of fresh checks."""
 
     def test_reports_and_grid_match_fresh_checks(self):
+        # the loss tail is rebuilt at every switch between finite and infinite alpha
         work = calibration_workspace(50.0, 1e-3)
         fresh_grid = calibration_workspace(50.0, 1e-3).grid.tobytes()
-        for alpha in (A1, AINF, A2, Alpha(1.5), A1):
+        for alpha in (A1, AINF, A2, AINF, Alpha(1.5), A1):
             for eta in (0.01, 0.3, 0.7, 0.99):
                 shared = check_calibration_at(alpha, eta, work=work)
                 fresh = check_calibration_at(alpha, eta, work=calibration_workspace(50.0, 1e-3))
                 for field in dataclasses.fields(CalibrationReport):
                     name = field.name
                     assert getattr(shared, name) == getattr(fresh, name), (alpha, eta, name)
+                assert work.tail_infinite == alpha.is_infinite
+                assert np.array_equal(work.tail, margin_loss_tail(alpha, work.grid)), (alpha, eta)
+                assert not work.grid.flags.writeable
                 assert work.grid.tobytes() == fresh_grid, (alpha, eta)
 
     def test_checks_only_read_the_grid(self):

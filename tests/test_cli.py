@@ -412,14 +412,15 @@ class TestBenchmarkTracing:
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
             [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
-             "calibration", "--alphas", "2,inf", "--eta-grid", "0.3,0.7", "--grid-step", "0.01",
+             "calibration", "--alphas", "1,inf,2", "--eta-grid", "0.3,0.7", "--grid-step", "0.01",
              "--out", str(tmp_path / "cal.csv")],
             cwd=root, env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         spans = json.loads(spans_path.read_text())
         checks = [i for i, span in enumerate(spans) if span[0] == "calibration.check"]
-        assert len(checks) == 4
+        # the loss tail is rebuilt between alpha = 1 and inf, and again before 2
+        assert len(checks) == 6
         for index in checks:
             children = [span[0] for span in spans if span[3] == index]
             assert children.count("losses.margin_losses") == 2
@@ -969,6 +970,21 @@ class TestNonFiniteGridFlags:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "f_range and grid_step must be positive" in err
+        assert "grid above" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag, name", [("--f-range", "f_range"), ("--grid-step", "grid_step")])
+    def test_inf_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, flag, name):
+        # an infinite step once ran on a 3-point grid, an infinite range blamed the cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "cal.csv"
+        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.3", flag, "inf",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{name} must be finite, got inf" in err
         assert "grid above" not in err
         assert os.listdir(tmp_path) == []
 

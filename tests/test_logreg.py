@@ -24,7 +24,13 @@ from alphaloss import (
     train,
 )
 from alphaloss.logreg import row_norms
-from alphaloss.losses import _margin_terms, _margin_workspace, _sigmoid_array, margin_losses
+from alphaloss.losses import (
+    _margin_terms,
+    _margin_workspace,
+    _sigmoid_array,
+    margin_loss_tail,
+    margin_losses,
+)
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -556,6 +562,20 @@ class TestMaskFreeMarginLosses:
             got = margin_losses(alpha, out, work=(out, np.full(margins.shape, -np.inf)))
             assert got is out
             assert same_bits(got, margin_losses(alpha, margins))
+
+    @pytest.mark.parametrize("alpha", [A1, Alpha(1.2), A2, Alpha(5), AINF], ids=str)
+    def test_precomputed_tail_gives_the_same_bits(self, alpha):
+        for margins in (MARGIN_EDGES, np.array(-3.0), np.array(0.0), np.array(-0.0)):
+            tail = margin_loss_tail(alpha, margins)
+            # the tail of m is the tail of -m: it depends on |m| alone
+            for signed in (margins, np.array(-margins)):
+                expected = margin_losses(alpha, signed)
+                assert same_bits(margin_losses(alpha, signed, tail=tail), expected)
+                # out may still be the margins, and no scratch buffer is needed
+                out = np.array(signed)
+                got = margin_losses(alpha, out, work=(out, None), tail=tail)
+                assert got is out
+                assert same_bits(got, expected)
 
 
 class TestFusedMarginKernel:
