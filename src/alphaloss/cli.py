@@ -245,19 +245,19 @@ def cmd_landscape(args) -> dict:
     sizes = _parse_list(args.ns, int)
     # before the spec, whose mean direction is a dim-sized array
     check_experiment_sizes(args.dim, sizes, args.trials, args.holdout_n)
-    spec = SymmetricDataSpec.along_first_axis(
-        dim=args.dim,
-        radius=args.radius,
-        mean_norm=args.mean_norm,
-        noise_scale=args.noise,
-        seed=args.seed,
-    )
     template = TrainConfig(
         alpha=alphas[0],
         learning_rate=args.lr,
         epochs=args.epochs,
         seed=args.seed,
         projection=True,
+    )
+    spec = SymmetricDataSpec.along_first_axis(
+        dim=args.dim,
+        radius=args.radius,
+        mean_norm=args.mean_norm,
+        noise_scale=args.noise,
+        seed=args.seed,
     )
     result = risk_gap_experiment(spec, alphas, sizes, args.trials, args.holdout_n, template)
     for alpha, n, trial in result.diverged:

@@ -380,6 +380,28 @@ class TestBenchmarkTracing:
         spans = json.loads(spans_path.read_text())
         assert sum(1 for span in spans if span[0] == "logreg.train") == 2
 
+    def test_traced_child_runs_settled_landscape(self, tmp_path):
+        """Trials that settle before their last epoch still count n x epochs of work."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spans_path = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
+             "landscape", "--alphas", "1,inf", "--ns", "100,200", "--trials", "2",
+             "--holdout-n", "1000", "--epochs", "300", "--out", str(tmp_path / "gaps.csv")],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads(spans_path.read_text())
+        trains = [span for span in spans if span[0] == "logreg.train"]
+        assert sorted(span[4] for span in trains) == [100 * 300] * 4 + [200 * 300] * 4
+        assert all(span[5] is None for span in trains)
+        assert sum(1 for span in spans if span[0] == "landscape.generate") == 9
+
     def test_traced_child_runs_sweep(self, tmp_path, synthetic_mnist_dir):
         """A traced sweep loads and builds the task once and trains |alpha| x |lr| models."""
         import os
@@ -1003,3 +1025,43 @@ class TestNonFiniteLearningRate:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
         assert "learning_rate" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+class TestEpochsCap:
+    """An --epochs above logreg.MAX_EPOCHS exits 1 before a corpus is loaded or a sample drawn."""
+
+    ARGV = {
+        "train": ["train", "--alpha", "2", "--lr", "0.5", "--mnist-dir", "unread"],
+        "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--mnist-dir", "unread"],
+        "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500"],
+    }
+
+    class Reached(Exception):
+        """The run got past its flags to the corpus or the sample."""
+
+    def refuse_work(self, monkeypatch):
+        from alphaloss import cli, landscape
+
+        def refuse(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(cli, "load_mnist_dir", refuse)
+        monkeypatch.setattr(landscape, "generate_symmetric_dataset", refuse)
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
+    def test_above_cap_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        from alphaloss.logreg import MAX_EPOCHS
+
+        self.refuse_work(monkeypatch)
+        argv = self.ARGV[command] + ["--epochs", str(MAX_EPOCHS + 1), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        assert f"epochs must be at most {MAX_EPOCHS}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
+    def test_at_cap_reaches_the_work(self, tmp_path, monkeypatch, command):
+        from alphaloss.logreg import MAX_EPOCHS
+
+        self.refuse_work(monkeypatch)
+        with pytest.raises(self.Reached):
+            main(self.ARGV[command] + ["--epochs", str(MAX_EPOCHS), "--out", str(tmp_path / "o.csv")])

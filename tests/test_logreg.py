@@ -23,7 +23,9 @@ from alphaloss import (
     third_derivative_coefficient,
     train,
 )
-from alphaloss.logreg import row_norms
+from alphaloss import logreg
+from alphaloss.landscape import SymmetricDataSpec, generate_symmetric_dataset
+from alphaloss.logreg import MAX_EPOCHS, row_norms
 from alphaloss.losses import (
     _margin_terms,
     _margin_workspace,
@@ -87,6 +89,9 @@ class TestTypes:
             TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, init_scale=-1.0)
         # zero learning rate is a legitimate no-op configuration
         TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS + 1, seed=0)
+        TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS, seed=0)
 
 
 class TestPredictAndLoss:
@@ -664,6 +669,85 @@ class TestTrainMatchesThreeMatvecLoop:
         with pytest.raises(TrainingDiverged) as got:
             train(cfg, data)
         assert got.value.epoch == expected.value.epoch == epoch
+
+
+def landscape_law_dataset(n, seed):
+    """A training set of the landscape command's default law: d = 5, radius 1, column-major."""
+    spec = SymmetricDataSpec.along_first_axis(
+        dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=seed
+    )
+    return generate_symmetric_dataset(spec, n)
+
+
+def counted_train(monkeypatch, cfg, data):
+    """train's report and the number of _margin_terms calls it made."""
+    calls = []
+    kernel = logreg._margin_terms
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(logreg, "_margin_terms", counting)
+        report = train(cfg, data)
+    return report, len(calls)
+
+
+class TestSettledEpochsAreSkipped:
+    """Once w repeats the iterate one or two epochs back, train stops recomputing.
+
+    Each fixture is a landscape trial that settles well before its last epoch;
+    three_matvec_train never skips, so equal bits show the skip changed nothing.
+    """
+
+    def check_skip(self, monkeypatch, cfg, data):
+        weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
+        report, calls = counted_train(monkeypatch, cfg, data)
+        # without the skip, train calls the kernel once per epoch and once before
+        assert calls < cfg.epochs + 1
+        assert np.array_equal(report.final_model.weights, weights)
+        assert np.array_equal(report.empirical_risk_trace, trace)
+        assert report.final_gradient_norm == grad_norm
+        assert report.train_accuracy == accuracy
+        return trace
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_fixed_point(self, monkeypatch, alpha):
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=0, projection=True)
+        trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(100, 0))
+        assert trace[-1] == trace[-2]
+
+    # two epoch counts of opposite parity: one leaves an epoch over after the
+    # whole periods, the other none
+    @pytest.mark.parametrize("epochs", [299, 300])
+    @pytest.mark.parametrize("alpha, n, seed", [(A1, 20, 3), (A2, 40, 0), (AINF, 40, 2)],
+                             ids=["1", "2", "inf"])
+    def test_two_cycle(self, monkeypatch, alpha, n, seed, epochs):
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=epochs, seed=seed, projection=True)
+        trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(n, seed))
+        assert trace[-1] == trace[-3] != trace[-2]
+
+    def test_growing_iterate_computes_every_epoch(self, monkeypatch):
+        # unprojected, the alpha = inf iterate keeps growing and never repeats
+        data = noisy_linear_dataset(21)
+        cfg = TrainConfig(AINF, learning_rate=6.0, epochs=300, seed=5)
+        halfway = train(replace(cfg, epochs=150), data).final_model.weights
+        report, calls = counted_train(monkeypatch, cfg, data)
+        assert np.linalg.norm(report.final_model.weights) > np.linalg.norm(halfway) + 1.0
+        assert calls == cfg.epochs + 1
+
+    def test_zero_rate_settles_at_the_first_compare(self, monkeypatch):
+        data = landscape_law_dataset(100, 0)
+        cfg = TrainConfig(A2, learning_rate=0.0, epochs=300, seed=0, projection=True)
+        weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
+        report, calls = counted_train(monkeypatch, cfg, data)
+        assert calls == 2
+        assert np.array_equal(report.final_model.weights, weights)
+        assert np.array_equal(report.empirical_risk_trace, np.full(300, trace[0]))
+        assert np.array_equal(report.empirical_risk_trace, trace)
+        assert report.final_gradient_norm == grad_norm
+        assert report.train_accuracy == accuracy
 
 
 class TestEvaluate:
