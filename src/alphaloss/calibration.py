@@ -176,10 +176,10 @@ def check_calibration_at(
     # eta * L(f) + (1 - eta) * L(-f), combined in place; L(-f) is taken on -grid
     # written into the buffer that receives it, which margin_losses allows, and
     # both calls share the tail, a function of |f|.
-    risks = margin_losses(alpha, grid, work=(work.risks, None), tail=tail)
+    risks = margin_losses(alpha, grid, out=work.risks, tail=tail)
     risks *= eta
     neg_grid = np.negative(grid, out=work.other)
-    other = margin_losses(alpha, neg_grid, work=(work.other, None), tail=tail)
+    other = margin_losses(alpha, neg_grid, out=work.other, tail=tail)
     other *= 1.0 - eta
     risks += other
 

@@ -47,7 +47,7 @@ from .losses import (
     min_conditional_risk,
     optimal_classifier,
 )
-from .mnist import BinaryTaskSplit, IdxFormatError, build_binary_task, load_mnist_dir
+from .mnist import BinaryTaskSplit, build_binary_task, load_mnist_dir
 
 MNIST_DIR_ENV = "ALPHALOSS_MNIST_DIR"
 
@@ -69,8 +69,7 @@ def manifest_path_for(out: str) -> str:
 
 def load_manifest(path: str) -> RunManifest:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return RunManifest(**raw)
+        return RunManifest(**json.load(fh))
 
 
 def replay(manifest_path: str) -> int:
@@ -163,8 +162,7 @@ def _load_task(args) -> BinaryTaskSplit:
     args.mnist_dir = args.mnist_dir or os.environ.get(MNIST_DIR_ENV)
     if not args.mnist_dir:
         raise FileNotFoundError(f"no MNIST directory: pass --mnist-dir or set {MNIST_DIR_ENV}")
-    images, labels, test_images, test_labels = load_mnist_dir(args.mnist_dir)
-    return build_binary_task(images, labels, test_images, test_labels, args.seed)
+    return build_binary_task(*load_mnist_dir(args.mnist_dir), args.seed)
 
 
 def cmd_train(args) -> dict:
@@ -235,23 +233,11 @@ def cmd_calibration(args) -> dict:
     return {args.out: (header, rows)}
 
 
-def _summary_path(out: str) -> str:
-    stem, ext = os.path.splitext(out)
-    return f"{stem}_summary{ext or '.csv'}"
-
-
 def cmd_landscape(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     sizes = _parse_list(args.ns, int)
     # before the spec, whose mean direction is a dim-sized array
     check_experiment_sizes(args.dim, sizes, args.trials, args.holdout_n)
-    template = TrainConfig(
-        alpha=alphas[0],
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        projection=True,
-    )
     spec = SymmetricDataSpec.along_first_axis(
         dim=args.dim,
         radius=args.radius,
@@ -259,7 +245,9 @@ def cmd_landscape(args) -> dict:
         noise_scale=args.noise,
         seed=args.seed,
     )
-    result = risk_gap_experiment(spec, alphas, sizes, args.trials, args.holdout_n, template)
+    result = risk_gap_experiment(
+        spec, alphas, sizes, args.trials, args.holdout_n, args.lr, args.epochs
+    )
     for alpha, n, trial in result.diverged:
         print(f"warning: training diverged at alpha={alpha!r}, n={n}, trial={trial};"
               " the trial is left out of the gaps and counted in diverged", file=sys.stderr)
@@ -279,7 +267,8 @@ def cmd_landscape(args) -> dict:
             summary_rows.append((alpha, n, medians.get(n), slope, n_diverged))
     trials = (["alpha", "n", "trial", "gap", "hoeffding_eps", "zero_one_test_risk"], trial_rows)
     summary = (["alpha", "n", "median_gap", "loglog_slope", "diverged"], summary_rows)
-    return {args.out: trials, _summary_path(args.out): summary}
+    stem, ext = os.path.splitext(args.out)
+    return {args.out: trials, f"{stem}_summary{ext or '.csv'}": summary}
 
 
 def cmd_losscurves(args) -> dict:
@@ -307,34 +296,35 @@ def cmd_losscurves(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="alphaloss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag that subcommands share is defined once, in a parent they list
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0)
+    mnist = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    mnist.add_argument("--epochs", type=int, default=200)
+    mnist.add_argument("--mnist-dir", default=None)
 
-    p_train = sub.add_parser("train", help="train one model on the MNIST 1-vs-7 task")
+    def command(name, func, parent, summary):
+        p = sub.add_parser(name, help=summary, parents=[parent])
+        p.set_defaults(func=func)
+        return p
+
+    p_train = command("train", cmd_train, mnist, "train one model on the MNIST 1-vs-7 task")
     p_train.add_argument("--alpha", required=True, help="loss parameter; 'inf' allowed")
     p_train.add_argument("--lr", type=float, required=True)
-    p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--mnist-dir", default=None)
-    p_train.add_argument("--out", required=True)
-    p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="tune the learning rate per alpha on validation")
+    p_sweep = command("sweep", cmd_sweep, mnist, "tune the learning rate per alpha on validation")
     p_sweep.add_argument("--alphas", default="1,1.1,1.2,1.5,2")
     p_sweep.add_argument("--lr-grid", default="1.0,1.3,1.9,2.0")
-    p_sweep.add_argument("--epochs", type=int, default=200)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--mnist-dir", default=None)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cal = sub.add_parser("calibration", help="conditional-risk minima per (alpha, eta)")
+    p_cal = command("calibration", cmd_calibration, out, "conditional-risk minima per (alpha, eta)")
     p_cal.add_argument("--alphas", default="1,1.5,2,inf")
     p_cal.add_argument("--eta-grid", default="0.1,0.2,0.3,0.4,0.6,0.7,0.8,0.9")
     p_cal.add_argument("--f-range", type=float, default=50.0)
     p_cal.add_argument("--grid-step", type=float, default=1e-3)
-    p_cal.add_argument("--out", required=True)
-    p_cal.set_defaults(func=cmd_calibration)
 
-    p_land = sub.add_parser("landscape", help="risk-gap scaling experiment")
+    p_land = command("landscape", cmd_landscape, seeded, "risk-gap scaling experiment")
     p_land.add_argument("--alphas", default="2")
     p_land.add_argument("--ns", default="100,1000,10000")
     p_land.add_argument("--trials", type=int, default=20)
@@ -345,17 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--holdout-n", type=int, default=100000)
     p_land.add_argument("--lr", type=float, default=1.0)
     p_land.add_argument("--epochs", type=int, default=300)
-    p_land.add_argument("--seed", type=int, default=0)
-    p_land.add_argument("--out", required=True)
-    p_land.set_defaults(func=cmd_landscape)
 
-    p_curves = sub.add_parser("losscurves", help="margin loss and derivatives on a z grid")
+    p_curves = command("losscurves", cmd_losscurves, out, "margin loss and derivatives on a z grid")
     p_curves.add_argument("--alphas", default="1,1.5,2,inf")
     p_curves.add_argument("--z-min", type=float, default=-10.0)
     p_curves.add_argument("--z-max", type=float, default=10.0)
     p_curves.add_argument("--steps", type=int, default=201)
-    p_curves.add_argument("--out", required=True)
-    p_curves.set_defaults(func=cmd_losscurves)
 
     return parser
 
@@ -374,7 +359,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (IdxFormatError, GenerationFailed, FileNotFoundError, ValueError, OSError) as err:
+    except (GenerationFailed, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from .logreg import (
     LabeledDataset,
     TrainConfig,
     TrainingDiverged,
+    check_schedule,
     empirical_risk,
     evaluate,
     row_norms,
@@ -59,10 +60,12 @@ class SymmetricDataSpec:
             raise ValueError(f"mean_direction must have shape ({self.dim},)")
         if abs(float(np.linalg.norm(mu)) - 1.0) > 1e-9:
             raise ValueError("mean_direction must be a unit vector")
-        if not self.mean_norm > 0.0:
-            raise ValueError("mean_norm must be positive (the class mean must not vanish)")
-        if not self.noise_scale >= 0.0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0.0 < self.mean_norm < math.inf:
+            raise ValueError("mean_norm must be finite and positive (a nonzero class mean)")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be finite and nonnegative")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         object.__setattr__(self, "mean_direction", mu)
 
     @classmethod
@@ -114,6 +117,9 @@ def _alpha_bits(alpha: Alpha) -> int:
     return int(np.float64(alpha.value).view(np.uint64))
 
 
+# a finite law can still overflow to an infinite candidate, which only an
+# infinite radius admits and LabeledDataset then refuses
+@np.errstate(over="ignore")
 def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, out: np.ndarray) -> None:
     """Rejection-sample one point of the +1 class law, inside the ball, into each row of ``out``."""
     count = out.shape[0]
@@ -225,16 +231,19 @@ def risk_gap_experiment(
     sample_sizes,
     trials: int,
     holdout_n: int,
-    train_cfg: TrainConfig,
+    learning_rate: float,
+    epochs: int,
 ) -> RiskGapResult:
     """Measure |true risk - empirical risk| at trained minimizers.
 
-    For each (alpha, n, trial) a fresh training set is drawn and trained with
-    projection on; the true risk is estimated on one large fresh holdout.  The
-    trial seeds derive deterministically from the spec seed, so trials are
-    independent of execution order; diverged trials are excluded and counted.
+    For each (alpha, n, trial) a fresh training set is drawn and trained for
+    ``epochs`` at ``learning_rate`` with projection on; the true risk is
+    estimated on one large fresh holdout.  The trial seeds derive from the spec
+    seed, so trials are independent of execution order; diverged trials are
+    excluded and counted.  Every argument is checked before any draw.
     """
     check_experiment_sizes(spec.dim, sample_sizes, trials, holdout_n)
+    check_schedule(learning_rate, epochs)
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n
     )
@@ -246,7 +255,7 @@ def risk_gap_experiment(
                 data_seed = _derive_seed(spec.seed, _alpha_bits(alpha), n, trial, 0)
                 init_seed = _derive_seed(spec.seed, _alpha_bits(alpha), n, trial, 1)
                 dataset = generate_symmetric_dataset(replace(spec, seed=data_seed), n)
-                cfg = replace(train_cfg, alpha=alpha, seed=init_seed, projection=True)
+                cfg = TrainConfig(alpha, learning_rate, epochs, init_seed, projection=True)
                 try:
                     report = train(cfg, dataset)
                 except TrainingDiverged:

@@ -89,7 +89,12 @@ class LabeledDataset:
             raise ValueError("labels must take values in {-1, +1}")
         if not self.feature_radius > 0.0:
             raise ValueError(f"feature_radius must be positive, got {self.feature_radius!r}")
-        if np.any(row_norms(x) > self.feature_radius):
+        norms = row_norms(x)
+        # NaN > radius is False, and an infinite radius admits a norm that
+        # overflows: only a row whose norm is not finite has its entries read
+        if not np.all(np.isfinite(x[~np.isfinite(norms)])):
+            raise ValueError("features must be finite")
+        if np.any(norms > self.feature_radius):
             raise ValueError("a feature row lies outside the declared radius")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y.astype(np.int64))
@@ -101,6 +106,16 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+def check_schedule(learning_rate: float, epochs: int) -> None:
+    """Refuse a step size or epoch count :class:`TrainConfig` refuses, before one is built."""
+    if not 0.0 <= learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be finite and nonnegative, got {learning_rate!r}")
+    if int(epochs) != epochs or epochs < 1:
+        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
+    if epochs > MAX_EPOCHS:
+        raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
 
 
 @dataclass(frozen=True)
@@ -120,14 +135,7 @@ class TrainConfig:
     projection: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
-            )
-        if int(self.epochs) != self.epochs or self.epochs < 1:
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if self.epochs > MAX_EPOCHS:
-            raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {self.epochs!r}")
+        check_schedule(self.learning_rate, self.epochs)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not self.init_scale >= 0.0:

@@ -293,7 +293,7 @@ def margin_loss_tail(alpha: Alpha, margins: np.ndarray, out=None) -> np.ndarray:
     return np.log1p(e, out=e)
 
 
-def margin_losses(alpha: Alpha, margins: np.ndarray, work=None, *, tail=None) -> np.ndarray:
+def margin_losses(alpha: Alpha, margins: np.ndarray, *, out=None, tail=None) -> np.ndarray:
     """Vectorized :func:`margin_alpha_loss` over an array of margins.
 
     The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
@@ -305,17 +305,16 @@ def margin_losses(alpha: Alpha, margins: np.ndarray, work=None, *, tail=None) ->
     ``tail`` is the :func:`margin_loss_tail` of the margins, or of their
     negation, for an alpha of the same kind; without it the tail is computed
     here, in the same operations, so the result has the same bits either way.
-    ``work`` is an ``(out, scratch)`` pair of float arrays of the margins'
-    shape; the result is ``out``, overwritten by the next call that shares it,
-    and ``scratch`` receives the tail, so it is not used when ``tail`` is given
-    and may be None.  ``out`` may be the margins, which are read only before
-    ``out`` is first written; ``scratch`` may not.  Without ``work`` the
-    buffers are allocated.
+    ``out`` is a float array of the margins' shape that receives the result,
+    overwritten by the next call that shares it; it may be the margins, which
+    are read only before it is first written.  Without ``out`` the result is
+    allocated.
     """
     m = np.asarray(margins, dtype=float)
-    out, scratch = work if work is not None else (np.empty(m.shape), None)
     if tail is None:
-        tail = margin_loss_tail(alpha, m, out=scratch)
+        tail = margin_loss_tail(alpha, m)
+    if out is None:
+        out = np.empty(m.shape)
     if alpha.is_infinite:
         np.maximum(m, 0.0, out=out)
         np.negative(out, out=out)

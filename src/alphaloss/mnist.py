@@ -14,6 +14,7 @@ into 11,500 training and 1,000 validation rows with both classes balanced.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -66,19 +67,25 @@ class BinaryTaskSplit:
     test: LabeledDataset
 
 
+def _idx_payload(data: bytes, magic: int, ndim: int, what: str) -> tuple[list[int], np.ndarray]:
+    """Check an IDX header and payload size; return the ndim sizes and a payload view."""
+    size, head = len(data), 4 * (1 + ndim)
+    if size < head:
+        raise IdxFormatError(f"{what} header needs {head} bytes, got {size}")
+    found, *sizes = struct.unpack(f">{1 + ndim}I", data[:head])
+    if found != magic:
+        raise IdxFormatError(f"wrong magic for {what}: expected {magic}, got {found}")
+    expected = head + math.prod(sizes)
+    if size < expected:
+        raise IdxFormatError(f"truncated {what} payload: expected {expected} bytes, got {size}")
+    if size > expected:
+        raise IdxFormatError(f"{size - expected} trailing bytes after {what} payload")
+    return sizes, np.frombuffer(data, dtype=np.uint8, offset=head)
+
+
 def load_idx_images(data: bytes) -> IdxImages:
-    if len(data) < 16:
-        raise IdxFormatError(f"images header needs 16 bytes, got {len(data)}")
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IMAGES_MAGIC:
-        raise IdxFormatError(f"wrong magic for images: expected {IMAGES_MAGIC}, got {magic}")
-    expected = 16 + count * rows * cols
-    if len(data) < expected:
-        raise IdxFormatError(f"truncated images payload: expected {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise IdxFormatError(f"{len(data) - expected} trailing bytes after images payload")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows * cols).copy()
-    return IdxImages(count=count, rows=rows, cols=cols, pixels=pixels)
+    (count, rows, cols), payload = _idx_payload(data, IMAGES_MAGIC, 3, "images")
+    return IdxImages(count, rows, cols, payload.reshape(count, rows * cols).copy())
 
 
 def dump_idx_images(images: IdxImages) -> bytes:
@@ -87,17 +94,7 @@ def dump_idx_images(images: IdxImages) -> bytes:
 
 
 def load_idx_labels(data: bytes) -> np.ndarray:
-    if len(data) < 8:
-        raise IdxFormatError(f"labels header needs 8 bytes, got {len(data)}")
-    magic, count = struct.unpack(">II", data[:8])
-    if magic != LABELS_MAGIC:
-        raise IdxFormatError(f"wrong magic for labels: expected {LABELS_MAGIC}, got {magic}")
-    expected = 8 + count
-    if len(data) < expected:
-        raise IdxFormatError(f"truncated labels payload: expected {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise IdxFormatError(f"{len(data) - expected} trailing bytes after labels payload")
-    labels = np.frombuffer(data, dtype=np.uint8, offset=8).copy()
+    labels = _idx_payload(data, LABELS_MAGIC, 1, "labels")[1].copy()
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"label byte {labels.max()} outside 0..9")
     return labels

@@ -86,9 +86,9 @@ def landscape_result():
     spec = SymmetricDataSpec.along_first_axis(
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=20240819
     )
-    template = TrainConfig(alpha=A2, learning_rate=1.0, epochs=300, seed=0, projection=True)
     return risk_gap_experiment(
-        spec, [A2], [100, 1000, 10000], trials=41, holdout_n=400_000, train_cfg=template
+        spec, [A2], [100, 1000, 10000], trials=41, holdout_n=400_000, learning_rate=1.0,
+        epochs=300,
     )
 
 

@@ -1065,3 +1065,46 @@ class TestEpochsCap:
         self.refuse_work(monkeypatch)
         with pytest.raises(self.Reached):
             main(self.ARGV[command] + ["--epochs", str(MAX_EPOCHS), "--out", str(tmp_path / "o.csv")])
+
+
+class TestSeedRange:
+    """A seed outside 64 unsigned bits exits 1 naming the seed, before any corpus or sample."""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
+    def test_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, command, seed):
+        from alphaloss import cli, landscape
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run got past its flags to the corpus or the sample")
+
+        monkeypatch.setattr(cli, "load_mnist_dir", refuse)
+        monkeypatch.setattr(landscape, "generate_symmetric_dataset", refuse)
+        argv = TestEpochsCap.ARGV[command] + ["--seed", seed, "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+class TestNonFiniteLaw:
+    """An infinite or overflowing synthetic law is a bad flag: exit 1, no warning, no file."""
+
+    ARGV = ["landscape", "--radius", "inf", "--ns", "40", "--trials", "2", "--holdout-n", "500",
+            "--epochs", "5"]
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--noise", "inf"], "noise_scale must be finite"),
+        (["--mean-norm", "1e308", "--noise", "1e308"], "features must be finite"),
+        (["--mean-norm", "inf"], "mean_norm must be finite"),
+    ])
+    def test_exits_one_without_warning(self, tmp_path, capfd, flags, text):
+        assert main(self.ARGV + flags + ["--out", str(tmp_path / "gaps.csv")]) == 1
+        err = capfd.readouterr().err
+        # one line: no numpy warning and no diverged trial
+        assert err.startswith(f"error: {text}") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_overflowing_row_norms_still_run(self, tmp_path):
+        out = tmp_path / "gaps.csv"
+        assert main(self.ARGV + ["--mean-norm", "1e200", "--out", str(out)]) == 0
+        assert out.exists()

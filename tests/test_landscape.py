@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from alphaloss import (
     risk_gap_experiment,
     train,
 )
-from alphaloss.logreg import row_norms
+from alphaloss.logreg import MAX_EPOCHS, row_norms
 
 A1 = Alpha.log_loss()
 A2 = Alpha(2)
@@ -51,6 +50,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             default_spec(noise_scale=-0.1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mean_norm", "noise_scale"])
+    def test_finite_law(self, field, value):
+        # an infinite radius admits any draw, so only the spec can refuse the law
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            default_spec(**{field: value}, radius=math.inf)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_fits_64_unsigned_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            default_spec(seed=seed)
+
 
 class TestGeneration:
     def test_degenerate_noise_gives_two_atoms(self):
@@ -68,6 +79,16 @@ class TestGeneration:
         odd = generate_symmetric_dataset(default_spec(), 7)
         counts = (int(np.sum(odd.labels == 1)), int(np.sum(odd.labels == -1)))
         assert abs(counts[0] - counts[1]) == 1 and sum(counts) == 7
+
+    def test_overflowing_draw_is_refused_without_warning(self):
+        spec = default_spec(mean_norm=1e308, noise_scale=1e308, radius=math.inf)
+        with pytest.raises(ValueError, match="features must be finite"):
+            generate_symmetric_dataset(spec, 50)
+
+    def test_infinite_radius_admits_rows_whose_norm_overflows(self):
+        data = generate_symmetric_dataset(default_spec(mean_norm=1e200, radius=math.inf), 50)
+        assert np.all(np.isfinite(data.features))
+        assert np.all(np.isinf(row_norms(data.features)))
 
     def test_support_inside_ball(self):
         data = generate_symmetric_dataset(default_spec(noise_scale=0.4), 1000)
@@ -244,21 +265,22 @@ class TestMorseEpsilon:
             morse_epsilon(1.0, 0.0)
 
 
+# the training settings of the small experiment's trials
+SCHEDULE = dict(learning_rate=1.0, epochs=60)
+
+
 @pytest.fixture(scope="module")
 def small_experiment():
     spec = SymmetricDataSpec.along_first_axis(
         dim=3, radius=1.0, mean_norm=0.7, noise_scale=0.12, seed=17
     )
-    template = TrainConfig(alpha=A2, learning_rate=1.0, epochs=60, seed=0, projection=True)
-    result = risk_gap_experiment(
-        spec, [A1, A2], [50, 200], trials=3, holdout_n=4000, train_cfg=template
-    )
-    return spec, template, result
+    result = risk_gap_experiment(spec, [A1, A2], [50, 200], trials=3, holdout_n=4000, **SCHEDULE)
+    return spec, result
 
 
 class TestRiskGapExperiment:
     def test_record_structure(self, small_experiment):
-        _, _, result = small_experiment
+        _, result = small_experiment
         assert len(result.records) == 2 * 2 * 3
         assert result.diverged == []
         for rec in result.records:
@@ -270,31 +292,29 @@ class TestRiskGapExperiment:
                 assert rec.hoeffding_term == hoeffding_epsilon(rec.alpha, rec.n, 1, 0.05)
 
     def test_records_sorted(self, small_experiment):
-        _, _, result = small_experiment
+        _, result = small_experiment
         keys = [(rec.alpha.value, rec.n, rec.trial) for rec in result.records]
         assert keys == sorted(keys)
 
     def test_deterministic_rerun(self, small_experiment):
-        spec, template, result = small_experiment
-        again = risk_gap_experiment(
-            spec, [A1, A2], [50, 200], trials=3, holdout_n=4000, train_cfg=template
-        )
+        spec, result = small_experiment
+        again = risk_gap_experiment(spec, [A1, A2], [50, 200], trials=3, holdout_n=4000, **SCHEDULE)
         for a, b in zip(result.records, again.records):
             assert a.gap == b.gap
             assert a.true_risk_estimate == b.true_risk_estimate
             assert a.empirical_risk == b.empirical_risk
 
     def test_gap_vanishes_when_true_risk_uses_training_sample(self, small_experiment):
-        spec, template, _ = small_experiment
+        spec, _ = small_experiment
         data = generate_symmetric_dataset(spec, 500)
-        report = train(replace(template, alpha=A2), data)
+        report = train(TrainConfig(A2, seed=0, projection=True, **SCHEDULE), data)
         emp = empirical_risk(A2, report.final_model, data)
         # with the holdout reused as the training sample the gap is exactly zero
         true_estimate = empirical_risk(A2, report.final_model, data)
         assert abs(true_estimate - emp) == 0.0
 
     def test_diverged_trials_are_excluded_and_counted(self, small_experiment, monkeypatch):
-        spec, template, _ = small_experiment
+        spec, _ = small_experiment
         calls = {"k": 0}
         real_train = landscape_module.train
 
@@ -305,14 +325,12 @@ class TestRiskGapExperiment:
             return real_train(cfg, data)
 
         monkeypatch.setattr(landscape_module, "train", flaky_train)
-        result = risk_gap_experiment(
-            spec, [A2], [50], trials=3, holdout_n=1000, train_cfg=template
-        )
+        result = risk_gap_experiment(spec, [A2], [50], trials=3, holdout_n=1000, **SCHEDULE)
         assert len(result.records) == 2
         assert result.diverged == [(2.0, 50, 1)]
 
     def test_summary_helpers(self, small_experiment):
-        _, _, result = small_experiment
+        _, result = small_experiment
         medians = median_gaps(result.records, A2)
         assert sorted(medians) == [50, 200]
         assert all(m > 0 for m in medians.values())
@@ -329,7 +347,6 @@ class TestRiskGapExperiment:
     def test_empirical_risk_is_recomputable(self, monkeypatch):
         """Each record's empirical risk is the risk of its model on its own sample."""
         spec = default_spec(dim=3, seed=23)
-        template = TrainConfig(alpha=A2, learning_rate=1.0, epochs=30, seed=0, projection=True)
         fits = []
         real_train = landscape_module.train
 
@@ -341,7 +358,7 @@ class TestRiskGapExperiment:
         monkeypatch.setattr(landscape_module, "train", recording_train)
         alphas = [A1, Alpha(1.5), A2, Alpha.parse("inf")]
         result = risk_gap_experiment(
-            spec, alphas, [100, 1000], trials=2, holdout_n=2000, train_cfg=template
+            spec, alphas, [100, 1000], trials=2, holdout_n=2000, learning_rate=1.0, epochs=30
         )
         # alphas and sizes are given sorted, so training order is record order
         assert len(fits) == len(result.records) == 16
@@ -350,18 +367,33 @@ class TestRiskGapExperiment:
 
     @pytest.mark.parametrize("sizes, holdout_n", [([50, 10**8], 100), ([50], 10**13)])
     def test_size_cap_checked_before_any_draw(self, small_experiment, monkeypatch, sizes, holdout_n):
-        spec, template, _ = small_experiment
+        spec, _ = small_experiment
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
         monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
         with pytest.raises(ValueError, match="floats"):
-            risk_gap_experiment(spec, [A2], sizes, trials=1, holdout_n=holdout_n, train_cfg=template)
+            risk_gap_experiment(spec, [A2], sizes, trials=1, holdout_n=holdout_n, **SCHEDULE)
+
+    @pytest.mark.parametrize("schedule, text", [
+        (dict(learning_rate=math.nan, epochs=60), "learning_rate"),
+        (dict(learning_rate=1.0, epochs=MAX_EPOCHS + 1), "epochs must be at most"),
+    ])
+    def test_schedule_checked_before_any_draw(self, small_experiment, monkeypatch, schedule,
+                                              text):
+        spec, _ = small_experiment
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(landscape_module, "generate_symmetric_dataset", refuse)
+        with pytest.raises(ValueError, match=text):
+            risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, **schedule)
 
     def test_input_validation(self, small_experiment):
-        spec, template, _ = small_experiment
+        spec, _ = small_experiment
         with pytest.raises(ValueError):
-            risk_gap_experiment(spec, [A2], [50], trials=0, holdout_n=100, train_cfg=template)
+            risk_gap_experiment(spec, [A2], [50], trials=0, holdout_n=100, **SCHEDULE)
         with pytest.raises(ValueError):
-            risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=1, train_cfg=template)
+            risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=1, **SCHEDULE)

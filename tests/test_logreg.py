@@ -76,6 +76,18 @@ class TestTypes:
         with pytest.raises(ValueError):  # row norm sqrt(2) above radius 1
             LabeledDataset(np.ones((2, 2)), np.array([1, -1]), 1.0)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("radius", [1.0, math.inf])
+    def test_dataset_rejects_a_nonfinite_entry(self, entry, radius):
+        # NaN > radius is False, and inf > inf too: the entries must be read
+        with pytest.raises(ValueError, match="features must be finite"):
+            LabeledDataset(np.array([[entry, 0.0], [0.1, 0.2]]), np.array([1, -1]), radius)
+
+    def test_dataset_admits_a_finite_row_whose_norm_overflows(self):
+        features = np.array([[1e200, -1e200], [0.1, 0.2]])
+        data = LabeledDataset(features, np.array([1, -1]), math.inf)
+        assert np.array_equal(data.features, features)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(A2, learning_rate=-0.1, epochs=1, seed=0)
@@ -555,16 +567,16 @@ class TestMaskFreeMarginLosses:
     @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
     def test_work_pair_gives_the_same_bits(self, alpha):
         for margins in (MARGIN_EDGES, np.array(-3.0), np.array(0.0), np.array(-0.0)):
-            # stale contents, as a reused pair holds, must not leak into the result
-            work = (np.full(margins.shape, np.nan), np.full(margins.shape, -np.inf))
+            # stale contents, as a reused buffer holds, must not leak into the result
+            stale = np.full(margins.shape, np.nan)
             for _ in range(2):
-                got = margin_losses(alpha, margins, work=work)
-                assert got is work[0]
+                got = margin_losses(alpha, margins, out=stale)
+                assert got is stale
                 assert got.shape == margins.shape
                 assert same_bits(got, margin_losses(alpha, margins))
             # out may be the margins themselves: they are read before it is written
             out = margins.copy()
-            got = margin_losses(alpha, out, work=(out, np.full(margins.shape, -np.inf)))
+            got = margin_losses(alpha, out, out=out)
             assert got is out
             assert same_bits(got, margin_losses(alpha, margins))
 
@@ -576,9 +588,9 @@ class TestMaskFreeMarginLosses:
             for signed in (margins, np.array(-margins)):
                 expected = margin_losses(alpha, signed)
                 assert same_bits(margin_losses(alpha, signed, tail=tail), expected)
-                # out may still be the margins, and no scratch buffer is needed
+                # out may still be the margins
                 out = np.array(signed)
-                got = margin_losses(alpha, out, work=(out, None), tail=tail)
+                got = margin_losses(alpha, out, out=out, tail=tail)
                 assert got is out
                 assert same_bits(got, expected)
 

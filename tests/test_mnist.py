@@ -39,6 +39,11 @@ class TestIdxImages:
         assert imgs.pixels.dtype == np.uint8
         assert imgs.pixels[1, 0] == 4
 
+    def test_parsed_arrays_are_owned_and_writable(self):
+        arrays = (load_idx_images(images_bytes()).pixels, load_idx_labels(labels_bytes([1, 7])))
+        for array in arrays:
+            assert array.flags.owndata and array.flags.writeable
+
     def test_round_trip_exact(self):
         payload = ((np.arange(60) * 37) % 251).astype(np.uint8).tobytes()
         raw = images_bytes(count=5, rows=3, cols=4, pixels=payload)
