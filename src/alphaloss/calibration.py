@@ -124,7 +124,8 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     for name, value in (("f_range", f_range), ("grid_step", grid_step)):
         if math.isinf(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    # Odd point count keeps 0 on the grid: the constrained half includes f = 0.
+    # An odd point count has a middle point, set to 0 below: the constrained
+    # half includes f = 0.
     ratio = f_range / grid_step
     points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
     if points > MAX_GRID_POINTS:
@@ -135,6 +136,9 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     if not math.isfinite(2.0 * f_range):
         raise ValueError(f"f_range={f_range:.6g} is too large: 2 * f_range overflows")
     grid = np.linspace(-f_range, f_range, points)
+    # linspace can round its middle point a few ulps off 0 (7.1e-15 at
+    # f_range 50, step 2e-5); both wrong-side slices must hold f = 0
+    grid[points // 2] = 0.0
     grid.flags.writeable = False
     return CalibrationWorkspace(f_range, grid, *(np.empty(points) for _ in range(3)))
 

@@ -28,6 +28,9 @@ from .logreg import (
 from .losses import Alpha, sigmoid
 
 _REJECTION_ROUNDS = 1000
+# Candidates drawn per rejection block, counted in floats so that a wide dim
+# keeps the block buffer at 512 KB (one row, where a row is wider).
+_DRAW_BLOCK_FLOATS = 2**16
 # Largest sample, counted as n x dim floats (800 MB), that generation will allocate.
 MAX_SAMPLE_FLOATS = 10**8
 _HOLDOUT_TAG = 0x484F4C44  # distinguishes the holdout seed stream from trials
@@ -121,17 +124,32 @@ def _alpha_bits(alpha: Alpha) -> int:
 # infinite radius admits and LabeledDataset then refuses
 @np.errstate(over="ignore")
 def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, out: np.ndarray) -> None:
-    """Rejection-sample one point of the +1 class law, inside the ball, into each row of ``out``."""
-    count = out.shape[0]
+    """Rejection-sample one point of the +1 class law, inside the ball, into each row of ``out``.
+
+    Each round draws a candidate for every pending row, in row order, and the
+    rows it rejects are drawn again in the next round, in the same order.  The
+    candidates are drawn in blocks of ``_DRAW_BLOCK_FLOATS`` into one reused
+    buffer, so the draw holds no sample-sized temporary; the normals come off
+    the stream in the same order as one draw per round would take them.
+    """
+    count, dim = out.shape
     center = spec.mean_norm * spec.mean_direction
+    block = np.empty((max(1, _DRAW_BLOCK_FLOATS // dim), dim))
     pending = np.arange(count)
     for _ in range(_REJECTION_ROUNDS):
         if pending.size == 0:
             return
-        candidates = center + spec.noise_scale * rng.standard_normal((pending.size, spec.dim))
-        inside = row_norms(candidates) <= spec.radius
-        out[pending[inside]] = candidates[inside]
-        pending = pending[~inside]
+        rejected = []
+        for start in range(0, pending.size, block.shape[0]):
+            rows = pending[start : start + block.shape[0]]
+            candidates = block[: rows.size]
+            rng.standard_normal(out=candidates)
+            candidates *= spec.noise_scale
+            candidates += center
+            inside = row_norms(candidates) <= spec.radius
+            out[rows[inside]] = candidates[inside]
+            rejected.append(rows[~inside])
+        pending = np.concatenate(rejected)
     raise GenerationFailed(
         f"{pending.size} of {count} points rejected {_REJECTION_ROUNDS} times "
         f"(mean_norm={spec.mean_norm}, noise_scale={spec.noise_scale}, radius={spec.radius})"
@@ -164,7 +182,8 @@ def generate_symmetric_dataset(spec: SymmetricDataSpec, n: int) -> LabeledDatase
     _draw_positive_class(rng, spec, features[:n_pos])
     _draw_positive_class(rng, spec, negatives)
     np.negative(negatives, out=negatives)
-    labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n - n_pos, dtype=np.int64)])
+    labels = np.ones(n, dtype=np.int64)
+    labels[n_pos:] = -1
     return LabeledDataset(features=features, labels=labels, feature_radius=spec.radius)
 
 

@@ -9,6 +9,7 @@ identical data produce bit-identical reports.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ from .losses import (
 )
 
 
+# How many past iterates train compares each new one with: a run that repeats
+# with a period up to this long stops computing once it does.
+SETTLE_WINDOW = 16
+
 # Most epochs a run may request: its risk trace is then 800 MB, the size of
 # landscape.MAX_SAMPLE_FLOATS.
 MAX_EPOCHS = 10**8
@@ -45,7 +50,8 @@ class TrainingDiverged(RuntimeError):
 def row_norms(features: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row; the one norm used across the package."""
     x = np.asarray(features, dtype=float)
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
+    norms = np.einsum("ij,ij->i", x, x)
+    return np.sqrt(norms, out=norms)
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,8 @@ class LabeledDataset:
             raise ValueError(f"features must be a nonempty n x d matrix, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
-        if not np.all(np.isin(y, (-1, 1))):
+        # two counts, where np.isin's table lookup would copy y twice
+        if np.count_nonzero(y == 1) + np.count_nonzero(y == -1) != y.size:
             raise ValueError("labels must take values in {-1, +1}")
         if not self.feature_radius > 0.0:
             raise ValueError(f"feature_radius must be positive, got {self.feature_radius!r}")
@@ -97,7 +104,7 @@ class LabeledDataset:
         if np.any(norms > self.feature_radius):
             raise ValueError("a feature row lies outside the declared radius")
         object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y.astype(np.int64))
+        object.__setattr__(self, "labels", y.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -146,7 +153,6 @@ class TrainConfig:
 class TrainReport:
     final_model: LinearModel
     empirical_risk_trace: np.ndarray
-    final_gradient_norm: float
     train_accuracy: float
 
 
@@ -213,8 +219,10 @@ def third_derivative_coefficient(alpha: Alpha, g: float, y: int) -> float:
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:
     """Mean per-sample loss over the dataset."""
     _check_dims(model, data)
-    margins = data.labels * (data.features @ model.weights)
-    return float(np.mean(margin_losses(alpha, margins)))
+    # the losses overwrite the margins, so the call holds two n-vectors
+    margins = data.features @ model.weights
+    margins *= data.labels
+    return float(np.mean(margin_losses(alpha, margins, out=margins)))
 
 
 def empirical_gradient(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> np.ndarray:
@@ -248,11 +256,14 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
 
     The loop's state is w alone: scores, slopes and the risk are recomputed
     from it each epoch by the same calls in the same buffers.  So once w
-    repeats, bit for bit, the iterate of one or two epochs back, every later
-    epoch repeats with that period.  The rest of the trace is then filled by
-    repeating its last entries and whole periods are skipped; only the fewer
-    than two epochs left over are computed.  The report has the same bytes as
-    running every epoch.
+    repeats, bit for bit, the iterate of p epochs back, every later epoch
+    repeats with period p.  Each iterate is compared with the last
+    ``SETTLE_WINDOW`` ones, the initial one included; on a match the rest of
+    the trace is filled by repeating its last p entries and whole periods are
+    skipped, so only the fewer than p epochs left over are computed.  The
+    report has the same bytes as running every epoch.  Its final gradient is
+    ``empirical_gradient(alpha, report.final_model, data)``, which train does
+    not compute.
     """
     rng = np.random.default_rng(config.seed)
     radius = data.feature_radius
@@ -275,8 +286,8 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(x, w, out=scores)
         _, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
-        # the bytes of the iterates two and one epochs back
-        back = (None, w.tobytes())
+        # the bytes of the last SETTLE_WINDOW iterates, the latest first
+        recent = collections.deque([w.tobytes()], maxlen=SETTLE_WINDOW)
         epoch = 0
         while epoch < config.epochs:
             np.matmul(x.T, np.multiply(y, slopes, out=coefs), out=grad)
@@ -308,18 +319,15 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
             # w passed the divergence checks above, so a skip hides none;
             # equal bytes are an equal state, hence equal later epochs
             state = w.tobytes()
-            period = 1 if state == back[1] else 2 if state == back[0] else 0
-            if period:
+            if state in recent:
+                period = recent.index(state) + 1
                 for phase in range(period):
                     trace[epoch + phase :: period] = trace[epoch + phase - period]
                 epoch += (config.epochs - epoch) // period * period
-            back = (back[1], state)
-        np.matmul(x.T, np.multiply(y, slopes, out=coefs), out=grad)
-        grad /= n
+            recent.appendleft(state)
     return TrainReport(
         final_model=LinearModel(weights=w, radius_bound=radius),
         empirical_risk_trace=trace,
-        final_gradient_norm=float(np.sqrt(grad @ grad)),
         train_accuracy=_accuracy(scores, data.labels),
     )
 
@@ -331,4 +339,6 @@ def evaluate(model: LinearModel, data: LabeledDataset) -> float:
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.where(scores >= 0.0, 1, -1) == labels))
+    # count / n is correctly rounded, as the mean of the 0/1 matches is; a
+    # zero score predicts +1 and a NaN score -1
+    return float(np.count_nonzero((scores >= 0.0) == (labels > 0)) / scores.size)

@@ -175,8 +175,8 @@ class TestWrongSideSlice:
         [
             (50.0, 1e-3),  # the default grid, with f = 0 on it
             (50.0, 1 / 3),
-            (7.0, 1e-3 / 7),  # the middle point is +8.9e-16, not 0
-            (2.9, 1 / 3),  # the middle point is -4.4e-16
+            (7.0, 1e-3 / 7),  # linspace rounds the middle point to +8.9e-16
+            (2.9, 1 / 3),  # and here to -4.4e-16
             (1e-6, 1e-9 / 3),
             (1e-300, 1e-301 / 3),
         ],
@@ -192,6 +192,20 @@ class TestWrongSideSlice:
                 assert np.array_equal(np.arange(grid.size)[side], np.flatnonzero(mask)), eta
                 masked_j = int(np.flatnonzero(mask)[np.argmin(risks[mask])])
                 assert side.start + int(np.argmin(risks[side])) == masked_j, eta
+
+
+    # linspace rounds the middle point of all but the first grid off 0, by
+    # +7.1e-15, +8.9e-16, -4.4e-16, -3.6e-15 and +1.4e-17
+    @pytest.mark.parametrize(
+        "f_range, grid_step",
+        [(50.0, 1e-3), (50.0, 2e-5), (7.0, 1e-3 / 7), (2.9, 1 / 3), (30.0, 3e-4), (0.1, 3e-4)],
+    )
+    def test_middle_point_is_zero_on_both_sides(self, f_range, grid_step):
+        grid = calibration_workspace(f_range, grid_step).grid
+        mid = grid.size // 2
+        assert grid[mid] == 0.0
+        for eta in (0.3, 0.7):
+            assert mid in range(grid.size)[_wrong_side(grid, eta)], eta
 
 
 class TestCheckMemory:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,29 @@ class TestLayout:
         assert features.shape == expected.shape
         # bit for bit, so the sign of every zero is kept too
         assert np.array_equal(features.view(np.uint64), expected.view(np.uint64))
+
+    # radius 0.9 at noise 0.4 rejects over half of the candidates: each class
+    # of 100 rows takes about ten rounds, the first four spanning several
+    # 7-row blocks; 3 floats is less than one row of dim 5, so that block is
+    # one row
+    @pytest.mark.parametrize("block_floats", [3, 7 * 5])
+    def test_blocked_draw_matches_one_draw_per_round(self, monkeypatch, block_floats):
+        monkeypatch.setattr(landscape_module, "_DRAW_BLOCK_FLOATS", block_floats)
+        spec = default_spec(dim=5, radius=0.9, noise_scale=0.4, seed=11)
+        features = generate_symmetric_dataset(spec, 200).features
+        expected = vstack_reference(spec, 200)
+        assert np.array_equal(features.view(np.uint64), expected.view(np.uint64))
+
+    def test_generation_peak_is_at_most_one_and_a_half_datasets(self):
+        # the landscape command's default law, which rejects 13% of its draws
+        spec = SymmetricDataSpec.along_first_axis(5, 1.0, 0.8, 0.14, 0)
+        tracemalloc.start()
+        try:
+            data = generate_symmetric_dataset(spec, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (data.features.nbytes + data.labels.nbytes)
 
     @pytest.mark.parametrize("alpha", [A1, A2, Alpha.parse("inf")], ids=str)
     @pytest.mark.parametrize("projection", [False, True])

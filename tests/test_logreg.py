@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -23,7 +24,7 @@ from alphaloss import (
     third_derivative_coefficient,
     train,
 )
-from alphaloss import logreg
+from alphaloss import landscape, logreg
 from alphaloss.landscape import SymmetricDataSpec, generate_symmetric_dataset
 from alphaloss.logreg import MAX_EPOCHS, row_norms
 from alphaloss.losses import (
@@ -49,6 +50,12 @@ def random_instance(rng, d, n, radius=1.0):
     data = LabeledDataset(x, y, feature_radius=radius)
     w = rng.normal(size=d) * 0.4
     return data, LinearModel(w, radius_bound=radius)
+
+
+def final_gradient_norm(alpha, report, data):
+    """The norm sqrt(g @ g) of the empirical gradient at the report's final model."""
+    grad = empirical_gradient(alpha, report.final_model, data)
+    return float(np.sqrt(grad @ grad))
 
 
 def toy_separable():
@@ -312,7 +319,7 @@ class TestTrain:
         rep2 = train(cfg, data)
         assert np.array_equal(rep1.final_model.weights, rep2.final_model.weights)
         assert np.array_equal(rep1.empirical_risk_trace, rep2.empirical_risk_trace)
-        assert rep1.final_gradient_norm == rep2.final_gradient_norm
+        assert final_gradient_norm(A2, rep1, data) == final_gradient_norm(A2, rep2, data)
         assert rep1.train_accuracy == rep2.train_accuracy
 
     def test_separable_reaches_perfect_accuracy(self):
@@ -665,7 +672,7 @@ class TestTrainMatchesThreeMatvecLoop:
         report = train(cfg, data)
         assert np.array_equal(report.final_model.weights, weights)
         assert np.array_equal(report.empirical_risk_trace, trace)
-        assert report.final_gradient_norm == grad_norm
+        assert final_gradient_norm(alpha, report, data) == grad_norm
         assert report.train_accuracy == accuracy
 
     # From w = 0 the iterate on these conflicting colinear rows alternates in
@@ -707,7 +714,7 @@ def counted_train(monkeypatch, cfg, data):
 
 
 class TestSettledEpochsAreSkipped:
-    """Once w repeats the iterate one or two epochs back, train stops recomputing.
+    """Once w repeats an iterate up to SETTLE_WINDOW epochs back, train stops recomputing.
 
     Each fixture is a landscape trial that settles well before its last epoch;
     three_matvec_train never skips, so equal bits show the skip changed nothing.
@@ -720,7 +727,7 @@ class TestSettledEpochsAreSkipped:
         assert calls < cfg.epochs + 1
         assert np.array_equal(report.final_model.weights, weights)
         assert np.array_equal(report.empirical_risk_trace, trace)
-        assert report.final_gradient_norm == grad_norm
+        assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
         assert report.train_accuracy == accuracy
         return trace
 
@@ -740,6 +747,16 @@ class TestSettledEpochsAreSkipped:
         trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(n, seed))
         assert trace[-1] == trace[-3] != trace[-2]
 
+    def test_nine_cycle(self, monkeypatch):
+        # trial 6 of the default landscape run (alpha = 2, n = 100, spec seed
+        # 0) ends in a cycle of period 9, longer than one or two epochs
+        entropy = (0, landscape._alpha_bits(A2), 100, 6)
+        data = landscape_law_dataset(100, landscape._derive_seed(*entropy, 0))
+        cfg = TrainConfig(A2, learning_rate=1.0, epochs=300,
+                          seed=landscape._derive_seed(*entropy, 1), projection=True)
+        trace = self.check_skip(monkeypatch, cfg, data)
+        assert trace[-1] == trace[-10]
+
     def test_growing_iterate_computes_every_epoch(self, monkeypatch):
         # unprojected, the alpha = inf iterate keeps growing and never repeats
         data = noisy_linear_dataset(21)
@@ -758,7 +775,7 @@ class TestSettledEpochsAreSkipped:
         assert np.array_equal(report.final_model.weights, weights)
         assert np.array_equal(report.empirical_risk_trace, np.full(300, trace[0]))
         assert np.array_equal(report.empirical_risk_trace, trace)
-        assert report.final_gradient_norm == grad_norm
+        assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
         assert report.train_accuracy == accuracy
 
 
@@ -780,3 +797,45 @@ class TestEvaluate:
         neg = LinearModel(-model.weights, model.radius_bound)
         # ties at the zero score have probability zero for continuous data
         assert evaluate(model, data) == evaluate(neg, flipped)
+
+    def test_count_matches_the_mean_of_sign_matches(self):
+        # a zero score of either sign predicts +1, a NaN score -1
+        special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300])
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 7, 10, 49, 1000):
+            scores = np.concatenate([special, rng.normal(size=n)])[:n]
+            labels = rng.choice([-1, 1], size=n)
+            expected = float(np.mean(np.where(scores >= 0.0, 1, -1) == labels))
+            got = logreg._accuracy(scores, labels)
+            assert got == expected
+            assert type(got) is float
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHoldoutMemory:
+    """Scoring a model on a large holdout allocates about its margins and no more."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def holdout(self):
+        return landscape_law_dataset(self.N, 1)
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_empirical_risk_holds_two_vectors(self, holdout, alpha):
+        # the margins, which the losses overwrite, and the loss tail
+        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]), 1.0)
+        assert traced_peak(empirical_risk, alpha, model, holdout) <= 2.25 * self.N * 8
+
+    def test_evaluate_holds_the_scores_and_three_masks(self, holdout):
+        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]), 1.0)
+        assert traced_peak(evaluate, model, holdout) <= 1.5 * self.N * 8
