@@ -15,6 +15,7 @@ from .losses import (
     margin_alpha_loss,
     margin_alpha_loss_d1,
     margin_alpha_loss_d2,
+    margin_alpha_loss_d3,
     margin_losses,
     min_conditional_risk,
     optimal_classifier,
@@ -39,11 +40,8 @@ from .logreg import (
     empirical_gradient,
     empirical_risk,
     evaluate,
-    gradient_coefficient,
-    hessian_coefficient,
     predict_proba,
     sample_loss,
-    third_derivative_coefficient,
     train,
 )
 from .landscape import (

@@ -122,6 +122,10 @@ def _commit(args, tables: dict, started: str) -> None:
     manifest_text = json.dumps(vars(manifest), indent=2, sort_keys=True) + "\n"
     texts[manifest_path_for(outputs[0])] = manifest_text
     for path in texts:
+        # an empty path resolves to the working directory, whose temp file
+        # would land in its parent
+        if not path:
+            raise ValueError("--out is empty: no file of this run was written")
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory: no file of this run was written")
     held = []

@@ -1,10 +1,11 @@
 """Logistic regression under the tunable loss family.
 
-The soft classifier is g(x) = sigmoid(w . x).  Per-sample losses, the closed
-forms of the gradient / Hessian / third-derivative coefficients, empirical
+The soft classifier is g(x) = sigmoid(w . x).  Per-sample losses, empirical
 risk and its gradient, full-batch gradient-descent training, and 0-1 accuracy
-all live here.  Everything is deterministic given a seed: identical configs on
-identical data produce bit-identical reports.
+all live here.  The per-sample derivatives in w are the margin derivatives
+of :mod:`alphaloss.losses` at m = y * (w . x) times powers of y * x.
+Everything is deterministic given a seed: identical configs on identical data
+produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 # bound because perfbench/child.py wraps logreg's bindings by name.
 from .losses import (
     Alpha,
-    check_belief,
     check_label,
     margin_alpha_loss,
     margin_losses,
@@ -171,49 +171,6 @@ def sample_loss(alpha: Alpha, model: LinearModel, x: np.ndarray, y: int) -> floa
         raise ValueError(f"x has shape {x.shape}, expected ({model.dim},)")
     y = check_label(y)
     return margin_alpha_loss(alpha, y * float(model.weights @ x))
-
-
-def gradient_coefficient(alpha: Alpha, g: float, y: int) -> float:
-    """Scalar multiplying x in the per-sample gradient; bounded by 1 in magnitude.
-
-    ((1-y)/2) * g * (1-g)^(1-1/alpha) - ((1+y)/2) * g^(1-1/alpha) * (1-g).
-    1 - g is only as accurate as g: sigmoid(36.7) rounds to 1 - 2^-52, about
-    twice the true tail, so take margins past |m| = 37 through
-    ``margin_alpha_loss_d1``.
-    """
-    g = check_belief(g)
-    y = check_label(y)
-    c = alpha.exponent
-    if y == 1:
-        return -(g**c) * (1.0 - g)
-    return g * (1.0 - g) ** c
-
-
-def hessian_coefficient(alpha: Alpha, g: float, y: int) -> float:
-    """Scalar multiplying x x^T in the per-sample Hessian; |value| <= 1/4."""
-    g = check_belief(g)
-    y = check_label(y)
-    c = alpha.exponent
-    h = 1.0 - g
-    if y == 1:
-        return g ** (c + 1.0) * h - c * (g**c) * h * h
-    return g * h ** (c + 1.0) - c * g * g * (h**c)
-
-
-def third_derivative_coefficient(alpha: Alpha, g: float, y: int) -> float:
-    """Scalar in the per-sample third derivative tensor; |value| <= 2.
-
-    Differentiating the Hessian coefficient once more in the logit gives a
-    middle coefficient of 3*(1-1/alpha) + 1 = 4 - 3/alpha.
-    """
-    g = check_belief(g)
-    y = check_label(y)
-    c = alpha.exponent
-    h = 1.0 - g
-    mid = 3.0 * c + 1.0
-    if y == 1:
-        return -(g ** (c + 2.0) * h - mid * g ** (c + 1.0) * h * h + c * c * (g**c) * h**3)
-    return g * h ** (c + 2.0) - mid * g * g * h ** (c + 1.0) + c * c * g**3 * (h**c)
 
 
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:

@@ -206,6 +206,18 @@ def margin_alpha_loss_d2(alpha: Alpha, z: float) -> float:
     return power * smz * (sz - c * smz)
 
 
+def margin_alpha_loss_d3(alpha: Alpha, z: float) -> float:
+    """Third z-derivative of the margin loss; |value| <= 2.
+
+    Equals -sigmoid(z)^(1-1/alpha) * sigmoid(-z) * (sigmoid(z)^2 - (3c+1) *
+    sigmoid(z) * sigmoid(-z) + c^2 * sigmoid(-z)^2) with c = 1-1/alpha.
+    """
+    log_sz, _, sz, smz = _split_sigmoid(z)
+    c = alpha.exponent
+    power = 1.0 if alpha.is_log else math.exp(c * log_sz)
+    return -power * smz * (sz * sz - (3.0 * c + 1.0) * sz * smz + c * c * smz * smz)
+
+
 def second_deriv_sign_change(alpha: Alpha) -> float:
     """The margin below which the second derivative is negative, log((a-1)/a)."""
     if alpha.is_log:

@@ -23,21 +23,18 @@ from alphaloss import (
     empirical_risk,
     evaluate,
     generate_symmetric_dataset,
-    gradient_coefficient,
-    hessian_coefficient,
     hoeffding_epsilon,
     load_mnist_dir,
     log_log_slope,
     logit,
+    margin_alpha_loss_d1,
     margin_alpha_loss_d2,
-    margin_losses,
+    margin_alpha_loss_d3,
     median_gaps,
     min_conditional_risk,
-    predict_proba,
     risk_gap_experiment,
     sample_loss,
     second_deriv_sign_change,
-    third_derivative_coefficient,
 )
 from alphaloss.losses import margin_alpha_loss
 from alphaloss.logreg import LabeledDataset, row_norms
@@ -210,9 +207,7 @@ def test_criterion_05_derivative_oracles():
         x /= np.linalg.norm(x) * rng.uniform(1.0, 2.0)
         y = int(rng.choice([-1, 1]))
         w = rng.normal(size=d) * 0.4
-        data_x = x
-        g = 1.0 / (1.0 + math.exp(-float(w @ data_x)))
-        analytic = hessian_coefficient(alpha, g, y) * np.outer(x, x)
+        analytic = margin_alpha_loss_d2(alpha, y * float(w @ x)) * np.outer(x, x)
 
         def loss_at(delta, alpha=alpha, w=w, x=x, y=y):
             return sample_loss(alpha, LinearModel(w + delta, 1.0), x, y)
@@ -239,8 +234,7 @@ def test_criterion_05_derivative_oracles():
         w = rng.normal(size=d) * 0.4
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
-        g = 1.0 / (1.0 + math.exp(-float(w @ x)))
-        analytic = third_derivative_coefficient(alpha, g, y) * float(x @ v) ** 3
+        analytic = y * margin_alpha_loss_d3(alpha, y * float(w @ x)) * float(x @ v) ** 3
 
         def loss_at(t, alpha=alpha, w=w, x=x, y=y, v=v):
             return sample_loss(alpha, LinearModel(w + t * v, 1.0), x, y)
@@ -265,11 +259,13 @@ def test_criterion_06_coefficient_bounds():
         gs = rng.uniform(0.0, 1.0, size=per)
         ys = rng.choice([-1, 1], size=per)
         for g, y in zip(gs, ys):
-            if abs(gradient_coefficient(alpha, g, y)) > 1.0:
+            # the coefficients are y * d1, d2 and y * d3 at the margin of belief g
+            m = y * logit(g)
+            if abs(margin_alpha_loss_d1(alpha, m)) > 1.0:
                 violations += 1
-            if abs(hessian_coefficient(alpha, g, y)) > 0.25:
+            if abs(margin_alpha_loss_d2(alpha, m)) > 0.25:
                 violations += 1
-            if abs(third_derivative_coefficient(alpha, g, y)) > 2.0:
+            if abs(margin_alpha_loss_d3(alpha, m)) > 2.0:
                 violations += 1
     report(6, "coefficient bounds 1, 1/4, 2 over 10^5 draws", violations == 0,
            f"{violations} violations")

@@ -16,12 +16,13 @@ from alphaloss import (
     empirical_gradient,
     empirical_risk,
     evaluate,
-    gradient_coefficient,
-    hessian_coefficient,
+    logit,
+    margin_alpha_loss_d1,
+    margin_alpha_loss_d2,
+    margin_alpha_loss_d3,
     predict_proba,
     sample_loss,
     sigmoid,
-    third_derivative_coefficient,
     train,
 )
 from alphaloss import landscape, logreg
@@ -157,19 +158,22 @@ class TestPredictAndLoss:
 
 
 class TestCoefficients:
+    """The per-sample coefficients y * d1, d2 and y * d3 at the margin m = y * logit(g)."""
+
     def test_gradient_coefficient_examples(self):
-        assert gradient_coefficient(A2, 0.5, 1) == pytest.approx(-math.sqrt(0.5) * 0.5, abs=1e-12)
-        assert gradient_coefficient(Alpha(7), 1.0, 1) == 0.0
-        assert gradient_coefficient(A1, 0.5, -1) == pytest.approx(0.5, abs=1e-15)
+        expected = -math.sqrt(0.5) * 0.5
+        assert margin_alpha_loss_d1(A2, logit(0.5)) == pytest.approx(expected, abs=1e-12)
+        assert margin_alpha_loss_d1(Alpha(7), logit(1.0)) == 0.0
+        assert -margin_alpha_loss_d1(A1, -logit(0.5)) == pytest.approx(0.5, abs=1e-15)
 
     def test_hessian_coefficient_examples(self):
-        assert hessian_coefficient(A1, 0.5, 1) == pytest.approx(0.25, abs=1e-15)
-        assert hessian_coefficient(A1, 0.5, -1) == pytest.approx(0.25, abs=1e-15)
-        assert hessian_coefficient(Alpha(3), 0.0, -1) == 0.0
+        assert margin_alpha_loss_d2(A1, logit(0.5)) == pytest.approx(0.25, abs=1e-15)
+        assert margin_alpha_loss_d2(A1, -logit(0.5)) == pytest.approx(0.25, abs=1e-15)
+        assert margin_alpha_loss_d2(Alpha(3), -logit(0.0)) == 0.0
 
     def test_third_derivative_zero_at_zero_belief(self):
         for alpha in ALPHA_CYCLE:
-            assert third_derivative_coefficient(alpha, 0.0, 1) == 0.0
+            assert margin_alpha_loss_d3(alpha, logit(0.0)) == 0.0
 
     def test_bound_suite_hundred_thousand(self):
         rng = np.random.default_rng(20240818)
@@ -180,9 +184,10 @@ class TestCoefficients:
             gs = rng.uniform(0.0, 1.0, size=per)
             ys = rng.choice([-1, 1], size=per)
             for g, y in zip(gs, ys):
-                assert abs(gradient_coefficient(alpha, g, y)) <= 1.0
-                assert abs(hessian_coefficient(alpha, g, y)) <= 0.25
-                assert abs(third_derivative_coefficient(alpha, g, y)) <= 2.0
+                m = y * logit(g)
+                assert abs(margin_alpha_loss_d1(alpha, m)) <= 1.0
+                assert abs(margin_alpha_loss_d2(alpha, m)) <= 0.25
+                assert abs(margin_alpha_loss_d3(alpha, m)) <= 2.0
                 checked += 1
         assert checked == per * len(ALPHA_CYCLE)
 
@@ -215,8 +220,7 @@ class TestDerivativeOracles:
             data, model = random_instance(rng, d, 1)
             x = data.features[0]
             y = int(data.labels[0])
-            g = predict_proba(model, x)
-            analytic = hessian_coefficient(alpha, g, y) * np.outer(x, x)
+            analytic = margin_alpha_loss_d2(alpha, y * float(model.weights @ x)) * np.outer(x, x)
             w = model.weights
             r = model.radius_bound
 
@@ -242,11 +246,11 @@ class TestDerivativeOracles:
             data, model = random_instance(rng, d, 1)
             x = data.features[0]
             y = int(data.labels[0])
-            g = predict_proba(model, x)
             v = rng.normal(size=d)
             v /= np.linalg.norm(v)
-            # the full tensor contracted three times with v is coeff * (x.v)^3
-            analytic = third_derivative_coefficient(alpha, g, y) * float(x @ v) ** 3
+            # the full tensor contracted three times with v is y * d3 * (x.v)^3
+            m = y * float(model.weights @ x)
+            analytic = y * margin_alpha_loss_d3(alpha, m) * float(x @ v) ** 3
             w = model.weights
             r = model.radius_bound
 
@@ -622,14 +626,10 @@ class TestFusedMarginKernel:
     def test_coefficients_match_scalar_closed_form(self, alpha):
         _, slopes = _margin_terms(alpha, MARGIN_EDGES)
         for m, slope in zip(MARGIN_EDGES, slopes):
-            for y in (1, -1):
-                expected = gradient_coefficient(alpha, sigmoid(y * m), y)
-                assert np.signbit(y * slope) == np.signbit(expected)
-                # at |m| = 745 one of sigmoid(+-m) is the smallest subnormal and
-                # the scalar's 1 - g is 0 where the kernel keeps that tail, so
-                # only signs agree there; the bitwise tests above pin the kernel
-                if abs(m) != 745.0:
-                    assert y * slope == pytest.approx(expected, rel=1e-15, abs=0.0)
+            expected = margin_alpha_loss_d1(alpha, m)
+            assert np.signbit(slope) == np.signbit(expected)
+            # numpy's exp and log1p may differ from the math module's in the last bit
+            assert slope == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [Alpha(1.01), A2, Alpha(10)], ids=str)
     def test_slopes_match_decimal_reference_in_subnormal_tail(self, alpha):

@@ -19,6 +19,7 @@ from alphaloss import (
     margin_alpha_loss,
     margin_alpha_loss_d1,
     margin_alpha_loss_d2,
+    margin_alpha_loss_d3,
     margin_losses,
     min_conditional_risk,
     optimal_classifier,
@@ -258,6 +259,25 @@ class TestDerivatives:
                 ) / h**2
                 assert margin_alpha_loss_d2(alpha, z) == pytest.approx(fd, abs=1e-5)
 
+    def test_d3_matches_finite_differences_of_d2(self):
+        h = 1e-5
+        for alpha in (A1, Alpha(1.5), A2, Alpha(10), AINF):
+            for z in np.linspace(-30.0, 30.0, 61):
+                above = margin_alpha_loss_d2(alpha, float(z) + h)
+                below = margin_alpha_loss_d2(alpha, float(z) - h)
+                fd = (above - below) / (2 * h)
+                assert margin_alpha_loss_d3(alpha, float(z)) == pytest.approx(fd, abs=1e-10)
+
+    def test_derivatives_keep_the_tail(self):
+        # past m = 36.7 sigmoid(m) rounds to 1, so a form built on 1 - sigmoid(m)
+        # gives 0; the margin forms keep the leading term -+e^-m
+        m = 40.0
+        tail = math.exp(-m)
+        for alpha in ALPHA_SAMPLE:
+            for d, lead in ((margin_alpha_loss_d1, -tail), (margin_alpha_loss_d2, tail),
+                            (margin_alpha_loss_d3, -tail)):
+                assert d(alpha, m) == pytest.approx(lead, rel=1e-12, abs=0.0), (alpha, d)
+
     def test_log_loss_is_convex_everywhere_sampled(self):
         for z in np.linspace(-35, 35, 201):
             assert margin_alpha_loss_d2(A1, float(z)) >= 0.0
@@ -442,6 +462,15 @@ def branchwise_d2(alpha, z):
     return power * smz * (sz - c * smz)
 
 
+def branchwise_d3(alpha, z):
+    z = check_margin(z)
+    sz = split_form_sigmoid(z)
+    smz = split_form_sigmoid(-z)
+    c = alpha.exponent
+    power = 1.0 if alpha.is_log else math.exp(c * split_form_log_sigmoid(z))
+    return -power * smz * (sz * sz - (3.0 * c + 1.0) * sz * smz + c * c * smz * smz)
+
+
 def branchwise_conditional_risk(alpha, eta, f):
     eta = check_posterior(eta)
     return eta * branchwise_margin_loss(alpha, f) + (1.0 - eta) * branchwise_margin_loss(alpha, -f)
@@ -474,6 +503,7 @@ class TestScalarFormsMatchBranchwiseReferences:
             assert same_float(margin_alpha_loss(alpha, z), branchwise_margin_loss(alpha, z)), z
             assert same_float(margin_alpha_loss_d1(alpha, z), branchwise_d1(alpha, z)), z
             assert same_float(margin_alpha_loss_d2(alpha, z), branchwise_d2(alpha, z)), z
+            assert same_float(margin_alpha_loss_d3(alpha, z), branchwise_d3(alpha, z)), z
 
     @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
     def test_conditional_risk(self, alpha):
@@ -496,6 +526,7 @@ class TestScalarFormsMatchBranchwiseReferences:
             (margin_alpha_loss, branchwise_margin_loss, (A2, math.nan)),
             (margin_alpha_loss_d1, branchwise_d1, (A2, math.nan)),
             (margin_alpha_loss_d2, branchwise_d2, (A2, math.nan)),
+            (margin_alpha_loss_d3, branchwise_d3, (A2, math.nan)),
             (conditional_risk, branchwise_conditional_risk, (A2, 0.0, math.nan)),
             (conditional_risk, branchwise_conditional_risk, (A2, 0.3, math.nan)),
             (alpha_loss, branchwise_alpha_loss, (A2, 0, 0.5)),
