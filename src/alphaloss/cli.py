@@ -33,7 +33,6 @@ from .calibration import calibration_workspace, check_calibration_at
 from .landscape import (
     GenerationFailed,
     SymmetricDataSpec,
-    check_experiment_sizes,
     log_log_slope,
     median_gaps,
     risk_gap_experiment,
@@ -75,9 +74,8 @@ def load_manifest(path: str) -> RunManifest:
 def replay(manifest_path: str) -> int:
     """Re-run the command recorded in a manifest with its exact flags."""
     manifest = load_manifest(manifest_path)
-    argv = [manifest.command]
-    for key, value in manifest.flags.items():
-        argv.extend([f"--{key}", str(value)])
+    # one token per flag, so a value that starts with "-" is not read as a flag
+    argv = [manifest.command] + [f"--{key}={value}" for key, value in manifest.flags.items()]
     return main(argv)
 
 
@@ -210,17 +208,17 @@ def cmd_sweep(args) -> dict:
 def cmd_calibration(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     etas = _parse_list(args.eta_grid, float)
-    if all(eta == 0.5 for eta in etas):
-        raise ValueError("every eta is 0.5, which is excluded: no calibration rows to write")
+    if 0.5 in etas:
+        etas.remove(0.5)
+        if not etas:
+            raise ValueError("every eta is 0.5, which is excluded: no calibration rows to write")
+        print("warning: skipping eta=0.5 (excluded)", file=sys.stderr)
     header = ["alpha", "eta", "unconstrained_min", "constrained_min", "gap", "argmin",
               "closed_form_argmin", "min_cond_risk_closed_form"]
     work = calibration_workspace(args.f_range, args.grid_step)
     rows = []
     for alpha in alphas:
         for eta in etas:
-            if eta == 0.5:
-                print(f"warning: skipping eta=0.5 for alpha={alpha} (excluded)", file=sys.stderr)
-                continue
             rep = check_calibration_at(alpha, eta, work=work)
             rows.append(
                 (
@@ -240,8 +238,6 @@ def cmd_calibration(args) -> dict:
 def cmd_landscape(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha.parse)
     sizes = _parse_list(args.ns, int)
-    # before the spec, whose mean direction is a dim-sized array
-    check_experiment_sizes(args.dim, sizes, args.trials, args.holdout_n)
     spec = SymmetricDataSpec.along_first_axis(
         dim=args.dim,
         radius=args.radius,

@@ -43,12 +43,16 @@ class GenerationFailed(RuntimeError):
 @dataclass(frozen=True)
 class SymmetricDataSpec:
     """Law of the synthetic task: X | y=+1 is an isotropic Gaussian bump at
-    mean_norm * mean_direction truncated to the radius ball, and X | y=-1 is
-    the negation of an independent draw from the +1 law."""
+    mean_norm * e_1 truncated to the radius ball, and X | y=-1 is the negation
+    of an independent draw from the +1 law.
+
+    The law is rotation invariant apart from its mean, so fixing the mean on
+    the first axis loses no generality: a rotation carries any other direction
+    there and leaves every risk unchanged.
+    """
 
     dim: int
     radius: float
-    mean_direction: np.ndarray
     mean_norm: float
     noise_scale: float
     seed: int
@@ -58,24 +62,16 @@ class SymmetricDataSpec:
             raise ValueError("dim must be at least 1")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        mu = np.asarray(self.mean_direction, dtype=float)
-        if mu.shape != (self.dim,):
-            raise ValueError(f"mean_direction must have shape ({self.dim},)")
-        if abs(float(np.linalg.norm(mu)) - 1.0) > 1e-9:
-            raise ValueError("mean_direction must be a unit vector")
         if not 0.0 < self.mean_norm < math.inf:
             raise ValueError("mean_norm must be finite and positive (a nonzero class mean)")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be finite and nonnegative")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        object.__setattr__(self, "mean_direction", mu)
 
     @classmethod
     def along_first_axis(cls, dim, radius, mean_norm, noise_scale, seed) -> "SymmetricDataSpec":
-        mu = np.zeros(dim)
-        mu[0] = 1.0
-        return cls(dim, radius, mu, mean_norm, noise_scale, seed)
+        return cls(dim, radius, mean_norm, noise_scale, seed)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,8 @@ def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, out:
     the stream in the same order as one draw per round would take them.
     """
     count, dim = out.shape
-    center = spec.mean_norm * spec.mean_direction
+    center = np.zeros(dim)
+    center[0] = spec.mean_norm
     block = np.empty((max(1, _DRAW_BLOCK_FLOATS // dim), dim))
     pending = np.arange(count)
     for _ in range(_REJECTION_ROUNDS):
@@ -233,17 +230,6 @@ def morse_epsilon(r: float, mean_abs_norm: float) -> float:
     return sigmoid(-r * r) ** 2 * mean_abs_norm
 
 
-def check_experiment_sizes(dim: int, sample_sizes, trials: int, holdout_n: int) -> None:
-    """Check trials, dim and every sample size before any sample or dim-sized array exists."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    _check_sample_size(holdout_n, dim, "holdout_n")
-    for n in sample_sizes:
-        _check_sample_size(n, dim, "n")
-
-
 def risk_gap_experiment(
     spec: SymmetricDataSpec,
     alphas,
@@ -261,7 +247,11 @@ def risk_gap_experiment(
     seed, so trials are independent of execution order; diverged trials are
     excluded and counted.  Every argument is checked before any draw.
     """
-    check_experiment_sizes(spec.dim, sample_sizes, trials, holdout_n)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    _check_sample_size(holdout_n, spec.dim, "holdout_n")
+    for n in sample_sizes:
+        _check_sample_size(n, spec.dim, "n")
     check_schedule(learning_rate, epochs)
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n

@@ -56,10 +56,9 @@ def row_norms(features: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Weight vector w with the radius of the ball it is declared to live in."""
+    """Weight vector w: one-dimensional, with finite entries."""
 
     weights: np.ndarray
-    radius_bound: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -67,8 +66,6 @@ class LinearModel:
             raise ValueError(f"weights must be a 1-D vector, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if not self.radius_bound > 0.0:
-            raise ValueError(f"radius_bound must be positive, got {self.radius_bound!r}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -200,8 +197,8 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
 
     One gradient step per epoch; the risk trace records the empirical risk
     after each update and training aborts with :class:`TrainingDiverged` if it
-    ever becomes non-finite.  The model's declared ball is the dataset's
-    feature radius, which is also the projection radius when enabled.
+    ever becomes non-finite.  When projection is on, the iterate is kept in
+    the ball of the dataset's feature radius.
 
     The scores x @ w that give an epoch's risk are also the next epoch's
     gradient input, so each epoch costs two matvecs, x @ w and x.T @ c.
@@ -283,7 +280,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
                 epoch += (config.epochs - epoch) // period * period
             recent.appendleft(state)
     return TrainReport(
-        final_model=LinearModel(weights=w, radius_bound=radius),
+        final_model=LinearModel(weights=w),
         empirical_risk_trace=trace,
         train_accuracy=_accuracy(scores, data.labels),
     )

@@ -187,14 +187,14 @@ def test_criterion_05_derivative_oracles():
         x *= 1.0 / max(row_norms(x).max(), 1e-12) * rng.uniform(0.5, 1.0)
         data = LabeledDataset(x, rng.choice([-1, 1], size=n), feature_radius=1.0)
         w = rng.normal(size=d) * 0.4
-        model = LinearModel(w, 1.0)
+        model = LinearModel(w)
         grad = empirical_gradient(alpha, model, data)
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
             fd = (
-                empirical_risk(alpha, LinearModel(w + e, 1.0), data)
-                - empirical_risk(alpha, LinearModel(w - e, 1.0), data)
+                empirical_risk(alpha, LinearModel(w + e), data)
+                - empirical_risk(alpha, LinearModel(w - e), data)
             ) / (2 * h)
             if abs(grad[j] - fd) > 1e-5 * max(abs(fd), 1e-4):
                 grad_ok = False
@@ -210,7 +210,7 @@ def test_criterion_05_derivative_oracles():
         analytic = margin_alpha_loss_d2(alpha, y * float(w @ x)) * np.outer(x, x)
 
         def loss_at(delta, alpha=alpha, w=w, x=x, y=y):
-            return sample_loss(alpha, LinearModel(w + delta, 1.0), x, y)
+            return sample_loss(alpha, LinearModel(w + delta), x, y)
 
         for i in range(d):
             for j in range(d):
@@ -237,7 +237,7 @@ def test_criterion_05_derivative_oracles():
         analytic = y * margin_alpha_loss_d3(alpha, y * float(w @ x)) * float(x @ v) ** 3
 
         def loss_at(t, alpha=alpha, w=w, x=x, y=y, v=v):
-            return sample_loss(alpha, LinearModel(w + t * v, 1.0), x, y)
+            return sample_loss(alpha, LinearModel(w + t * v), x, y)
 
         fd = (loss_at(2 * h3) - 2 * loss_at(h3) + 2 * loss_at(-h3) - loss_at(-2 * h3)) / (
             2 * h3**3
@@ -314,7 +314,7 @@ def test_criterion_09_hoeffding_bound_validity():
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=777
     )
     theta = np.array([0.6, 0.1, -0.1, 0.05, 0.0])
-    model = LinearModel(theta, 1.0)
+    model = LinearModel(theta)
     from dataclasses import replace
 
     holdout = generate_symmetric_dataset(replace(spec, seed=1_000_001), 200_000)

@@ -127,6 +127,13 @@ class TestLossCurves:
         assert proc.returncode == 0, proc.stderr
         assert open(out, "rb").read() == first
 
+    def test_replay_of_a_value_starting_with_a_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["losscurves", "--steps", "3", "--out=-c.csv"]) == 0
+        first = open("-c.csv", "rb").read()
+        assert replay("-c.csv.manifest.json") == 0
+        assert open("-c.csv", "rb").read() == first
+
 
 class TestCalibrationCommand:
     def test_rows_and_warning(self, tmp_path, capsys):
@@ -150,6 +157,14 @@ class TestCalibrationCommand:
         assert float(log_row[7]) == pytest.approx(0.562335, abs=1e-6)
         for row in rows:
             assert float(row[4]) > 0.0
+
+    def test_excluded_eta_warned_once(self, tmp_path, capsys):
+        out = str(tmp_path / "cal.csv")
+        assert main(["calibration", "--alphas", "1,2,inf", "--eta-grid", "0.3,0.5",
+                     "--out", out]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "skipping eta=0.5" in lines[0]
+        assert sha256_of(out) == "70f50cb11f24619e03b2b7e1b4696eddc8543d23c82c1d95c23b9523b56ed911"
 
     def test_replay_identical(self, tmp_path):
         out = str(tmp_path / "cal.csv")

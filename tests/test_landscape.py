@@ -35,14 +35,6 @@ def default_spec(**overrides):
 
 
 class TestSpecValidation:
-    def test_unit_direction_required(self):
-        with pytest.raises(ValueError):
-            SymmetricDataSpec(2, 1.0, np.array([1.0, 1.0]), 0.5, 0.1, 0)
-
-    def test_dimension_match(self):
-        with pytest.raises(ValueError):
-            SymmetricDataSpec(3, 1.0, np.array([1.0, 0.0]), 0.5, 0.1, 0)
-
     def test_positive_mean_norm(self):
         with pytest.raises(ValueError):
             default_spec(mean_norm=0.0)
@@ -100,7 +92,7 @@ class TestGeneration:
         data = generate_symmetric_dataset(spec, 1000)
         positives = data.features[data.labels == 1]
         se = spec.noise_scale / math.sqrt(positives.shape[0])
-        target = spec.mean_norm * spec.mean_direction
+        target = spec.mean_norm * np.eye(spec.dim)[0]
         assert np.all(np.abs(positives.mean(axis=0) - target) <= 3 * se)
 
     def test_class_conditional_negation_symmetry(self):
@@ -151,7 +143,7 @@ def vstack_reference(spec, n):
     """The row-major construction the generator replaced: each class drawn
     into its own array, the second negated, the two stacked."""
     rng = np.random.default_rng(spec.seed)
-    center = spec.mean_norm * spec.mean_direction
+    center = spec.mean_norm * np.eye(spec.dim)[0]
 
     def draw(count):
         out = np.empty((count, spec.dim))
@@ -399,6 +391,17 @@ class TestRiskGapExperiment:
         monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
         with pytest.raises(ValueError, match="floats"):
             risk_gap_experiment(spec, [A2], sizes, trials=1, holdout_n=holdout_n, **SCHEDULE)
+
+    def test_wide_dim_refused_before_any_dim_sized_array(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dim-sized array was allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        spec = SymmetricDataSpec.along_first_axis(
+            dim=10**12, radius=1.0, mean_norm=0.5, noise_scale=0.1, seed=0
+        )
+        with pytest.raises(ValueError, match="floats"):
+            risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, **SCHEDULE)
 
     @pytest.mark.parametrize("schedule, text", [
         (dict(learning_rate=math.nan, epochs=60), "learning_rate"),

@@ -50,7 +50,7 @@ def random_instance(rng, d, n, radius=1.0):
     y = rng.choice([-1, 1], size=n)
     data = LabeledDataset(x, y, feature_radius=radius)
     w = rng.normal(size=d) * 0.4
-    return data, LinearModel(w, radius_bound=radius)
+    return data, LinearModel(w)
 
 
 def final_gradient_norm(alpha, report, data):
@@ -68,11 +68,9 @@ def toy_separable():
 class TestTypes:
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            LinearModel(np.ones((2, 2)), 1.0)
+            LinearModel(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            LinearModel(np.array([1.0, math.nan]), 1.0)
-        with pytest.raises(ValueError):
-            LinearModel(np.ones(3), 0.0)
+            LinearModel(np.array([1.0, math.nan]))
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -116,20 +114,20 @@ class TestTypes:
 
 class TestPredictAndLoss:
     def test_predict_proba(self):
-        model = LinearModel(np.zeros(3), 1.0)
+        model = LinearModel(np.zeros(3))
         assert predict_proba(model, np.array([0.2, -0.1, 0.9])) == 0.5
-        e1 = LinearModel(np.array([1.0, 0.0]), 2.0)
+        e1 = LinearModel(np.array([1.0, 0.0]))
         assert predict_proba(e1, np.array([1.0, 0.0])) == pytest.approx(sigmoid(1.0), abs=1e-15)
         assert predict_proba(e1, np.array([-50.0, 0.0])) < 0.5
         with pytest.raises(ValueError):
             predict_proba(e1, np.ones(3))
 
     def test_sample_loss_examples(self):
-        zero = LinearModel(np.zeros(2), 1.0)
+        zero = LinearModel(np.zeros(2))
         x = np.array([0.3, 0.4])
         assert sample_loss(A2, zero, x, 1) == pytest.approx(2 * (1 - math.sqrt(0.5)), abs=1e-12)
         assert sample_loss(A1, zero, x, -1) == pytest.approx(math.log(2), abs=1e-12)
-        w = LinearModel(np.array([math.log(9.0)]), 10.0)  # logit(0.9)
+        w = LinearModel(np.array([math.log(9.0)]))  # logit(0.9)
         assert sample_loss(AINF, w, np.array([1.0]), 1) == pytest.approx(0.1, abs=1e-12)
 
     def test_sample_loss_equals_alpha_loss_of_belief(self):
@@ -207,8 +205,8 @@ class TestDerivativeOracles:
                 e = np.zeros(d)
                 e[j] = h
                 fd = (
-                    empirical_risk(alpha, LinearModel(w + e, model.radius_bound), data)
-                    - empirical_risk(alpha, LinearModel(w - e, model.radius_bound), data)
+                    empirical_risk(alpha, LinearModel(w + e), data)
+                    - empirical_risk(alpha, LinearModel(w - e), data)
                 ) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-5 * max(abs(fd), 1e-4)
 
@@ -222,10 +220,9 @@ class TestDerivativeOracles:
             y = int(data.labels[0])
             analytic = margin_alpha_loss_d2(alpha, y * float(model.weights @ x)) * np.outer(x, x)
             w = model.weights
-            r = model.radius_bound
 
             def loss_at(delta):
-                return sample_loss(alpha, LinearModel(w + delta, r), x, y)
+                return sample_loss(alpha, LinearModel(w + delta), x, y)
 
             for i in range(d):
                 for j in range(d):
@@ -252,10 +249,9 @@ class TestDerivativeOracles:
             m = y * float(model.weights @ x)
             analytic = y * margin_alpha_loss_d3(alpha, m) * float(x @ v) ** 3
             w = model.weights
-            r = model.radius_bound
 
             def loss_at(t):
-                return sample_loss(alpha, LinearModel(w + t * v, r), x, y)
+                return sample_loss(alpha, LinearModel(w + t * v), x, y)
 
             fd = (loss_at(2 * h) - 2 * loss_at(h) + 2 * loss_at(-h) - loss_at(-2 * h)) / (2 * h**3)
             assert abs(analytic - fd) < 1e-4
@@ -264,7 +260,7 @@ class TestDerivativeOracles:
 class TestEmpiricalRiskAndGradient:
     def test_risk_at_zero_weights_is_loss_at_half(self):
         data = toy_separable()
-        zero = LinearModel(np.zeros(2), 1.2)
+        zero = LinearModel(np.zeros(2))
         for alpha in ALPHA_CYCLE:
             assert empirical_risk(alpha, zero, data) == pytest.approx(
                 alpha_loss(alpha, 1, 0.5), abs=1e-15
@@ -286,7 +282,7 @@ class TestEmpiricalRiskAndGradient:
         x = np.vstack([base, -base, 2 * base, -2 * base])
         y = np.concatenate([np.ones(20, dtype=int), -np.ones(20, dtype=int)])
         data = LabeledDataset(x, y, feature_radius=float(row_norms(x).max()))
-        zero = LinearModel(np.zeros(4), 1.0)
+        zero = LinearModel(np.zeros(4))
         for alpha in (A1, A2, AINF):
             grad = empirical_gradient(alpha, zero, data)
             assert np.max(np.abs(grad)) < 1e-12
@@ -310,8 +306,8 @@ class TestEmpiricalRiskAndGradient:
                 w1 *= radius * rng.uniform(0, 1) / np.linalg.norm(w1)
                 w2 = rng.normal(size=6)
                 w2 *= radius * rng.uniform(0, 1) / np.linalg.norm(w2)
-                r1 = empirical_risk(alpha, LinearModel(w1, radius), data)
-                r2 = empirical_risk(alpha, LinearModel(w2, radius), data)
+                r1 = empirical_risk(alpha, LinearModel(w1), data)
+                r2 = empirical_risk(alpha, LinearModel(w2), data)
                 assert abs(r1 - r2) <= radius * np.linalg.norm(w1 - w2) + 1e-12
 
 
@@ -782,19 +778,19 @@ class TestSettledEpochsAreSkipped:
 class TestEvaluate:
     def test_zero_weights_predict_positive(self):
         data = toy_separable()
-        zero = LinearModel(np.zeros(2), 1.0)
+        zero = LinearModel(np.zeros(2))
         assert evaluate(zero, data) == np.mean(data.labels == 1)
 
     def test_perfect_separator(self):
         data = toy_separable()
-        model = LinearModel(np.array([5.0, 0.0]), 10.0)
+        model = LinearModel(np.array([5.0, 0.0]))
         assert evaluate(model, data) == 1.0
 
     def test_label_flip_antisymmetry(self):
         rng = np.random.default_rng(10)
         data, model = random_instance(rng, 4, 25)
         flipped = LabeledDataset(data.features, -data.labels, data.feature_radius)
-        neg = LinearModel(-model.weights, model.radius_bound)
+        neg = LinearModel(-model.weights)
         # ties at the zero score have probability zero for continuous data
         assert evaluate(model, data) == evaluate(neg, flipped)
 
@@ -833,9 +829,9 @@ class TestHoldoutMemory:
     @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
     def test_empirical_risk_holds_two_vectors(self, holdout, alpha):
         # the margins, which the losses overwrite, and the loss tail
-        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]), 1.0)
+        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
         assert traced_peak(empirical_risk, alpha, model, holdout) <= 2.25 * self.N * 8
 
     def test_evaluate_holds_the_scores_and_three_masks(self, holdout):
-        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]), 1.0)
+        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
         assert traced_peak(evaluate, model, holdout) <= 1.5 * self.N * 8
