@@ -168,7 +168,7 @@ def _load_task(args) -> BinaryTaskSplit:
 
 
 def cmd_train(args) -> dict:
-    alpha = Alpha.parse(args.alpha)
+    alpha = Alpha(args.alpha)
     cfg = TrainConfig(alpha=alpha, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     task = _load_task(args)
     report = train(cfg, task.train)
@@ -187,7 +187,7 @@ def cmd_train(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    alphas = _parse_list(args.alphas, Alpha.parse)
+    alphas = _parse_list(args.alphas, Alpha)
     lr_grid = _parse_list(args.lr_grid, float)
     # every config is built, and so checked, before the task is loaded
     grid = [[TrainConfig(alpha=alpha, learning_rate=lr, epochs=args.epochs, seed=args.seed)
@@ -206,7 +206,7 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_calibration(args) -> dict:
-    alphas = _parse_list(args.alphas, Alpha.parse)
+    alphas = _parse_list(args.alphas, Alpha)
     etas = _parse_list(args.eta_grid, float)
     if 0.5 in etas:
         etas.remove(0.5)
@@ -236,7 +236,7 @@ def cmd_calibration(args) -> dict:
 
 
 def cmd_landscape(args) -> dict:
-    alphas = _parse_list(args.alphas, Alpha.parse)
+    alphas = _parse_list(args.alphas, Alpha)
     sizes = _parse_list(args.ns, int)
     spec = SymmetricDataSpec.along_first_axis(
         dim=args.dim,
@@ -272,7 +272,7 @@ def cmd_landscape(args) -> dict:
 
 
 def cmd_losscurves(args) -> dict:
-    alphas = _parse_list(args.alphas, Alpha.parse)
+    alphas = _parse_list(args.alphas, Alpha)
     if args.steps < 2:
         raise ValueError("steps must be at least 2")
     if args.steps * len(alphas) > 10**6:
@@ -298,49 +298,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # each flag that subcommands share is defined once, in a parent they list
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", required=True)
+    out.add_argument("--out", required=True,
+                     help="CSV to write; the run manifest goes to OUT.manifest.json")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="random seed, 0..2^64-1 (default: %(default)s)")
     mnist = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    mnist.add_argument("--epochs", type=int, default=200)
-    mnist.add_argument("--mnist-dir", default=None)
+    mnist.add_argument("--epochs", type=int, default=200,
+                       help="full-batch gradient steps (default: %(default)s)")
+    mnist.add_argument("--mnist-dir", default=None,
+                       help="directory of the four MNIST IDX files, plain or .gz"
+                            f" (default: ${MNIST_DIR_ENV})")
+    alphas = "comma-separated alphas in [1, inf], 'inf' allowed (default: %(default)s)"
 
     def command(name, func, parent, summary):
-        p = sub.add_parser(name, help=summary, parents=[parent])
+        p = sub.add_parser(name, help=summary, description=summary, parents=[parent])
         p.set_defaults(func=func)
         return p
 
     p_train = command("train", cmd_train, mnist, "train one model on the MNIST 1-vs-7 task")
-    p_train.add_argument("--alpha", required=True, help="loss parameter; 'inf' allowed")
-    p_train.add_argument("--lr", type=float, required=True)
+    p_train.add_argument("--alpha", required=True, help="loss parameter in [1, inf]; 'inf' allowed")
+    p_train.add_argument("--lr", type=float, required=True, help="learning rate")
 
     p_sweep = command("sweep", cmd_sweep, mnist, "tune the learning rate per alpha on validation")
-    p_sweep.add_argument("--alphas", default="1,1.1,1.2,1.5,2")
-    p_sweep.add_argument("--lr-grid", default="1.0,1.3,1.9,2.0")
+    p_sweep.add_argument("--alphas", default="1,1.1,1.2,1.5,2", help=alphas)
+    p_sweep.add_argument("--lr-grid", default="1.0,1.3,1.9,2.0",
+                         help="comma-separated learning rates to try (default: %(default)s)")
 
     p_cal = command("calibration", cmd_calibration, out, "conditional-risk minima per (alpha, eta)")
-    p_cal.add_argument("--alphas", default="1,1.5,2,inf")
-    p_cal.add_argument("--eta-grid", default="0.1,0.2,0.3,0.4,0.6,0.7,0.8,0.9")
-    p_cal.add_argument("--f-range", type=float, default=50.0)
-    p_cal.add_argument("--grid-step", type=float, default=1e-3)
+    p_cal.add_argument("--alphas", default="1,1.5,2,inf", help=alphas)
+    p_cal.add_argument("--eta-grid", default="0.1,0.2,0.3,0.4,0.6,0.7,0.8,0.9",
+                       help="comma-separated posteriors in (0, 1); 0.5 is skipped"
+                            " (default: %(default)s)")
+    p_cal.add_argument("--f-range", type=float, default=50.0,
+                       help="the grid covers f in [-F, F] (default: %(default)s)")
+    p_cal.add_argument("--grid-step", type=float, default=1e-3,
+                       help="spacing of the f grid (default: %(default)s)")
 
     p_land = command("landscape", cmd_landscape, seeded, "risk-gap scaling experiment")
-    p_land.add_argument("--alphas", default="2")
-    p_land.add_argument("--ns", default="100,1000,10000")
-    p_land.add_argument("--trials", type=int, default=20)
-    p_land.add_argument("--dim", type=int, default=5)
-    p_land.add_argument("--radius", type=float, default=1.0)
-    p_land.add_argument("--mean-norm", type=float, default=0.8)
-    p_land.add_argument("--noise", type=float, default=0.14)
-    p_land.add_argument("--holdout-n", type=int, default=100000)
-    p_land.add_argument("--lr", type=float, default=1.0)
-    p_land.add_argument("--epochs", type=int, default=300)
+    p_land.add_argument("--alphas", default="2", help=alphas)
+    p_land.add_argument("--ns", default="100,1000,10000",
+                        help="comma-separated training-set sizes (default: %(default)s)")
+    p_land.add_argument("--trials", type=int, default=20,
+                        help="independent samples per (alpha, n) (default: %(default)s)")
+    p_land.add_argument("--dim", type=int, default=5,
+                        help="feature dimension (default: %(default)s)")
+    p_land.add_argument("--radius", type=float, default=1.0,
+                        help="features are truncated to this ball (default: %(default)s)")
+    p_land.add_argument("--mean-norm", type=float, default=0.8,
+                        help="distance of the +1 class mean from 0 (default: %(default)s)")
+    p_land.add_argument("--noise", type=float, default=0.14,
+                        help="scale of the Gaussian noise (default: %(default)s)")
+    p_land.add_argument("--holdout-n", type=int, default=100000,
+                        help="held-out rows that estimate the true risk (default: %(default)s)")
+    p_land.add_argument("--lr", type=float, default=1.0,
+                        help="learning rate (default: %(default)s)")
+    p_land.add_argument("--epochs", type=int, default=300,
+                        help="full-batch gradient steps per model (default: %(default)s)")
 
     p_curves = command("losscurves", cmd_losscurves, out, "margin loss and derivatives on a z grid")
-    p_curves.add_argument("--alphas", default="1,1.5,2,inf")
-    p_curves.add_argument("--z-min", type=float, default=-10.0)
-    p_curves.add_argument("--z-max", type=float, default=10.0)
-    p_curves.add_argument("--steps", type=int, default=201)
+    p_curves.add_argument("--alphas", default="1,1.5,2,inf", help=alphas)
+    p_curves.add_argument("--z-min", type=float, default=-10.0,
+                          help="first margin of the grid (default: %(default)s)")
+    p_curves.add_argument("--z-max", type=float, default=10.0,
+                          help="last margin of the grid (default: %(default)s)")
+    p_curves.add_argument("--steps", type=int, default=201,
+                          help="grid points, at least 2 (default: %(default)s)")
 
     return parser
 

@@ -14,7 +14,7 @@ Conventions: labels live in {-1, +1}, beliefs are probabilities of the event
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,14 +25,22 @@ LOG_LOSS_GAP = 1e-9
 
 @dataclass(frozen=True)
 class Alpha:
-    """The tuning parameter alpha in [1, inf].
+    """The tuning parameter alpha in [1, inf], from a float or a CLI token.
 
-    ``Alpha(1.0)`` is the log-loss endpoint, ``Alpha(math.inf)`` the sigmoid
-    (probability-of-error) endpoint.  Values below 1 and NaN are rejected;
-    values within ``LOG_LOSS_GAP`` of 1 are snapped to exactly 1.
+    ``Alpha(1.0)`` is the log-loss endpoint, ``Alpha(math.inf)`` or
+    ``Alpha("inf")`` the sigmoid (probability-of-error) endpoint.  Values below
+    1 and NaN are rejected; values within ``LOG_LOSS_GAP`` of 1 are snapped to
+    exactly 1.  The derived fields are set once, left out of equality, hashing
+    and ``repr``: the two branch flags, the belief power ``exponent`` =
+    1 - 1/alpha (1.0 at the infinite endpoint) and the prefactor ``scale`` =
+    alpha/(alpha - 1), also the loss supremum for alpha > 1.
     """
 
     value: float
+    is_log: bool = field(init=False, repr=False, compare=False)
+    is_infinite: bool = field(init=False, repr=False, compare=False)
+    exponent: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = float(self.value)
@@ -41,48 +49,14 @@ class Alpha:
         if abs(v - 1.0) <= LOG_LOSS_GAP:
             v = 1.0
         if v < 1.0:
-            raise ValueError(f"alpha must lie in [1, inf], got {self.value!r}")
+            raise ValueError(f"alpha must lie in [1, inf], got {v!r}")
+        infinite = math.isinf(v)
         object.__setattr__(self, "value", v)
-
-    @classmethod
-    def log_loss(cls) -> "Alpha":
-        return cls(1.0)
-
-    @classmethod
-    def infinite(cls) -> "Alpha":
-        return cls(math.inf)
-
-    @classmethod
-    def parse(cls, token: str) -> "Alpha":
-        """Parse a CLI token; the literal ``inf`` means the infinite endpoint."""
-        text = str(token).strip().lower()
-        if text in ("inf", "infinity"):
-            return cls.infinite()
-        return cls(float(text))
-
-    @property
-    def is_log(self) -> bool:
-        return self.value == 1.0
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def exponent(self) -> float:
-        """The belief power 1 - 1/alpha (1.0 at the infinite endpoint)."""
-        if self.is_infinite:
-            return 1.0
-        return 1.0 - 1.0 / self.value
-
-    @property
-    def scale(self) -> float:
-        """Prefactor alpha/(alpha - 1); also the loss supremum for alpha > 1."""
-        if self.is_log:
-            return math.inf
-        if self.is_infinite:
-            return 1.0
-        return self.value / (self.value - 1.0)
+        object.__setattr__(self, "is_log", v == 1.0)
+        object.__setattr__(self, "is_infinite", infinite)
+        object.__setattr__(self, "exponent", 1.0 if infinite else 1.0 - 1.0 / v)
+        scale = math.inf if v == 1.0 else 1.0 if infinite else v / (v - 1.0)
+        object.__setattr__(self, "scale", scale)
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.value:g}"
@@ -345,7 +319,7 @@ def margin_losses(alpha: Alpha, margins: np.ndarray, *, out=None, tail=None) -> 
 
 def _sigmoid_array(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`sigmoid`: the infinite-alpha loss of the negated margin."""
-    return margin_losses(Alpha.infinite(), -np.asarray(z, dtype=float))
+    return margin_losses(Alpha(math.inf), -np.asarray(z, dtype=float))
 
 
 def _margin_workspace(shape) -> tuple[np.ndarray, ...]:

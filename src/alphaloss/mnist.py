@@ -17,6 +17,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ TEST_FILES = ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX payload: bad magic, truncation, trailing bytes, bad label."""
+    """Malformed IDX payload or gzip stream: bad magic, truncation, trailing bytes, bad label."""
 
 
 class InsufficientClassError(ValueError):
@@ -106,12 +107,19 @@ def dump_idx_labels(labels: np.ndarray) -> bytes:
 
 
 def read_idx_bytes(path: str) -> bytes:
-    """Read a file, transparently decompressing gzip (0x1f 0x8b prefix)."""
+    """Read a file, transparently decompressing gzip (0x1f 0x8b prefix).
+
+    A truncated or corrupt gzip stream raises :class:`IdxFormatError` naming
+    the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] == b"\x1f\x8b":
+    if data[:2] != b"\x1f\x8b":
+        return data
+    try:
         return gzip.decompress(data)
-    return data
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        raise IdxFormatError(f"{path}: corrupt or truncated gzip data ({err})") from err
 
 
 def _resolve(directory: str, name: str) -> str:
@@ -143,15 +151,13 @@ def _class_indices(labels: np.ndarray, digit: int, needed: int, what: str) -> np
 def _labeled_rows(images: IdxImages, pos_rows: np.ndarray, neg_rows: np.ndarray) -> tuple:
     """Features and +-1 labels of the given image rows, written into one buffer.
 
-    Pixels land as exact uint8 -> float64 casts and are divided by 255 in
-    place; the last column is the constant bias feature, stored as 255 so the
-    one division over the whole buffer leaves it exactly 1.
+    Pixels are divided by 255 in float64 straight into the buffer; the last
+    column is the constant bias feature 1.
     """
     rows = np.concatenate([pos_rows, neg_rows])
     features = np.empty((rows.size, images.pixels.shape[1] + 1))
-    features[:, :-1] = images.pixels[rows]
-    features[:, -1] = 255.0
-    features /= 255.0
+    np.divide(images.pixels[rows], 255.0, out=features[:, :-1])
+    features[:, -1] = 1.0
     labels = np.concatenate(
         [np.ones(pos_rows.size, dtype=np.int64), -np.ones(neg_rows.size, dtype=np.int64)]
     )

@@ -35,6 +35,22 @@ def real_mnist_dir():
     return directory
 
 
+def damaged_gzip(raw: bytes, damage: str) -> bytes:
+    """The gzip stream of raw bytes, damaged in one of three ways.
+
+    "truncated" cuts it in half, so it ends early (EOFError).  "corrupt" flips
+    a byte of the code-length table that opens the deflate block after the
+    10-byte gzip header, so it does not inflate (zlib.error).  "crc" flips a
+    byte of the trailing CRC-32, so it inflates but fails its check
+    (gzip.BadGzipFile).
+    """
+    z = gzip.compress(raw, mtime=0)
+    if damage == "truncated":
+        return z[: len(z) // 2]
+    at = {"corrupt": 12, "crc": len(z) - 8}[damage]
+    return z[:at] + bytes([z[at] ^ 0xFF]) + z[at + 1 :]
+
+
 def _render_digit(rng, digit, rows, cols):
     img = rng.integers(0, 30, size=(rows, cols), dtype=np.int64)
     if digit == 1:

@@ -40,9 +40,9 @@ from alphaloss.losses import margin_alpha_loss
 from alphaloss.logreg import LabeledDataset, row_norms
 from conftest import find_real_mnist
 
-A1 = Alpha.log_loss()
+A1 = Alpha(1.0)
 A2 = Alpha(2)
-AINF = Alpha.infinite()
+AINF = Alpha(math.inf)
 
 ETA_GRID = [round(0.1 * k, 1) for k in range(1, 10) if k != 5]
 

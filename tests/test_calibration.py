@@ -27,9 +27,9 @@ from alphaloss.calibration import (
     calibration_workspace,
 )
 
-A1 = Alpha.log_loss()
+A1 = Alpha(1.0)
 A2 = Alpha(2)
-AINF = Alpha.infinite()
+AINF = Alpha(math.inf)
 
 ETA_GRID = [e / 10 for e in range(1, 10) if e != 5]
 

@@ -1,12 +1,16 @@
+import argparse
 import errno
+import gzip
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from alphaloss.cli import main, manifest_path_for, replay
+from alphaloss.cli import build_parser, main, manifest_path_for, replay
+from conftest import damaged_gzip
 
 # The checkout's own sources, for child processes: an import error there also
 # exits 1, so a child that cannot import the package must not pass as a result.
@@ -217,6 +221,22 @@ class TestUsageErrors:
         assert main(["losscurves", "--help"]) == 0
         assert "--steps" in capsys.readouterr().out
 
+    COMMANDS = ["calibration", "landscape", "losscurves", "sweep", "train"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_option_has_help(self, command, capsys):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        assert sorted(subparsers.choices) == self.COMMANDS
+        actions = subparsers.choices[command]._actions
+        for action in actions:
+            assert action.help and action.help.strip(), action.option_strings
+            if action.default not in (None, argparse.SUPPRESS):
+                assert "%(default)s" in action.help, action.option_strings
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        for action in actions:
+            assert action.option_strings[-1] in text
+
     def test_fresh_process_exit_status(self, tmp_path):
         import subprocess
         import sys
@@ -280,9 +300,21 @@ class TestTrainCommand:
                      "--out", out]) == 1
         assert "magic" in capsys.readouterr().err
 
-    def test_divergence_exits_two(self, tmp_path, synthetic_full_corpus, capsys):
-        import gzip
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_exits_one(self, tmp_path, synthetic_mnist_dir, capsys, damage):
+        bad_dir = tmp_path / "bad"
+        shutil.copytree(synthetic_mnist_dir, bad_dir)
+        labels = bad_dir / "train-labels-idx1-ubyte.gz"
+        labels.write_bytes(damaged_gzip(gzip.decompress(labels.read_bytes()), damage))
+        out = str(tmp_path / "train.csv")
+        assert main(["train", "--alpha", "2", "--lr", "1", "--mnist-dir", str(bad_dir),
+                     "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}: corrupt or truncated gzip")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
 
+    def test_divergence_exits_two(self, tmp_path, synthetic_full_corpus, capsys):
         from alphaloss import IdxImages
         from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
@@ -882,8 +914,6 @@ class TestCommandsReturnTables:
 
     @pytest.mark.parametrize("command", sorted(ARGV))
     def test_tables_and_no_file(self, tmp_path, monkeypatch, synthetic_mnist_dir, command):
-        from alphaloss.cli import build_parser
-
         monkeypatch.chdir(tmp_path)
         argv = self.ARGV[command] + ["--out", "out.csv"]
         if command in ("train", "sweep"):

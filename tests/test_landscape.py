@@ -24,7 +24,7 @@ from alphaloss import (
 )
 from alphaloss.logreg import MAX_EPOCHS, row_norms
 
-A1 = Alpha.log_loss()
+A1 = Alpha(1.0)
 A2 = Alpha(2)
 
 
@@ -195,7 +195,7 @@ class TestLayout:
             tracemalloc.stop()
         assert peak <= 1.5 * (data.features.nbytes + data.labels.nbytes)
 
-    @pytest.mark.parametrize("alpha", [A1, A2, Alpha.parse("inf")], ids=str)
+    @pytest.mark.parametrize("alpha", [A1, A2, Alpha("inf")], ids=str)
     @pytest.mark.parametrize("projection", [False, True])
     def test_training_does_not_depend_on_the_layout(self, alpha, projection):
         # only the BLAS reduction order differs: 2.6e-16 apart at most, measured
@@ -372,7 +372,7 @@ class TestRiskGapExperiment:
             return report
 
         monkeypatch.setattr(landscape_module, "train", recording_train)
-        alphas = [A1, Alpha(1.5), A2, Alpha.parse("inf")]
+        alphas = [A1, Alpha(1.5), A2, Alpha("inf")]
         result = risk_gap_experiment(
             spec, alphas, [100, 1000], trials=2, holdout_n=2000, learning_rate=1.0, epochs=30
         )

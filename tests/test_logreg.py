@@ -36,9 +36,9 @@ from alphaloss.losses import (
     margin_losses,
 )
 
-A1 = Alpha.log_loss()
+A1 = Alpha(1.0)
 A2 = Alpha(2)
-AINF = Alpha.infinite()
+AINF = Alpha(math.inf)
 
 ALPHA_CYCLE = [A1, Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF]
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 import struct
 
@@ -28,9 +30,9 @@ from alphaloss import (
     tilted_posterior,
 )
 
-A1 = Alpha.log_loss()
+A1 = Alpha(1.0)
 A2 = Alpha(2)
-AINF = Alpha.infinite()
+AINF = Alpha(math.inf)
 
 ALPHA_SAMPLE = [A1, Alpha(1.01), Alpha(1.1), Alpha(1.5), A2, Alpha(5), Alpha(10), Alpha(1e6), AINF]
 
@@ -75,11 +77,65 @@ class TestAlphaParam:
         assert Alpha(1.0 - 1e-10).is_log
         assert not Alpha(1.0 + 1e-6).is_log
 
+    # CLI tokens: the value each is read as, or the error it raises
+    TOKENS = [
+        ("inf", math.inf),
+        (" INF ", math.inf),
+        ("Infinity", math.inf),
+        ("+inf", math.inf),
+        ("2", 2.0),
+        (" 2.0 ", 2.0),
+        ("1.0000000001", 1.0),
+        ("1e6", 1e6),
+        ("1_000", 1000.0),
+        ("nan", "alpha must not be NaN"),
+        ("-inf", "alpha must lie in [1, inf], got -inf"),
+        ("0.5", "alpha must lie in [1, inf], got 0.5"),
+        ("0.3", "alpha must lie in [1, inf], got 0.3"),
+        ("abc", "could not convert string to float: 'abc'"),
+        ("ABC", "could not convert string to float: 'ABC'"),
+        ("", "could not convert string to float: ''"),
+    ]
+
     def test_parse(self):
-        assert Alpha.parse("inf").is_infinite
-        assert Alpha.parse("2").value == 2.0
-        with pytest.raises(ValueError):
-            Alpha.parse("0.3")
+        for token, expected in self.TOKENS:
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    Alpha(token)
+            else:
+                assert Alpha(token).value == expected, token
+
+    # the derived fields as bits: value, is_log, is_infinite, exponent, scale
+    DERIVED = [
+        (1.0, True, False, "0x0.0p+0", "inf"),
+        (1.0 + 1e-10, True, False, "0x0.0p+0", "inf"),
+        (1.2, False, False, "0x1.5555555555554p-3", "0x1.8000000000001p+2"),
+        (1.5, False, False, "0x1.5555555555556p-2", "0x1.8000000000000p+1"),
+        (2.0, False, False, "0x1.0000000000000p-1", "0x1.0000000000000p+1"),
+        (5.0, False, False, "0x1.999999999999ap-1", "0x1.4000000000000p+0"),
+        (1e6, False, False, "0x1.ffffde7210be9p-1", "0x1.000010c6f8ba3p+0"),
+        (math.inf, False, True, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("value, is_log, is_infinite, exponent, scale", DERIVED)
+    def test_derived_fields(self, value, is_log, is_infinite, exponent, scale):
+        a = Alpha(value)
+        assert (a.is_log, a.is_infinite) == (is_log, is_infinite)
+        assert (a.exponent.hex(), a.scale.hex()) == (exponent, scale)
+
+    def test_derived_fields_stay_out_of_identity(self):
+        assert Alpha(2) == Alpha("2.0")
+        assert hash(Alpha(2)) == hash(Alpha("2.0"))
+        assert repr(Alpha(2)) == "Alpha(value=2.0)"
+        assert Alpha(1.0 + 1e-12) == A1 and Alpha(1.5) != A2
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, math.inf])
+    def test_replace_and_pickle_keep_derived_fields(self, value):
+        a = Alpha(value)
+        derived = lambda b: (b.value, b.is_log, b.is_infinite, b.exponent, b.scale)
+        assert derived(pickle.loads(pickle.dumps(a))) == derived(a)
+        assert derived(dataclasses.replace(A2, value=value)) == derived(a)
+        assert derived(dataclasses.replace(a)) == derived(a)
 
     @given(st.floats(min_value=1.0 + 1e-6, max_value=1e12))
     def test_scale_exponent_consistency(self, value):

@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 import struct
 
 import numpy as np
@@ -18,7 +19,7 @@ from alphaloss import (
     read_idx_bytes,
 )
 from alphaloss.logreg import row_norms
-from conftest import FULL_TEST_COUNTS, FULL_TRAIN_COUNTS, synthetic_corpus
+from conftest import FULL_TEST_COUNTS, FULL_TRAIN_COUNTS, damaged_gzip, synthetic_corpus
 
 
 def images_bytes(count=3, rows=2, cols=2, magic=2051, pixels=None, pad=b""):
@@ -107,6 +108,20 @@ class TestFileReading:
         zipped.write_bytes(gzip.compress(raw))
         assert read_idx_bytes(str(plain)) == raw
         assert read_idx_bytes(str(zipped)) == raw
+
+    @pytest.mark.parametrize("damage, cause", [
+        ("truncated", "end-of-stream marker"),
+        ("corrupt", "Error -3 while decompressing"),
+        ("crc", "CRC check failed"),
+    ])
+    def test_damaged_gzip_names_the_file(self, tmp_path, damage, cause):
+        zipped = tmp_path / "zipped"
+        digits = np.random.default_rng(0).integers(0, 10, 5000).tolist()
+        zipped.write_bytes(damaged_gzip(labels_bytes(digits), damage))
+        expected = f"^{re.escape(str(zipped))}: corrupt or truncated gzip"
+        with pytest.raises(IdxFormatError, match=expected) as err:
+            read_idx_bytes(str(zipped))
+        assert cause in str(err.value)
 
     def test_load_mnist_dir_resolves_gz(self, synthetic_mnist_dir):
         images, labels, test_images, test_labels = load_mnist_dir(synthetic_mnist_dir)
