@@ -1,6 +1,6 @@
 """Tunable alpha-loss family for binary classification."""
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .losses import (
     Alpha,
@@ -61,7 +61,6 @@ from .landscape import (
 from .mnist import (
     BinaryTaskSplit,
     IdxFormatError,
-    IdxImages,
     InsufficientClassError,
     build_binary_task,
     dump_idx_images,

@@ -55,15 +55,19 @@ class CalibrationReport:
     unconstrained_min: float
     constrained_min: float
     unconstrained_argmin: float
-    gap: float
-    calibrated_at_eta: bool
     argmin_at_boundary: bool
 
     def __post_init__(self):
         if self.constrained_min < self.unconstrained_min:
             raise ValueError("constrained minimum below unconstrained minimum")
-        if self.calibrated_at_eta != (self.gap > CALIBRATION_TOL):
-            raise ValueError("calibration flag inconsistent with gap")
+
+    @property
+    def gap(self) -> float:
+        return self.constrained_min - self.unconstrained_min
+
+    @property
+    def calibrated_at_eta(self) -> bool:
+        return self.gap > CALIBRATION_TOL
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -207,16 +211,12 @@ def check_calibration_at(
     bounds = (-f_range, 0.0) if eta > 0.5 else (0.0, f_range)
     _, constrained = refine(_wrong_side(grid, eta), *bounds)
 
-    unconstrained = min(unconstrained, constrained)
-    gap = constrained - unconstrained
     return CalibrationReport(
         alpha=alpha,
         eta=eta,
-        unconstrained_min=unconstrained,
+        unconstrained_min=min(unconstrained, constrained),
         constrained_min=constrained,
         unconstrained_argmin=argmin,
-        gap=gap,
-        calibrated_at_eta=gap > CALIBRATION_TOL,
         argmin_at_boundary=at_boundary,
     )
 

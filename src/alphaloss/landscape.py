@@ -86,8 +86,14 @@ class AssumptionReport:
     positive_mean_norm: float
     positive_mean_abs_norm: float
     sigma_sq_term: float
-    ratio: float
-    inequality_holds: bool
+
+    @property
+    def ratio(self) -> float:
+        return self.positive_mean_norm / self.positive_mean_abs_norm
+
+    @property
+    def inequality_holds(self) -> bool:
+        return 1.0 - self.sigma_sq_term < self.ratio
 
 
 @dataclass(frozen=True)
@@ -95,11 +101,17 @@ class RiskGapRecord:
     alpha: Alpha
     n: int
     trial: int
-    gap: float
-    hoeffding_term: float | None
     true_risk_estimate: float
     empirical_risk: float
     zero_one_risk: float
+
+    @property
+    def gap(self) -> float:
+        return abs(self.true_risk_estimate - self.empirical_risk)
+
+    @property
+    def hoeffding_term(self) -> float | None:
+        return None if self.alpha.is_log else hoeffding_epsilon(self.alpha, self.n, 1, 0.05)
 
 
 @dataclass(frozen=True)
@@ -191,16 +203,10 @@ def check_assumptions(data: LabeledDataset, r: float) -> AssumptionReport:
     positives = data.features[data.labels == 1]
     if positives.shape[0] == 0 or positives.shape[0] == data.n:
         raise ValueError("both labels must be present")
-    mean_vec_norm = float(np.linalg.norm(positives.mean(axis=0)))
-    mean_abs_norm = float(np.mean(row_norms(positives)))
-    sigma_sq = sigmoid(-r * r) ** 2
-    ratio = mean_vec_norm / mean_abs_norm
     return AssumptionReport(
-        positive_mean_norm=mean_vec_norm,
-        positive_mean_abs_norm=mean_abs_norm,
-        sigma_sq_term=sigma_sq,
-        ratio=ratio,
-        inequality_holds=1.0 - sigma_sq < ratio,
+        positive_mean_norm=float(np.linalg.norm(positives.mean(axis=0))),
+        positive_mean_abs_norm=float(np.mean(row_norms(positives))),
+        sigma_sq_term=sigmoid(-r * r) ** 2,
     )
 
 
@@ -271,18 +277,14 @@ def risk_gap_experiment(
                     diverged.append((alpha.value, n, trial))
                     continue
                 model = report.final_model
-                # the trace's last entry is the training-sample risk of the final model
-                emp = float(report.empirical_risk_trace[-1])
-                true = empirical_risk(alpha, model, holdout)
                 records.append(
                     RiskGapRecord(
                         alpha=alpha,
                         n=n,
                         trial=trial,
-                        gap=abs(true - emp),
-                        hoeffding_term=None if alpha.is_log else hoeffding_epsilon(alpha, n, 1, 0.05),
-                        true_risk_estimate=true,
-                        empirical_risk=emp,
+                        true_risk_estimate=empirical_risk(alpha, model, holdout),
+                        # the trace's last entry is the training-sample risk of the final model
+                        empirical_risk=float(report.empirical_risk_trace[-1]),
                         zero_one_risk=1.0 - evaluate(model, holdout),
                     )
                 )
@@ -300,11 +302,16 @@ def median_gaps(records, alpha: Alpha) -> dict[int, float]:
 
 
 def log_log_slope(sizes, values) -> float:
-    """Least-squares slope of log(values) against log(sizes); all must be positive."""
+    """Least-squares slope of log(values) on log(sizes), in closed form with fsum; all positive."""
     sizes = np.asarray(sizes, dtype=float)
     values = np.asarray(values, dtype=float)
-    if sizes.size < 2:
-        raise ValueError("need at least two points to fit a slope")
+    if sizes.size < 2 or sizes.shape != values.shape:
+        raise ValueError("need at least two (size, value) points to fit a slope")
     if not (np.all(sizes > 0) and np.all(values > 0)):
         raise ValueError("sizes and values must be positive to take their logarithms")
-    return float(np.polyfit(np.log(sizes), np.log(values), 1)[0])
+    x, y = np.log(sizes), np.log(values)
+    dx, dy = x - math.fsum(x) / x.size, y - math.fsum(y) / y.size
+    spread = math.fsum(dx * dx)
+    if spread == 0.0:
+        raise ValueError("sizes must not all be equal: the slope is undefined")
+    return math.fsum(dx * dy) / spread

@@ -46,22 +46,6 @@ class InsufficientClassError(ValueError):
 
 
 @dataclass(frozen=True)
-class IdxImages:
-    count: int
-    rows: int
-    cols: int
-    pixels: np.ndarray  # (count, rows*cols) uint8
-
-    def __post_init__(self):
-        if self.count < 0 or self.rows < 1 or self.cols < 1:
-            raise ValueError("count must be >= 0 and rows/cols positive")
-        px = np.asarray(self.pixels, dtype=np.uint8)
-        if px.shape != (self.count, self.rows * self.cols):
-            raise ValueError(f"pixels shape {px.shape} != ({self.count}, {self.rows * self.cols})")
-        object.__setattr__(self, "pixels", px)
-
-
-@dataclass(frozen=True)
 class BinaryTaskSplit:
     train: LabeledDataset
     validation: LabeledDataset
@@ -80,18 +64,21 @@ def _idx_payload(data: bytes, magic: int, ndim: int, what: str) -> tuple[list[in
     if size < expected:
         raise IdxFormatError(f"truncated {what} payload: expected {expected} bytes, got {size}")
     if size > expected:
-        raise IdxFormatError(f"{size - expected} trailing bytes after {what} payload")
+        raise IdxFormatError(f"trailing bytes past the {expected} bytes the {what} header declares")
     return sizes, np.frombuffer(data, dtype=np.uint8, offset=head)
 
 
-def load_idx_images(data: bytes) -> IdxImages:
+def load_idx_images(data: bytes) -> np.ndarray:
+    """The images of an IDX file as an owned (count, rows, cols) uint8 array."""
     (count, rows, cols), payload = _idx_payload(data, IMAGES_MAGIC, 3, "images")
-    return IdxImages(count, rows, cols, payload.reshape(count, rows * cols).copy())
+    if rows < 1 or cols < 1:
+        raise IdxFormatError(f"images of {rows}x{cols} pixels: rows and cols must be positive")
+    return payload.reshape(count, rows, cols).copy()
 
 
-def dump_idx_images(images: IdxImages) -> bytes:
-    header = struct.pack(">IIII", IMAGES_MAGIC, images.count, images.rows, images.cols)
-    return header + images.pixels.tobytes()
+def dump_idx_images(images: np.ndarray) -> bytes:
+    images = np.asarray(images, dtype=np.uint8)
+    return struct.pack(">IIII", IMAGES_MAGIC, *images.shape) + images.tobytes()
 
 
 def load_idx_labels(data: bytes) -> np.ndarray:
@@ -109,17 +96,29 @@ def dump_idx_labels(labels: np.ndarray) -> bytes:
 def read_idx_bytes(path: str) -> bytes:
     """Read a file, transparently decompressing gzip (0x1f 0x8b prefix).
 
-    A truncated or corrupt gzip stream raises :class:`IdxFormatError` naming
-    the file.
+    A gzip stream is inflated one byte past the size its IDX header declares
+    and no further, so the parser sees any trailing data without the rest
+    being inflated.  A truncated or corrupt gzip stream raises
+    :class:`IdxFormatError` naming the file.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] != b"\x1f\x8b":
-        return data
-    try:
-        return gzip.decompress(data)
-    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
-        raise IdxFormatError(f"{path}: corrupt or truncated gzip data ({err})") from err
+        if fh.peek(2)[:2] != b"\x1f\x8b":
+            return fh.read()
+        try:
+            with gzip.GzipFile(fileobj=fh) as stream:
+                # magic is 0, 0, the element type, the number of u32 sizes
+                chunks = [stream.read(4)]
+                ndim = chunks[0][3] if len(chunks[0]) == 4 else 0
+                chunks.append(stream.read(4 * ndim))
+                if len(chunks[1]) == 4 * ndim:
+                    # in bounded chunks: one read allocates all it asks for up front
+                    left = math.prod(struct.unpack(f">{ndim}I", chunks[1])) + 1
+                    while chunk := stream.read(min(left, 2**20)):
+                        chunks.append(chunk)
+                        left -= len(chunk)
+                return b"".join(chunks)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+            raise IdxFormatError(f"{path}: corrupt or truncated gzip data ({err})") from err
 
 
 def _resolve(directory: str, name: str) -> str:
@@ -148,15 +147,16 @@ def _class_indices(labels: np.ndarray, digit: int, needed: int, what: str) -> np
     return idx
 
 
-def _labeled_rows(images: IdxImages, pos_rows: np.ndarray, neg_rows: np.ndarray) -> tuple:
+def _labeled_rows(images: np.ndarray, pos_rows: np.ndarray, neg_rows: np.ndarray) -> tuple:
     """Features and +-1 labels of the given image rows, written into one buffer.
 
     Pixels are divided by 255 in float64 straight into the buffer; the last
     column is the constant bias feature 1.
     """
+    pixels = images.reshape(len(images), -1)
     rows = np.concatenate([pos_rows, neg_rows])
-    features = np.empty((rows.size, images.pixels.shape[1] + 1))
-    np.divide(images.pixels[rows], 255.0, out=features[:, :-1])
+    features = np.empty((rows.size, pixels.shape[1] + 1))
+    np.divide(pixels[rows], 255.0, out=features[:, :-1])
     features[:, -1] = 1.0
     labels = np.concatenate(
         [np.ones(pos_rows.size, dtype=np.int64), -np.ones(neg_rows.size, dtype=np.int64)]
@@ -165,9 +165,9 @@ def _labeled_rows(images: IdxImages, pos_rows: np.ndarray, neg_rows: np.ndarray)
 
 
 def build_binary_task(
-    images: IdxImages,
+    images: np.ndarray,
     labels: np.ndarray,
-    test_images: IdxImages,
+    test_images: np.ndarray,
     test_labels: np.ndarray,
     seed: int,
 ) -> BinaryTaskSplit:
@@ -178,34 +178,30 @@ def build_binary_task(
     seeded shuffle then holds out ``VALIDATION_PER_CLASS`` rows per class.
     Identical inputs and seed reproduce the splits bit for bit.
     """
-    if images.count != labels.size:
-        raise ValueError(f"{images.count} train images but {labels.size} labels")
-    if test_images.count != test_labels.size:
-        raise ValueError(f"{test_images.count} test images but {test_labels.size} labels")
+    if len(images) != labels.size:
+        raise ValueError(f"{len(images)} train images but {labels.size} labels")
+    if len(test_images) != test_labels.size:
+        raise ValueError(f"{len(test_images)} test images but {test_labels.size} labels")
 
     rng = np.random.default_rng(seed)
-    picks = {}
-    for digit, source_labels, needed, what in (
-        (POSITIVE_DIGIT, labels, TRAIN_POOL_PER_CLASS, "train set"),
-        (NEGATIVE_DIGIT, labels, TRAIN_POOL_PER_CLASS, "train set"),
-        (POSITIVE_DIGIT, test_labels, TEST_PER_CLASS, "test set"),
-        (NEGATIVE_DIGIT, test_labels, TEST_PER_CLASS, "test set"),
-    ):
-        idx = _class_indices(source_labels, digit, needed, what)
-        picks[(digit, what)] = np.sort(rng.choice(idx, size=needed, replace=False))
+    train_pos, train_neg, test_pos, test_neg = (
+        np.sort(rng.choice(_class_indices(source, digit, needed, what), size=needed, replace=False))
+        for digit, source, needed, what in (
+            (POSITIVE_DIGIT, labels, TRAIN_POOL_PER_CLASS, "train set"),
+            (NEGATIVE_DIGIT, labels, TRAIN_POOL_PER_CLASS, "train set"),
+            (POSITIVE_DIGIT, test_labels, TEST_PER_CLASS, "test set"),
+            (NEGATIVE_DIGIT, test_labels, TEST_PER_CLASS, "test set"),
+        )
+    )
 
     n_train = TRAIN_POOL_PER_CLASS - VALIDATION_PER_CLASS
     # composing each sorted pick with its permutation gives the corpus rows of a split
-    pool_pos = picks[(POSITIVE_DIGIT, "train set")][rng.permutation(TRAIN_POOL_PER_CLASS)]
-    pool_neg = picks[(NEGATIVE_DIGIT, "train set")][rng.permutation(TRAIN_POOL_PER_CLASS)]
+    pool_pos = train_pos[rng.permutation(TRAIN_POOL_PER_CLASS)]
+    pool_neg = train_neg[rng.permutation(TRAIN_POOL_PER_CLASS)]
     parts = (
         _labeled_rows(images, pool_pos[:n_train], pool_neg[:n_train]),
         _labeled_rows(images, pool_pos[n_train:], pool_neg[n_train:]),
-        _labeled_rows(
-            test_images,
-            picks[(POSITIVE_DIGIT, "test set")],
-            picks[(NEGATIVE_DIGIT, "test set")],
-        ),
+        _labeled_rows(test_images, test_pos, test_neg),
     )
     radius = float(max(row_norms(features).max() for features, _ in parts))
     train, validation, test = (

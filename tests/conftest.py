@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alphaloss.mnist import IdxImages, dump_idx_images, dump_idx_labels
+from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -75,13 +75,13 @@ def synthetic_corpus(train_counts, test_counts, seed=1234, rows=28, cols=28):
     def build(counts, tag_offset):
         digits = np.concatenate([np.full(c, d, dtype=np.uint8) for d, c in counts.items()])
         digits = digits[rng.permutation(digits.size)]
-        pixels = np.empty((digits.size, rows * cols), dtype=np.uint8)
+        images = np.empty((digits.size, rows * cols), dtype=np.uint8)
         for i, digit in enumerate(digits):
-            pixels[i] = _render_digit(rng, int(digit), rows, cols)
+            images[i] = _render_digit(rng, int(digit), rows, cols)
             tag = i + tag_offset
-            pixels[i, 0] = tag // 256
-            pixels[i, 1] = tag % 256
-        return IdxImages(count=digits.size, rows=rows, cols=cols, pixels=pixels), digits
+            images[i, 0] = tag // 256
+            images[i, 1] = tag % 256
+        return images.reshape(digits.size, rows, cols), digits
 
     train_images, train_labels = build(train_counts, 0)
     test_images, test_labels = build(test_counts, 0x8000)

@@ -102,14 +102,7 @@ class TestCheckCalibrationAt:
         with pytest.raises(ValueError):
             CalibrationReport(
                 alpha=A2, eta=0.7, unconstrained_min=1.0, constrained_min=0.5,
-                unconstrained_argmin=0.0, gap=-0.5, calibrated_at_eta=False,
-                argmin_at_boundary=False,
-            )
-        with pytest.raises(ValueError):
-            CalibrationReport(
-                alpha=A2, eta=0.7, unconstrained_min=0.5, constrained_min=1.0,
-                unconstrained_argmin=0.0, gap=0.5, calibrated_at_eta=False,
-                argmin_at_boundary=False,
+                unconstrained_argmin=0.0, argmin_at_boundary=False,
             )
 
 

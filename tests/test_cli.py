@@ -315,17 +315,15 @@ class TestTrainCommand:
         assert not os.path.exists(out)
 
     def test_divergence_exits_two(self, tmp_path, synthetic_full_corpus, capsys):
-        from alphaloss import IdxImages
         from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
         # every digit-1 image copies a digit-7 image: the task is inseparable,
         # so a huge step sends some misclassified margin to -inf
         images, labels, test_images, test_labels = synthetic_full_corpus
-        pixels = images.pixels.copy()
+        conflicted = images.copy()
         ones = np.flatnonzero(labels == 1)
         sevens = np.flatnonzero(labels == 7)
-        pixels[ones] = pixels[sevens[np.arange(ones.size) % sevens.size]]
-        conflicted = IdxImages(images.count, images.rows, images.cols, pixels)
+        conflicted[ones] = conflicted[sevens[np.arange(ones.size) % sevens.size]]
         bad_dir = tmp_path / "conflicted"
         bad_dir.mkdir()
         (bad_dir / "train-images-idx3-ubyte").write_bytes(dump_idx_images(conflicted))

@@ -355,6 +355,20 @@ class TestRiskGapExperiment:
         with pytest.raises(ValueError):
             log_log_slope([100], [0.1])
 
+    def test_slope_matches_polyfit(self):
+        # np.polyfit, the least-squares fit the closed form replaced, is the reference
+        rng = np.random.default_rng(11)
+        for points in [2, 3, 5, 8, 20] * 10:
+            sizes = rng.uniform(1.0, 1e6, points)
+            values = rng.uniform(1e-6, 1.0, points)
+            expected = np.polyfit(np.log(sizes), np.log(values), 1)[0]
+            assert log_log_slope(sizes, values) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sizes, values", [([100, 100], [0.1, 0.2]), ([100, 1000], [0.1])])
+    def test_slope_rejects_degenerate_points(self, sizes, values):
+        with pytest.raises(ValueError):
+            log_log_slope(sizes, values)
+
     @pytest.mark.parametrize("values", [[0.1, 0.0], [0.1, -0.1], [0.0, 0.0]])
     def test_slope_rejects_nonpositive_values(self, values):
         with pytest.raises(ValueError, match="positive"):

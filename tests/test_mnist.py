@@ -2,13 +2,14 @@ import gzip
 import os
 import re
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from alphaloss import (
     IdxFormatError,
-    IdxImages,
     InsufficientClassError,
     build_binary_task,
     dump_idx_images,
@@ -35,13 +36,12 @@ def labels_bytes(values, magic=2049, pad=b""):
 class TestIdxImages:
     def test_parse_fields(self):
         imgs = load_idx_images(images_bytes())
-        assert (imgs.count, imgs.rows, imgs.cols) == (3, 2, 2)
-        assert imgs.pixels.shape == (3, 4)
-        assert imgs.pixels.dtype == np.uint8
-        assert imgs.pixels[1, 0] == 4
+        assert imgs.shape == (3, 2, 2)
+        assert imgs.dtype == np.uint8
+        assert imgs[1, 0, 0] == 4
 
     def test_parsed_arrays_are_owned_and_writable(self):
-        arrays = (load_idx_images(images_bytes()).pixels, load_idx_labels(labels_bytes([1, 7])))
+        arrays = (load_idx_images(images_bytes()), load_idx_labels(labels_bytes([1, 7])))
         for array in arrays:
             assert array.flags.owndata and array.flags.writeable
 
@@ -53,13 +53,17 @@ class TestIdxImages:
     def test_empty_file_is_valid(self):
         raw = images_bytes(count=0, rows=28, cols=28, pixels=b"")
         imgs = load_idx_images(raw)
-        assert imgs.count == 0
-        assert imgs.pixels.shape == (0, 784)
+        assert imgs.shape == (0, 28, 28)
         assert dump_idx_images(imgs) == raw
 
     def test_wrong_magic(self):
         with pytest.raises(IdxFormatError, match="magic"):
             load_idx_images(images_bytes(magic=2049))
+
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_image_shape_rejected(self, rows, cols):
+        with pytest.raises(IdxFormatError, match="positive"):
+            load_idx_images(images_bytes(count=3, rows=rows, cols=cols, pixels=b""))
 
     def test_truncated(self):
         with pytest.raises(IdxFormatError, match="truncated"):
@@ -123,10 +127,32 @@ class TestFileReading:
             read_idx_bytes(str(zipped))
         assert cause in str(err.value)
 
+    @pytest.mark.parametrize("head, padding_mb, cause", [
+        # a 51 KB stream declaring 10 labels that would inflate to 50 MB
+        (struct.pack(">II", 2049, 10) + bytes(10), 50, "trailing"),
+        # 18 bytes declaring 2^32 - 1 labels, and images above 2^63 bytes
+        (struct.pack(">II", 2049, 2**32 - 1) + bytes(10), 0, "truncated"),
+        (struct.pack(">IIII", 2051, *[2**32 - 1] * 3) + bytes(10), 0, "truncated"),
+    ])
+    def test_gzip_inflates_no_further_than_its_header_declares(self, tmp_path, head, padding_mb, cause):
+        packer = zlib.compressobj(9, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+        chunks = [packer.compress(head)] + [packer.compress(bytes(2**20)) for _ in range(padding_mb)]
+        zipped = tmp_path / "data.gz"
+        zipped.write_bytes(b"".join(chunks) + packer.flush())
+        load = load_idx_labels if head[3] == 1 else load_idx_images
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxFormatError, match=cause):
+                load(read_idx_bytes(str(zipped)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
+
     def test_load_mnist_dir_resolves_gz(self, synthetic_mnist_dir):
         images, labels, test_images, test_labels = load_mnist_dir(synthetic_mnist_dir)
-        assert images.count == labels.size
-        assert test_images.count == test_labels.size
+        assert images.shape == (labels.size, 28, 28)
+        assert test_images.shape == (test_labels.size, 28, 28)
 
     def test_load_mnist_dir_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="train-images"):
@@ -221,7 +247,7 @@ def pooled_build(images, labels, test_images, test_labels, seed):
     ]
 
     def pool(imgs, idx):
-        pixels = imgs.pixels[idx].astype(float) / 255.0
+        pixels = imgs.reshape(len(imgs), -1)[idx].astype(float) / 255.0
         return np.hstack([pixels, np.ones((idx.size, 1))])
 
     pool_pos, pool_neg = pool(images, picks[0]), pool(images, picks[1])
@@ -274,8 +300,8 @@ class TestBuildMemory:
 class TestRealMnist:
     def test_official_counts_and_split(self, real_mnist_dir):
         images, labels, test_images, test_labels = load_mnist_dir(real_mnist_dir)
-        assert (images.count, images.rows, images.cols) == (60_000, 28, 28)
+        assert images.shape == (60_000, 28, 28)
         assert labels.size == 60_000
-        assert test_images.count == 10_000
+        assert test_images.shape == (10_000, 28, 28)
         split = build_binary_task(images, labels, test_images, test_labels, seed=0)
         assert (split.train.n, split.validation.n, split.test.n) == (11_500, 1_000, 2_050)
