@@ -148,14 +148,13 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
 
 
 def _wrong_side(grid: np.ndarray, eta: float) -> slice:
-    """The indices of the sorted grid on the wrong side, f * (2 eta - 1) <= 0.
+    """The indices of the workspace grid on the wrong side, f * (2 eta - 1) <= 0.
 
-    The test is on signs: the prefix f <= 0 for eta > 1/2 and the suffix
-    f >= 0 for eta < 1/2, both holding f = 0 (and -0).
+    :func:`calibration_workspace` sets the middle point to 0: the prefix up to
+    it holds f <= 0 (for eta > 1/2) and the suffix from it f >= 0.
     """
-    if eta > 0.5:
-        return slice(0, int(np.searchsorted(grid, 0.0, side="right")))
-    return slice(int(np.searchsorted(grid, 0.0, side="left")), grid.size)
+    mid = grid.size // 2
+    return slice(0, mid + 1) if eta > 0.5 else slice(mid, grid.size)
 
 
 def check_calibration_at(
@@ -172,11 +171,10 @@ def check_calibration_at(
         raise ValueError("eta = 1/2 is excluded: both infima coincide there")
     if work is None:
         work = calibration_workspace()
-    f_range = work.f_range
     f_star = optimal_classifier(alpha, eta)
-    if math.isfinite(f_star) and f_range <= abs(f_star):
+    if math.isfinite(f_star) and work.f_range <= abs(f_star):
         raise ValueError(
-            f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}"
+            f"f_range={work.f_range} does not cover the optimal classifier {f_star:.6g}"
         )
 
     grid = work.grid
@@ -191,25 +189,25 @@ def check_calibration_at(
     other *= 1.0 - eta
     risks += other
 
-    # golden section around the best grid cell of a side, kept inside [lo, hi]
-    def refine(side: slice, lo: float, hi: float) -> tuple[float, float]:
+    # golden section around the best grid cell of a side, kept inside the side
+    def refine(side: slice) -> tuple[float, float]:
         k = side.start + int(np.argmin(risks[side]))
-        cell_lo = max(grid[max(k - 1, 0)], lo)
-        cell_hi = min(grid[min(k + 1, grid.size - 1)], hi)
+        cell_lo = grid[max(k - 1, side.start)]
+        cell_hi = grid[min(k + 1, side.stop - 1)]
         x, refined = _golden_section(lambda f: conditional_risk(alpha, eta, f), cell_lo, cell_hi)
         return x, min(refined, float(risks[k]))
 
-    argmin, unconstrained = refine(slice(0, grid.size), -f_range, f_range)
+    argmin, unconstrained = refine(slice(0, grid.size))
     # An infimum only approached in the limit (the infinite-alpha loss) shows up
-    # as a boundary risk that already equals the minimum to double precision.
-    boundary_risk = min(float(risks[0]), float(risks[-1]))
-    at_boundary = boundary_risk <= unconstrained + 1e-12 * max(1.0, abs(unconstrained))
+    # as a risk at a grid end, exactly -f_range or f_range, that already equals
+    # the minimum to double precision.
+    edge = 0 if risks[0] <= risks[-1] else -1
+    at_boundary = float(risks[edge]) <= unconstrained + 1e-12 * max(1.0, abs(unconstrained))
     if at_boundary:
-        argmin = -f_range if risks[0] <= risks[-1] else f_range
+        argmin = float(grid[edge])
 
     # Refine without leaving the constrained half [-f_range, 0] (or mirrored).
-    bounds = (-f_range, 0.0) if eta > 0.5 else (0.0, f_range)
-    _, constrained = refine(_wrong_side(grid, eta), *bounds)
+    _, constrained = refine(_wrong_side(grid, eta))
 
     return CalibrationReport(
         alpha=alpha,

@@ -238,13 +238,7 @@ def cmd_calibration(args) -> dict:
 def cmd_landscape(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha)
     sizes = _parse_list(args.ns, int)
-    spec = SymmetricDataSpec.along_first_axis(
-        dim=args.dim,
-        radius=args.radius,
-        mean_norm=args.mean_norm,
-        noise_scale=args.noise,
-        seed=args.seed,
-    )
+    spec = SymmetricDataSpec(args.dim, args.radius, args.mean_norm, args.noise, args.seed)
     result = risk_gap_experiment(
         spec, alphas, sizes, args.trials, args.holdout_n, args.lr, args.epochs
     )

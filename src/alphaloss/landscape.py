@@ -191,8 +191,7 @@ def generate_symmetric_dataset(spec: SymmetricDataSpec, n: int) -> LabeledDatase
     _draw_positive_class(rng, spec, features[:n_pos])
     _draw_positive_class(rng, spec, negatives)
     np.negative(negatives, out=negatives)
-    labels = np.ones(n, dtype=np.int64)
-    labels[n_pos:] = -1
+    labels = np.repeat([1.0, -1.0], [n_pos, n // 2])
     return LabeledDataset(features=features, labels=labels, feature_radius=spec.radius)
 
 

@@ -75,7 +75,7 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with +-1 labels, supported inside a ball of known radius."""
+    """Feature matrix with +-1 labels, stored as float64, inside a ball of known radius."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -101,7 +101,7 @@ class LabeledDataset:
         if np.any(norms > self.feature_radius):
             raise ValueError("a feature row lies outside the declared radius")
         object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y.astype(np.int64, copy=False))
+        object.__setattr__(self, "labels", y.astype(np.float64, copy=False))
 
     @property
     def n(self) -> int:
@@ -225,7 +225,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     x = data.features
     n = data.n
     # every per-sample array is allocated once and rewritten in place each epoch
-    y = data.labels.astype(float)
+    y = data.labels
     scores = np.empty(n)
     margins = np.empty(n)
     coefs = np.empty(n)

@@ -76,8 +76,19 @@ def load_idx_images(data: bytes) -> np.ndarray:
     return payload.reshape(count, rows, cols).copy()
 
 
+def _as_bytes(values, top: int, what: str) -> np.ndarray:
+    """``values`` as uint8, refusing any value the cast would change or that is above top."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(np.uint8, copy=False)
+    bad = (cast != values) | (cast > top)
+    if bad.any():
+        raise ValueError(f"{what} {values[bad][0]} is not an integer in 0..{top}")
+    return cast
+
+
 def dump_idx_images(images: np.ndarray) -> bytes:
-    images = np.asarray(images, dtype=np.uint8)
+    images = _as_bytes(images, 255, "pixel")
     return struct.pack(">IIII", IMAGES_MAGIC, *images.shape) + images.tobytes()
 
 
@@ -89,7 +100,7 @@ def load_idx_labels(data: bytes) -> np.ndarray:
 
 
 def dump_idx_labels(labels: np.ndarray) -> bytes:
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = _as_bytes(labels, 9, "label")
     return struct.pack(">II", LABELS_MAGIC, labels.size) + labels.tobytes()
 
 
@@ -158,10 +169,7 @@ def _labeled_rows(images: np.ndarray, pos_rows: np.ndarray, neg_rows: np.ndarray
     features = np.empty((rows.size, pixels.shape[1] + 1))
     np.divide(pixels[rows], 255.0, out=features[:, :-1])
     features[:, -1] = 1.0
-    labels = np.concatenate(
-        [np.ones(pos_rows.size, dtype=np.int64), -np.ones(neg_rows.size, dtype=np.int64)]
-    )
-    return features, labels
+    return features, np.repeat([1.0, -1.0], [pos_rows.size, neg_rows.size])
 
 
 def build_binary_task(

@@ -112,6 +112,43 @@ class TestTypes:
         TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS, seed=0)
 
 
+class TestLabelFormat:
+    """Labels are stored once as float64 +-1.0, whatever integer or float form they come in."""
+
+    @staticmethod
+    def pair(seed=21, n=120, d=5):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        x /= row_norms(x).max()
+        y = rng.choice(np.array([-1, 1], dtype=np.int64), size=n)
+        return (
+            LabeledDataset(x, y, feature_radius=1.0),
+            LabeledDataset(x, y.astype(float), feature_radius=1.0),
+        )
+
+    def test_int_and_float_labels_store_the_same_array(self):
+        from_int, from_float = self.pair()
+        for data in (from_int, from_float):
+            assert data.labels.dtype == np.float64
+            assert set(np.unique(data.labels)) == {-1.0, 1.0}
+        assert np.array_equal(from_int.labels, from_float.labels)
+
+    @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), AINF], ids=str)
+    def test_results_are_bit_identical(self, alpha):
+        from_int, from_float = self.pair()
+        model = LinearModel(np.random.default_rng(22).normal(size=from_int.dim))
+        config = TrainConfig(alpha, learning_rate=1.0, epochs=30, seed=3)
+        a, b = train(config, from_int), train(config, from_float)
+        assert same_bits(a.final_model.weights, b.final_model.weights)
+        assert same_bits(a.empirical_risk_trace, b.empirical_risk_trace)
+        assert a.train_accuracy == b.train_accuracy
+        assert same_bits(empirical_risk(alpha, model, from_int), empirical_risk(alpha, model, from_float))
+        assert same_bits(
+            empirical_gradient(alpha, model, from_int), empirical_gradient(alpha, model, from_float)
+        )
+        assert evaluate(model, from_int) == evaluate(model, from_float)
+
+
 class TestPredictAndLoss:
     def test_predict_proba(self):
         model = LinearModel(np.zeros(3))

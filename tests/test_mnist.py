@@ -75,6 +75,15 @@ class TestIdxImages:
         with pytest.raises(IdxFormatError, match="trailing"):
             load_idx_images(images_bytes(pad=b"\x00"))
 
+    @pytest.mark.parametrize(
+        "pixels, named",
+        [(np.full((1, 1, 2), 1.9), "1.9"), (np.full((1, 2, 1), 256), "256"),
+         (np.full((1, 1, 1), -1), "-1"), (np.full((1, 1, 1), np.nan), "nan")],
+    )
+    def test_dump_refuses_a_pixel_the_byte_cast_would_change(self, pixels, named):
+        with pytest.raises(ValueError, match=f"pixel {named} is not an integer in 0..255"):
+            dump_idx_images(pixels)
+
 
 class TestIdxLabels:
     def test_parse(self):
@@ -101,6 +110,14 @@ class TestIdxLabels:
             load_idx_labels(labels_bytes([1, 2, 3])[:-2])
         with pytest.raises(IdxFormatError, match="trailing"):
             load_idx_labels(labels_bytes([1]) + b"\x05")
+
+    # 300 and 265 would wrap to 44 and 9, -1 to 255: 265 to a valid digit
+    @pytest.mark.parametrize(
+        "labels, named", [([300, 7], "300"), ([265], "265"), ([-1], "-1"), ([10], "10"), ([1.5], "1.5")]
+    )
+    def test_dump_refuses_a_label_outside_what_load_accepts(self, labels, named):
+        with pytest.raises(ValueError, match=f"label {named} is not an integer in 0..9"):
+            dump_idx_labels(np.array(labels))
 
 
 class TestFileReading:
