@@ -5,7 +5,8 @@ log-loss, alpha = inf is sigmoid loss (whose expectation is the probability of
 error), and finite alpha in between interpolates continuously.  Every function
 here is a pure function of its scalar inputs.  The array kernels at the end,
 :func:`margin_losses` for the grid searches and risks and ``_margin_terms``
-for the training loop's losses and slopes, share one mask-free construction.
+for the training loop's losses and slopes, share one e = exp(-|m|) and one
+copy of each alpha branch, in the construction :func:`margin_losses` gives.
 
 Conventions: labels live in {-1, +1}, beliefs are probabilities of the event
 {Y = +1}, margins are y * f(x) on the extended real line.
@@ -259,6 +260,17 @@ def tilted_posterior(alpha: Alpha, p: float) -> float:
     return sigmoid(alpha.value * logit(p))
 
 
+def _exp_and_tail(alpha: Alpha, m: np.ndarray, e: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """e = exp(-|m|) into ``e`` and the loss tail into ``tail``, which may be ``e``."""
+    # not copysign(m, -1): numpy's copysign loop is slower than abs and negative together
+    np.abs(m, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if alpha.is_infinite:
+        return np.add(1.0, e, out=tail)
+    return np.log1p(e, out=tail)
+
+
 def margin_loss_tail(alpha: Alpha, margins: np.ndarray, out=None) -> np.ndarray:
     """The alpha-free part of :func:`margin_losses`, a function of |m| alone.
 
@@ -270,23 +282,37 @@ def margin_loss_tail(alpha: Alpha, margins: np.ndarray, out=None) -> np.ndarray:
     m = np.asarray(margins, dtype=float)
     # an explicit buffer keeps a 0-d input an array through the in-place steps
     e = np.empty(m.shape) if out is None else out
-    np.abs(m, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    if alpha.is_infinite:
-        e += 1.0
-        return e
-    return np.log1p(e, out=e)
+    return _exp_and_tail(alpha, m, e, e)
+
+
+def _finite_losses(alpha: Alpha, m: np.ndarray, tail: np.ndarray, out, scaled) -> np.ndarray:
+    """Finite-alpha losses into ``out``, via log sigmoid(m) (times c if alpha > 1) in ``scaled``."""
+    np.minimum(m, -0.0, out=scaled)
+    scaled -= tail
+    if alpha.is_log:
+        return np.negative(scaled, out=out)
+    scaled *= alpha.exponent
+    np.expm1(scaled, out=out)
+    out *= -alpha.scale
+    return out
 
 
 def margin_losses(alpha: Alpha, margins: np.ndarray, *, out=None, tail=None) -> np.ndarray:
     """Vectorized :func:`margin_alpha_loss` over an array of margins.
 
-    The loss-only branch of :func:`_margin_terms`: with e = exp(-|m|),
-    log sigmoid(m) = min(m, -0) - log1p(e) and sigmoid(-m) = exp(-max(m, 0)) /
-    (1 + e), computed without masks.  Equal to the losses of ``_margin_terms``
-    bit for bit, and to :func:`margin_alpha_loss` within rounding (numpy's exp
-    and log1p are not the math module's).
+    The construction, shared with ``_margin_terms`` (the training loop's
+    losses and slopes), builds e = exp(-|m|) in one place and uses no
+    boolean masks, which are slow on mixed signs.  log sigmoid(m) =
+    min(m, -0) - log1p(e) gives the finite-alpha losses in one shared step,
+    and sigmoid(-m) = exp(-max(m, 0)) / (1 + e) is the infinite-alpha loss.
+    The slope -sigmoid(m)^c * sigmoid(-m) takes that numerator from e as
+    max(e, [m < 0]) and folds its sign into the denominator -(1 + e).
+    sigmoid(m)^c is exp(c * log sigmoid(m)): a pow of sigmoid(m) loses bits
+    where it is subnormal, below m = -708.  At alpha = inf, where c = 1,
+    sigmoid(m) and sigmoid(-m) swap at m = 0, so the slope is
+    -(1 / (1 + e)) * (e / (1 + e)) on both sides, with no select.  The losses
+    equal :func:`margin_alpha_loss` within rounding (numpy's exp and log1p
+    are not the math module's).
 
     ``tail`` is the :func:`margin_loss_tail` of the margins, or of their
     negation, for an alpha of the same kind; without it the tail is computed
@@ -301,19 +327,12 @@ def margin_losses(alpha: Alpha, margins: np.ndarray, *, out=None, tail=None) -> 
         tail = margin_loss_tail(alpha, m)
     if out is None:
         out = np.empty(m.shape)
-    if alpha.is_infinite:
-        np.maximum(m, 0.0, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        out /= tail
-        return out
-    np.minimum(m, -0.0, out=out)
-    out -= tail
-    if alpha.is_log:
-        return np.negative(out, out=out)
-    out *= alpha.exponent
-    np.expm1(out, out=out)
-    out *= -alpha.scale
+    if not alpha.is_infinite:
+        return _finite_losses(alpha, m, tail, out, out)
+    np.maximum(m, 0.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out /= tail
     return out
 
 
@@ -324,52 +343,31 @@ def _sigmoid_array(z: np.ndarray) -> np.ndarray:
 
 def _margin_workspace(shape) -> tuple[np.ndarray, ...]:
     """Buffers for :func:`_margin_terms` over margins of the given shape."""
-    return tuple(np.empty(shape) for _ in range(5))
+    return tuple(np.empty(shape) for _ in range(4))
 
 
 def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m).
 
-    With e = exp(-|m|), sigmoid(m) = where(m < 0, e, 1) / (1 + e), sigmoid(-m) =
-    where(m < 0, 1, e) / (1 + e) and log sigmoid(m) = where(m < 0, m - log1p(e),
-    -log1p(e)).  The selects need no mask, which is slow on mixed signs: with
-    low = min(m, -0), where(m < 0, e, 1) = exp(low), where(m < 0, 1, e) =
-    exp(-max(m, 0)), their product is e, and low - log1p(e) is log sigmoid(m).
-    sigmoid(m)^c is exp(c * log sigmoid(m)), as in :func:`margin_alpha_loss_d1`:
-    a pow of sigmoid(m) loses bits where it is subnormal, below m = -708.  The
-    losses equal :func:`margin_losses` bit for bit, sign of zero included.
-
+    Built as :func:`margin_losses` describes, with its losses bit for bit.
     ``work`` is a :func:`_margin_workspace` of the margins' shape; the results
     are two of its arrays, overwritten by the next call that shares it.
     """
-    low, sig, sig_neg, denom, log_sig = (
-        work if work is not None else _margin_workspace(margins.shape)
-    )
-    # sig, sig_neg and denom first hold the two numerators and e
-    np.minimum(margins, -0.0, out=low)
-    np.exp(low, out=sig)
-    np.maximum(margins, 0.0, out=sig_neg)
-    np.negative(sig_neg, out=sig_neg)
-    np.exp(sig_neg, out=sig_neg)
-    np.multiply(sig, sig_neg, out=denom)
-    if not alpha.is_infinite:
-        np.log1p(denom, out=log_sig)
-        np.subtract(low, log_sig, out=log_sig)
-    np.add(1.0, denom, out=denom)
-    sig_neg /= denom
-    if alpha.is_log:
-        np.negative(log_sig, out=log_sig)
-        np.negative(sig_neg, out=sig_neg)
-        return log_sig, sig_neg
+    e, tail, scaled, losses = work if work is not None else _margin_workspace(margins.shape)
+    _exp_and_tail(alpha, margins, e, tail)
     if alpha.is_infinite:
-        sig /= denom
-        np.negative(sig, out=sig)
-        sig *= sig_neg
-        return sig_neg, sig
-    log_sig *= alpha.exponent
-    np.exp(log_sig, out=sig)
-    np.negative(sig, out=sig)
-    sig *= sig_neg
-    np.expm1(log_sig, out=log_sig)
-    log_sig *= -alpha.scale
-    return log_sig, sig
+        margin_losses(alpha, margins, out=losses, tail=tail)
+        # the select-free slope -(1 / (1 + e)) * (e / (1 + e))
+        np.divide(e, tail, out=e)
+        np.divide(-1.0, tail, out=tail)
+        tail *= e
+        return losses, tail
+    _finite_losses(alpha, margins, tail, losses, scaled)
+    # -sigmoid(-m) = max(e, [m < 0]) / -(1 + e)
+    np.less(margins, 0.0, out=tail)
+    np.maximum(e, tail, out=tail)
+    np.subtract(-1.0, e, out=e)
+    tail /= e
+    if not alpha.is_log:
+        tail *= np.exp(scaled, out=scaled)
+    return losses, tail

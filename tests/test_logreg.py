@@ -647,6 +647,18 @@ class TestFusedMarginKernel:
             losses, _ = _margin_terms(alpha, margins)
             assert same_bits(losses, margin_losses(alpha, margins))
 
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_keeps_shape_and_input(self, alpha):
+        # _margin_terms reads the margins in several passes, around writes to its buffers
+        for margins in (np.array(-3.0), np.array([[0.5, -0.5], [40.0, -40.0]])):
+            before = margins.copy()
+            losses, slopes = _margin_terms(alpha, margins)
+            assert losses.shape == slopes.shape == margins.shape
+            assert same_bits(losses, margin_losses(alpha, margins))
+            flat_slopes = _margin_terms(alpha, margins.ravel())[1]
+            assert same_bits(slopes, flat_slopes.reshape(margins.shape))
+            assert same_bits(margins, before)
+
     @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
     def test_coefficients_match_masked_sigmoids(self, alpha):
         rng = np.random.default_rng(9)
@@ -868,6 +880,12 @@ class TestHoldoutMemory:
         # the margins, which the losses overwrite, and the loss tail
         model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
         assert traced_peak(empirical_risk, alpha, model, holdout) <= 2.25 * self.N * 8
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_empirical_gradient_holds_five_vectors(self, holdout, alpha):
+        # the margins and the four buffers of one _margin_terms call
+        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
+        assert traced_peak(empirical_gradient, alpha, model, holdout) <= 5.05 * self.N * 8
 
     def test_evaluate_holds_the_scores_and_three_masks(self, holdout):
         model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
