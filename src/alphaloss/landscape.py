@@ -19,7 +19,6 @@ from .logreg import (
     LabeledDataset,
     TrainConfig,
     TrainingDiverged,
-    check_schedule,
     empirical_risk,
     evaluate,
     row_norms,
@@ -192,7 +191,7 @@ def generate_symmetric_dataset(spec: SymmetricDataSpec, n: int) -> LabeledDatase
     _draw_positive_class(rng, spec, negatives)
     np.negative(negatives, out=negatives)
     labels = np.repeat([1.0, -1.0], [n_pos, n // 2])
-    return LabeledDataset(features=features, labels=labels, feature_radius=spec.radius)
+    return LabeledDataset(features=features, labels=labels)
 
 
 def check_assumptions(data: LabeledDataset, r: float) -> AssumptionReport:
@@ -247,31 +246,32 @@ def risk_gap_experiment(
     """Measure |true risk - empirical risk| at trained minimizers.
 
     For each (alpha, n, trial) a fresh training set is drawn and trained for
-    ``epochs`` at ``learning_rate`` with projection on; the true risk is
-    estimated on one large fresh holdout.  The trial seeds derive from the spec
-    seed, so trials are independent of execution order; diverged trials are
-    excluded and counted.  Every argument is checked before any draw.
+    ``epochs`` at ``learning_rate`` inside the ball of the law's radius; the
+    true risk is estimated on one large fresh holdout.  The trial seeds derive
+    from the spec seed, so trials are independent of execution order;
+    diverged trials are excluded and counted.  Every argument is checked
+    before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_sample_size(holdout_n, spec.dim, "holdout_n")
     for n in sample_sizes:
         _check_sample_size(n, spec.dim, "n")
-    check_schedule(learning_rate, epochs)
+    configs = [TrainConfig(alpha, learning_rate, epochs, 0, radius=spec.radius) for alpha in alphas]
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n
     )
     records: list[RiskGapRecord] = []
     diverged: list[tuple[float, int, int]] = []
-    for alpha in alphas:
+    for config in configs:
+        alpha = config.alpha
         for n in sample_sizes:
             for trial in range(trials):
                 data_seed = _derive_seed(spec.seed, _alpha_bits(alpha), n, trial, 0)
                 init_seed = _derive_seed(spec.seed, _alpha_bits(alpha), n, trial, 1)
                 dataset = generate_symmetric_dataset(replace(spec, seed=data_seed), n)
-                cfg = TrainConfig(alpha, learning_rate, epochs, init_seed, projection=True)
                 try:
-                    report = train(cfg, dataset)
+                    report = train(replace(config, seed=init_seed), dataset)
                 except TrainingDiverged:
                     diverged.append((alpha.value, n, trial))
                     continue

@@ -51,7 +51,13 @@ def row_norms(features: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row; the one norm used across the package."""
     x = np.asarray(features, dtype=float)
     norms = np.einsum("ij,ij->i", x, x)
-    return np.sqrt(norms, out=norms)
+    np.sqrt(norms, out=norms)
+    # the squares overflow past |x| ~ 1.34e154: those rows are summed again by
+    # hypot, which overflows only where the norm itself does
+    overflowed = np.isinf(norms)
+    with np.errstate(over="ignore"):
+        norms[overflowed] = np.hypot.reduce(x[overflowed], axis=1)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -75,11 +81,10 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with +-1 labels, stored as float64, inside a ball of known radius."""
+    """Finite feature matrix with +-1 labels, both stored as float64."""
 
     features: np.ndarray
     labels: np.ndarray
-    feature_radius: float
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=float)
@@ -91,15 +96,10 @@ class LabeledDataset:
         # two counts, where np.isin's table lookup would copy y twice
         if np.count_nonzero(y == 1) + np.count_nonzero(y == -1) != y.size:
             raise ValueError("labels must take values in {-1, +1}")
-        if not self.feature_radius > 0.0:
-            raise ValueError(f"feature_radius must be positive, got {self.feature_radius!r}")
-        norms = row_norms(x)
-        # NaN > radius is False, and an infinite radius admits a norm that
-        # overflows: only a row whose norm is not finite has its entries read
-        if not np.all(np.isfinite(x[~np.isfinite(norms)])):
+        # only a row whose norm is not finite has its entries read: a row of
+        # finite entries can still have a norm above the largest float
+        if not np.all(np.isfinite(x[~np.isfinite(row_norms(x))])):
             raise ValueError("features must be finite")
-        if np.any(norms > self.feature_radius):
-            raise ValueError("a feature row lies outside the declared radius")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y.astype(np.float64, copy=False))
 
@@ -112,23 +112,13 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-def check_schedule(learning_rate: float, epochs: int) -> None:
-    """Refuse a step size or epoch count :class:`TrainConfig` refuses, before one is built."""
-    if not 0.0 <= learning_rate < math.inf:
-        raise ValueError(f"learning_rate must be finite and nonnegative, got {learning_rate!r}")
-    if int(epochs) != epochs or epochs < 1:
-        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
-    if epochs > MAX_EPOCHS:
-        raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Full-batch gradient-descent settings.
 
     Weights start i.i.d. uniform in [-init_scale, init_scale] drawn from
-    ``seed``; when ``projection`` is on, the iterate is rescaled back onto the
-    ball of the dataset's feature radius whenever it leaves it.
+    ``seed``; the iterate is rescaled back onto the ball of ``radius``
+    whenever it leaves it, which at the default infinite radius is never.
     """
 
     alpha: Alpha
@@ -136,14 +126,22 @@ class TrainConfig:
     epochs: int
     seed: int
     init_scale: float = 0.01
-    projection: bool = False
+    radius: float = math.inf
 
     def __post_init__(self):
-        check_schedule(self.learning_rate, self.epochs)
+        rate, epochs = self.learning_rate, self.epochs
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {rate!r}")
+        if int(epochs) != epochs or epochs < 1:
+            raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
+        if epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not self.init_scale >= 0.0:
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,8 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
 
     One gradient step per epoch; the risk trace records the empirical risk
     after each update and training aborts with :class:`TrainingDiverged` if it
-    ever becomes non-finite.  When projection is on, the iterate is kept in
-    the ball of the dataset's feature radius.
+    ever becomes non-finite.  The iterate is kept in the ball of
+    ``config.radius``.
 
     The scores x @ w that give an epoch's risk are also the next epoch's
     gradient input, so each epoch costs two matvecs, x @ w and x.T @ c.
@@ -220,7 +218,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     not compute.
     """
     rng = np.random.default_rng(config.seed)
-    radius = data.feature_radius
+    radius = config.radius
     w = rng.uniform(-config.init_scale, config.init_scale, size=data.dim)
     x = data.features
     n = data.n
@@ -254,13 +252,12 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
                 peak = float(np.abs(w).max())
                 if not math.isfinite(peak):
                     raise TrainingDiverged(epoch)
-                if config.projection:
-                    # the norm of w / max|w| does not overflow
-                    unit = w / peak
-                    norm = math.sqrt(float(unit @ unit))
-                    if norm > radius / peak:
-                        np.multiply(unit, radius / norm, out=w)
-            elif config.projection and norm > radius:
+                # the norm of w / max|w| does not overflow
+                unit = w / peak
+                norm = math.sqrt(float(unit @ unit))
+                if norm > radius / peak:
+                    np.multiply(unit, radius / norm, out=w)
+            elif norm > radius:
                 w *= radius / norm
             np.matmul(x, w, out=scores)
             losses, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)

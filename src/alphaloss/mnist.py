@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logreg import LabeledDataset, row_norms
+from .logreg import LabeledDataset
 
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
@@ -211,9 +211,7 @@ def build_binary_task(
         _labeled_rows(images, pool_pos[n_train:], pool_neg[n_train:]),
         _labeled_rows(test_images, test_pos, test_neg),
     )
-    radius = float(max(row_norms(features).max() for features, _ in parts))
     train, validation, test = (
-        LabeledDataset(features=features, labels=labels, feature_radius=radius)
-        for features, labels in parts
+        LabeledDataset(features=features, labels=labels) for features, labels in parts
     )
     return BinaryTaskSplit(train=train, validation=validation, test=test)

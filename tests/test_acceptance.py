@@ -185,7 +185,7 @@ def test_criterion_05_derivative_oracles():
         n = int(rng.integers(5, 51))
         x = rng.normal(size=(n, d))
         x *= 1.0 / max(row_norms(x).max(), 1e-12) * rng.uniform(0.5, 1.0)
-        data = LabeledDataset(x, rng.choice([-1, 1], size=n), feature_radius=1.0)
+        data = LabeledDataset(x, rng.choice([-1, 1], size=n))
         w = rng.normal(size=d) * 0.4
         model = LinearModel(w)
         grad = empirical_gradient(alpha, model, data)

@@ -81,7 +81,21 @@ class TestGeneration:
     def test_infinite_radius_admits_rows_whose_norm_overflows(self):
         data = generate_symmetric_dataset(default_spec(mean_norm=1e200, radius=math.inf), 50)
         assert np.all(np.isfinite(data.features))
-        assert np.all(np.isinf(row_norms(data.features)))
+        np.testing.assert_allclose(
+            row_norms(data.features), np.hypot.reduce(data.features, axis=1), rtol=1e-15
+        )
+        # a row whose norm is above the largest float is admitted as well
+        row = LabeledDataset(np.array([[1.5e308, 1.5e308]]), np.array([1]))
+        assert np.all(np.isfinite(row.features))
+        assert np.all(np.isinf(row_norms(row.features)))
+
+    def test_draws_whose_squares_overflow_land_inside_the_ball(self):
+        # every coordinate square of a row near 5e159 overflows, its norm does not
+        spec = default_spec(radius=1e160, mean_norm=5e159, noise_scale=1e159)
+        data = generate_symmetric_dataset(spec, 100)
+        norms = row_norms(data.features)
+        assert float(norms.max()) <= spec.radius
+        np.testing.assert_allclose(norms, 1e159 * row_norms(data.features / 1e159), rtol=1e-15)
 
     def test_support_inside_ball(self):
         data = generate_symmetric_dataset(default_spec(noise_scale=0.4), 1000)
@@ -196,14 +210,15 @@ class TestLayout:
         assert peak <= 1.5 * (data.features.nbytes + data.labels.nbytes)
 
     @pytest.mark.parametrize("alpha", [A1, A2, Alpha("inf")], ids=str)
-    @pytest.mark.parametrize("projection", [False, True])
-    def test_training_does_not_depend_on_the_layout(self, alpha, projection):
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_training_does_not_depend_on_the_layout(self, alpha, projected):
         # only the BLAS reduction order differs: 2.6e-16 apart at most, measured
         spec = SymmetricDataSpec.along_first_axis(5, 1.0, 0.8, 0.14, 3)
         data = generate_symmetric_dataset(spec, 2000)
-        row_major = LabeledDataset(np.ascontiguousarray(data.features), data.labels, 1.0)
+        row_major = LabeledDataset(np.ascontiguousarray(data.features), data.labels)
         assert row_major.features.flags.c_contiguous
-        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=4, projection=projection)
+        radius = spec.radius if projected else math.inf
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=4, radius=radius)
         got, expected = train(cfg, data), train(cfg, row_major)
         assert got.train_accuracy == expected.train_accuracy
         w, w_ref = got.final_model.weights, expected.final_model.weights
@@ -221,7 +236,7 @@ class TestCheckAssumptions:
     def test_zero_mean_positive_class_fails(self):
         features = np.array([[0.5, 0.0], [-0.5, 0.0], [0.1, 0.2], [0.3, -0.1]])
         labels = np.array([1, 1, -1, -1])
-        data = LabeledDataset(features, labels, feature_radius=1.0)
+        data = LabeledDataset(features, labels)
         report = check_assumptions(data, 1.0)
         assert report.ratio == pytest.approx(0.0, abs=1e-12)
         assert not report.inequality_holds
@@ -234,7 +249,7 @@ class TestCheckAssumptions:
 
     def test_single_class_rejected(self):
         features = np.array([[0.1, 0.0], [0.2, 0.0]])
-        data = LabeledDataset(features, np.array([1, 1]), feature_radius=1.0)
+        data = LabeledDataset(features, np.array([1, 1]))
         with pytest.raises(ValueError):
             check_assumptions(data, 1.0)
 
@@ -323,7 +338,7 @@ class TestRiskGapExperiment:
     def test_gap_vanishes_when_true_risk_uses_training_sample(self, small_experiment):
         spec, _ = small_experiment
         data = generate_symmetric_dataset(spec, 500)
-        report = train(TrainConfig(A2, seed=0, projection=True, **SCHEDULE), data)
+        report = train(TrainConfig(A2, seed=0, radius=spec.radius, **SCHEDULE), data)
         emp = empirical_risk(A2, report.final_model, data)
         # with the holdout reused as the training sample the gap is exactly zero
         true_estimate = empirical_risk(A2, report.final_model, data)

@@ -48,7 +48,7 @@ def random_instance(rng, d, n, radius=1.0):
     x = rng.normal(size=(n, d))
     x *= radius / max(row_norms(x).max(), 1e-12) * rng.uniform(0.5, 1.0)
     y = rng.choice([-1, 1], size=n)
-    data = LabeledDataset(x, y, feature_radius=radius)
+    data = LabeledDataset(x, y)
     w = rng.normal(size=d) * 0.4
     return data, LinearModel(w)
 
@@ -62,7 +62,7 @@ def final_gradient_norm(alpha, report, data):
 def toy_separable():
     x = np.array([[1.0, 0.3], [0.9, -0.2], [-1.0, 0.1], [-0.8, -0.3]])
     y = np.array([1, 1, -1, -1])
-    return LabeledDataset(x, y, feature_radius=1.2)
+    return LabeledDataset(x, y)
 
 
 class TestTypes:
@@ -74,24 +74,22 @@ class TestTypes:
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
-            LabeledDataset(np.ones((0, 2)), np.array([]), 1.0)
+            LabeledDataset(np.ones((0, 2)), np.array([]))
         with pytest.raises(ValueError):
-            LabeledDataset(np.ones((2, 2)), np.array([1, 0]), 10.0)
+            LabeledDataset(np.ones((2, 2)), np.array([1, 0]))
         with pytest.raises(ValueError):
-            LabeledDataset(np.ones((2, 2)), np.array([1]), 10.0)
-        with pytest.raises(ValueError):  # row norm sqrt(2) above radius 1
-            LabeledDataset(np.ones((2, 2)), np.array([1, -1]), 1.0)
+            LabeledDataset(np.ones((2, 2)), np.array([1]))
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("radius", [1.0, math.inf])
-    def test_dataset_rejects_a_nonfinite_entry(self, entry, radius):
-        # NaN > radius is False, and inf > inf too: the entries must be read
+    def test_dataset_rejects_a_nonfinite_entry(self, entry):
+        # a finite row can have an infinite norm too: the entries must be read
         with pytest.raises(ValueError, match="features must be finite"):
-            LabeledDataset(np.array([[entry, 0.0], [0.1, 0.2]]), np.array([1, -1]), radius)
+            LabeledDataset(np.array([[entry, 0.0], [0.1, 0.2]]), np.array([1, -1]))
 
     def test_dataset_admits_a_finite_row_whose_norm_overflows(self):
-        features = np.array([[1e200, -1e200], [0.1, 0.2]])
-        data = LabeledDataset(features, np.array([1, -1]), math.inf)
+        # the squares of the first row overflow, and the norm of the second
+        features = np.array([[1e200, -1e200], [1.5e308, -1.5e308], [0.1, 0.2]])
+        data = LabeledDataset(features, np.array([1, -1, 1]))
         assert np.array_equal(data.features, features)
 
     def test_config_validation(self):
@@ -111,6 +109,14 @@ class TestTypes:
             TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS + 1, seed=0)
         TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS, seed=0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_config_refuses_a_radius_that_is_not_positive(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, radius=radius)
+        # the default, an infinite radius, is no ball at all
+        unbounded = TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, radius=math.inf)
+        assert unbounded.radius == math.inf
+
 
 class TestLabelFormat:
     """Labels are stored once as float64 +-1.0, whatever integer or float form they come in."""
@@ -122,8 +128,8 @@ class TestLabelFormat:
         x /= row_norms(x).max()
         y = rng.choice(np.array([-1, 1], dtype=np.int64), size=n)
         return (
-            LabeledDataset(x, y, feature_radius=1.0),
-            LabeledDataset(x, y.astype(float), feature_radius=1.0),
+            LabeledDataset(x, y),
+            LabeledDataset(x, y.astype(float)),
         )
 
     def test_int_and_float_labels_store_the_same_array(self):
@@ -318,7 +324,7 @@ class TestEmpiricalRiskAndGradient:
         base = rng.normal(size=(10, 4)) * 0.3
         x = np.vstack([base, -base, 2 * base, -2 * base])
         y = np.concatenate([np.ones(20, dtype=int), -np.ones(20, dtype=int)])
-        data = LabeledDataset(x, y, feature_radius=float(row_norms(x).max()))
+        data = LabeledDataset(x, y)
         zero = LinearModel(np.zeros(4))
         for alpha in (A1, A2, AINF):
             grad = empirical_gradient(alpha, zero, data)
@@ -373,24 +379,25 @@ class TestTrain:
 
     def test_trace_monotone_for_convex_log_loss(self):
         data = toy_separable()
-        # descent step below 1 / (r^2 / 4), the curvature bound
-        lr = 4.0 / data.feature_radius**2
+        # descent step below 1 / (r^2 / 4), the curvature bound, for rows in
+        # the ball of radius r = 1.2
+        lr = 4.0 / 1.2**2
         rep = train(TrainConfig(A1, learning_rate=lr, epochs=200, seed=5), data)
         assert np.all(np.diff(rep.empirical_risk_trace) <= 1e-12)
 
     def test_projection_keeps_weights_in_ball(self):
         data = toy_separable()
-        cfg = TrainConfig(A1, learning_rate=5.0, epochs=300, seed=2, projection=True)
+        cfg = TrainConfig(A1, learning_rate=5.0, epochs=300, seed=2, radius=1.2)
         rep = train(cfg, data)
-        assert np.linalg.norm(rep.final_model.weights) <= data.feature_radius + 1e-12
+        assert np.linalg.norm(rep.final_model.weights) <= cfg.radius + 1e-12
 
     @pytest.mark.parametrize("learning_rate", [1e160, 1e308])
     def test_projection_of_an_overflowing_norm(self, learning_rate):
         # w @ w overflows past |w| ~ 1.3e154: the step still lands on the sphere,
         # in the direction a rate of 1e150, whose w @ w is finite, gives
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        data = LabeledDataset(x, np.array([1, 1, -1, -1]), feature_radius=1.0)
-        cfg = TrainConfig(A2, 1e150, 1, seed=0, projection=True)
+        data = LabeledDataset(x, np.array([1, 1, -1, -1]))
+        cfg = TrainConfig(A2, 1e150, 1, seed=0, radius=1.0)
         expected = train(cfg, data).final_model.weights
         got = train(replace(cfg, learning_rate=learning_rate), data).final_model.weights
         assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
@@ -401,31 +408,31 @@ class TestTrain:
 
         # the first gradient is -17.7 per coordinate, so 1e308 times it is -inf
         x = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0]])
-        data = LabeledDataset(x, np.array([1, 1, -1, -1]), feature_radius=100.0)
-        cfg = TrainConfig(A2, 1e308, 3, seed=0, projection=True)
+        data = LabeledDataset(x, np.array([1, 1, -1, -1]))
+        cfg = TrainConfig(A2, 1e308, 3, seed=0, radius=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
                 train(cfg, data)
         assert exc.value.epoch == 0
 
-    @pytest.mark.parametrize("projection", [False, True])
-    def test_infinite_iterate_diverges_before_the_product(self, projection):
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_infinite_iterate_diverges_before_the_product(self, projected):
         import warnings
 
         # 1e308 times the first gradient is infinite, and the zero row's score
         # would be inf * 0 = NaN if the iterate reached x @ w
         x = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0], [0.0, 0.0]])
-        data = LabeledDataset(x, np.array([1, 1, -1, -1, 1]), feature_radius=100.0)
-        cfg = TrainConfig(A2, 1e308, 3, seed=0, projection=projection)
+        data = LabeledDataset(x, np.array([1, 1, -1, -1, 1]))
+        cfg = TrainConfig(A2, 1e308, 3, seed=0, radius=100.0 if projected else math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
                 train(cfg, data)
         assert exc.value.epoch == 0
 
-    @pytest.mark.parametrize("projection", [False, True])
-    def test_inf_minus_inf_score_diverges_without_warning(self, projection):
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_inf_minus_inf_score_diverges_without_warning(self, projected):
         import warnings
 
         # Finite initial weights near 1e307 against rows of +-100 whose signs
@@ -434,11 +441,12 @@ class TestTrain:
         w0 = np.random.default_rng(0).uniform(-1e307, 1e307, size=d)
         signs = np.sign(w0) * np.resize([1.0, -1.0], d)
         x = np.vstack([100.0 * signs, -100.0 * signs])
-        data = LabeledDataset(x, np.array([1, -1]), feature_radius=400.0)
+        data = LabeledDataset(x, np.array([1, -1]))
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isnan(x @ w0).all():
                 pytest.skip("this BLAS sums each row in one accumulator: no inf - inf")
-        cfg = TrainConfig(A2, 1.0, 3, seed=0, init_scale=1e307, projection=projection)
+        radius = 400.0 if projected else math.inf
+        cfg = TrainConfig(A2, 1.0, 3, seed=0, init_scale=1e307, radius=radius)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
@@ -452,7 +460,7 @@ class TestTrain:
         # while the scores, about 1.8e7, and the risk stay finite
         t = 1e-150
         x = np.array([[t, 0.0], [0.0, t], [-t, 0.0], [0.0, -t]])
-        data = LabeledDataset(x, np.array([1, 1, -1, -1]), feature_radius=t)
+        data = LabeledDataset(x, np.array([1, 1, -1, -1]))
         cfg = TrainConfig(A2, 1e308, 3, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,7 +476,7 @@ class TestTrain:
         # to overflow a score, so one margin hits -inf and the risk is infinite
         x = np.array([[1e150, 0.0], [2e150, 0.0]])
         y = np.array([1, -1])
-        data = LabeledDataset(x, y, feature_radius=3e150)
+        data = LabeledDataset(x, y)
         cfg = TrainConfig(A1, learning_rate=1e9, epochs=3, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
             train(cfg, data)
@@ -529,7 +537,7 @@ def three_matvec_train(config, data):
     Returns (weights, risk trace, final gradient norm, train accuracy).
     """
     rng = np.random.default_rng(config.seed)
-    radius = data.feature_radius
+    radius = config.radius
     w = rng.uniform(-config.init_scale, config.init_scale, size=data.dim)
     x, y, n = data.features, data.labels, data.n
     trace = np.empty(config.epochs)
@@ -537,10 +545,9 @@ def three_matvec_train(config, data):
         for epoch in range(config.epochs):
             coeffs = masked_coefficients(config.alpha, x @ w, y)
             w = w - config.learning_rate * ((x.T @ coeffs) / n)
-            if config.projection:
-                norm = math.sqrt(float(w @ w))
-                if norm > radius:
-                    w = w * (radius / norm)
+            norm = math.sqrt(float(w @ w))
+            if norm > radius:
+                w = w * (radius / norm)
             risk = float(np.mean(masked_margin_losses(config.alpha, y * (x @ w))))
             if not math.isfinite(risk):
                 raise TrainingDiverged(epoch)
@@ -558,7 +565,7 @@ def noisy_linear_dataset(seed, n=300, d=6, sort_by_class=False):
     if sort_by_class:
         order = np.argsort(y, kind="stable")
         x, y = x[order], y[order]
-    return LabeledDataset(x, y, feature_radius=1.0)
+    return LabeledDataset(x, y)
 
 
 MARGIN_EDGES = np.array(
@@ -705,15 +712,16 @@ class TestFusedMarginKernel:
 
 class TestTrainMatchesThreeMatvecLoop:
     @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
-    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("projected", [False, True])
     @pytest.mark.parametrize("sort_by_class", [False, True])
-    def test_bit_identical(self, alpha, projection, sort_by_class):
+    def test_bit_identical(self, alpha, projected, sort_by_class):
         data = noisy_linear_dataset(21, sort_by_class=sort_by_class)
-        cfg = TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5, projection=projection)
+        radius = 1.0 if projected else math.inf
+        cfg = TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5, radius=radius)
         weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
-        if projection:  # the ball constraint must actually bind
-            unprojected = three_matvec_train(replace(cfg, projection=False), data)[0]
-            assert np.linalg.norm(unprojected) > data.feature_radius
+        if projected:  # the ball constraint must actually bind
+            unprojected = three_matvec_train(replace(cfg, radius=math.inf), data)[0]
+            assert np.linalg.norm(unprojected) > cfg.radius
         report = train(cfg, data)
         assert np.array_equal(report.final_model.weights, weights)
         assert np.array_equal(report.empirical_risk_trace, trace)
@@ -726,7 +734,7 @@ class TestTrainMatchesThreeMatvecLoop:
     @pytest.mark.parametrize("learning_rate, epoch", [(8e8, 0), (4e8, 1), (3e8, 2)])
     def test_divergence_epoch_matches(self, learning_rate, epoch):
         x = np.array([[1e150, 0.0], [2e150, 0.0]])
-        data = LabeledDataset(x, np.array([1, -1]), feature_radius=3e150)
+        data = LabeledDataset(x, np.array([1, -1]))
         cfg = TrainConfig(A1, learning_rate=learning_rate, epochs=5, seed=0, init_scale=0.0)
         with pytest.raises(TrainingDiverged) as expected:
             three_matvec_train(cfg, data)
@@ -778,7 +786,7 @@ class TestSettledEpochsAreSkipped:
 
     @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
     def test_fixed_point(self, monkeypatch, alpha):
-        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=0, projection=True)
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=0, radius=1.0)
         trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(100, 0))
         assert trace[-1] == trace[-2]
 
@@ -788,7 +796,7 @@ class TestSettledEpochsAreSkipped:
     @pytest.mark.parametrize("alpha, n, seed", [(A1, 20, 3), (A2, 40, 0), (AINF, 40, 2)],
                              ids=["1", "2", "inf"])
     def test_two_cycle(self, monkeypatch, alpha, n, seed, epochs):
-        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=epochs, seed=seed, projection=True)
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=epochs, seed=seed, radius=1.0)
         trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(n, seed))
         assert trace[-1] == trace[-3] != trace[-2]
 
@@ -798,7 +806,7 @@ class TestSettledEpochsAreSkipped:
         entropy = (0, landscape._alpha_bits(A2), 100, 6)
         data = landscape_law_dataset(100, landscape._derive_seed(*entropy, 0))
         cfg = TrainConfig(A2, learning_rate=1.0, epochs=300,
-                          seed=landscape._derive_seed(*entropy, 1), projection=True)
+                          seed=landscape._derive_seed(*entropy, 1), radius=1.0)
         trace = self.check_skip(monkeypatch, cfg, data)
         assert trace[-1] == trace[-10]
 
@@ -813,7 +821,7 @@ class TestSettledEpochsAreSkipped:
 
     def test_zero_rate_settles_at_the_first_compare(self, monkeypatch):
         data = landscape_law_dataset(100, 0)
-        cfg = TrainConfig(A2, learning_rate=0.0, epochs=300, seed=0, projection=True)
+        cfg = TrainConfig(A2, learning_rate=0.0, epochs=300, seed=0, radius=1.0)
         weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
         report, calls = counted_train(monkeypatch, cfg, data)
         assert calls == 2
@@ -838,7 +846,7 @@ class TestEvaluate:
     def test_label_flip_antisymmetry(self):
         rng = np.random.default_rng(10)
         data, model = random_instance(rng, 4, 25)
-        flipped = LabeledDataset(data.features, -data.labels, data.feature_radius)
+        flipped = LabeledDataset(data.features, -data.labels)
         neg = LinearModel(-model.weights)
         # ties at the zero score have probability zero for continuous data
         assert evaluate(model, data) == evaluate(neg, flipped)

@@ -19,7 +19,6 @@ from alphaloss import (
     load_mnist_dir,
     read_idx_bytes,
 )
-from alphaloss.logreg import row_norms
 from conftest import FULL_TEST_COUNTS, FULL_TRAIN_COUNTS, damaged_gzip, synthetic_corpus
 
 
@@ -211,7 +210,6 @@ class TestBuildBinaryTask:
             assert np.all(part.features[:, -1] == 1.0)
             assert part.features[:, :-1].min() >= 0.0
             assert part.features[:, :-1].max() <= 1.0
-            assert float(row_norms(part.features).max()) <= part.feature_radius
 
     def test_splits_are_row_major(self, split):
         # MNIST is wide (785 columns): its matvecs read each image as one
@@ -253,7 +251,7 @@ class TestBuildBinaryTask:
 def pooled_build(images, labels, test_images, test_labels, seed):
     """The task built as class pools -> hstack -> row gathers -> vstack, as an oracle.
 
-    Returns (features, labels, feature_radius) for train, validation and test.
+    Returns (features, labels) for train, validation and test.
     """
     rng = np.random.default_rng(seed)
     picks = [
@@ -270,11 +268,10 @@ def pooled_build(images, labels, test_images, test_labels, seed):
     pool_pos, pool_neg = pool(images, picks[0]), pool(images, picks[1])
     test_pos, test_neg = pool(test_images, picks[2]), pool(test_images, picks[3])
     perm_pos, perm_neg = rng.permutation(6250), rng.permutation(6250)
-    radius = float(max(row_norms(p).max() for p in (pool_pos, pool_neg, test_pos, test_neg)))
 
     def assemble(pos, neg):
         lab = np.concatenate([np.ones(pos.shape[0], dtype=np.int64), -np.ones(neg.shape[0], dtype=np.int64)])
-        return np.vstack([pos, neg]), lab, radius
+        return np.vstack([pos, neg]), lab
 
     return (
         assemble(pool_pos[perm_pos[:5750]], pool_neg[perm_neg[:5750]]),
@@ -288,13 +285,12 @@ class TestBuildMatchesPooledConstruction:
     def test_bit_identical(self, synthetic_full_corpus, seed):
         split = build_binary_task(*synthetic_full_corpus, seed=seed)
         expected = pooled_build(*synthetic_full_corpus, seed=seed)
-        for part, (features, labels, radius) in zip((split.train, split.validation, split.test), expected):
+        for part, (features, labels) in zip((split.train, split.validation, split.test), expected):
             assert part.features.dtype == np.float64
             assert part.features.flags.c_contiguous
             assert part.features.shape == features.shape
             assert np.array_equal(part.features, features)
             assert np.array_equal(part.labels, labels)
-            assert part.feature_radius == radius
 
 
 class TestBuildMemory:
