@@ -81,10 +81,16 @@ class TestTypes:
             LabeledDataset(np.ones((2, 2)), np.array([1]))
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
-    def test_dataset_rejects_a_nonfinite_entry(self, entry):
+    @pytest.mark.parametrize("radius", [1.0, math.inf])
+    def test_dataset_rejects_a_nonfinite_entry(self, entry, radius):
         # a finite row can have an infinite norm too: the entries must be read
         with pytest.raises(ValueError, match="features must be finite"):
             LabeledDataset(np.array([[entry, 0.0], [0.1, 0.2]]), np.array([1, -1]))
+        # the refusal is the entry's, not the ball's: with a finite entry the
+        # same rows train under either radius
+        data = LabeledDataset(np.array([[0.5, 0.0], [0.1, 0.2]]), np.array([1, -1]))
+        cfg = TrainConfig(A2, learning_rate=0.1, epochs=2, seed=0, radius=radius)
+        assert np.all(np.isfinite(train(cfg, data).final_model.weights))
 
     def test_dataset_admits_a_finite_row_whose_norm_overflows(self):
         # the squares of the first row overflow, and the norm of the second
