@@ -101,7 +101,6 @@ class CalibrationWorkspace:
     ``tail_infinite`` is the one field it sets.
     """
 
-    f_range: float
     grid: np.ndarray
     risks: np.ndarray
     other: np.ndarray
@@ -144,7 +143,7 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     # f_range 50, step 2e-5); both wrong-side slices must hold f = 0
     grid[points // 2] = 0.0
     grid.flags.writeable = False
-    return CalibrationWorkspace(f_range, grid, *(np.empty(points) for _ in range(3)))
+    return CalibrationWorkspace(grid, *(np.empty(points) for _ in range(3)))
 
 
 def _wrong_side(grid: np.ndarray, eta: float) -> slice:
@@ -171,13 +170,12 @@ def check_calibration_at(
         raise ValueError("eta = 1/2 is excluded: both infima coincide there")
     if work is None:
         work = calibration_workspace()
-    f_star = optimal_classifier(alpha, eta)
-    if math.isfinite(f_star) and work.f_range <= abs(f_star):
-        raise ValueError(
-            f"f_range={work.f_range} does not cover the optimal classifier {f_star:.6g}"
-        )
-
     grid = work.grid
+    f_range = float(grid[-1])  # exactly the workspace's, as np.linspace writes its stop
+    f_star = optimal_classifier(alpha, eta)
+    if math.isfinite(f_star) and f_range <= abs(f_star):
+        raise ValueError(f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}")
+
     tail = work.tail_for(alpha)
     # eta * L(f) + (1 - eta) * L(-f), combined in place; L(-f) is taken on -grid
     # written into the buffer that receives it, which margin_losses allows, and

@@ -55,7 +55,7 @@ MNIST_DIR_ENV = "ALPHALOSS_MNIST_DIR"
 class RunManifest:
     command: str
     flags: dict
-    seed: int
+    seed: int | None
     version: str
     started_at: str
     finished_at: str
@@ -111,7 +111,7 @@ def _commit(args, tables: dict, started: str) -> None:
     manifest = RunManifest(
         command=args.command,
         flags=flags,
-        seed=getattr(args, "seed", 0),
+        seed=getattr(args, "seed", None),
         version=__version__,
         started_at=started,
         finished_at=_now(),

@@ -11,6 +11,7 @@ local minimizers across sample sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,7 @@ class SymmetricDataSpec:
     seed: int
 
     def __post_init__(self):
-        if self.dim < 1:
+        if operator.index(self.dim) < 1:
             raise ValueError("dim must be at least 1")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
@@ -65,7 +66,7 @@ class SymmetricDataSpec:
             raise ValueError("mean_norm must be finite and positive (a nonzero class mean)")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be finite and nonnegative")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
     @classmethod
@@ -165,7 +166,7 @@ def _draw_positive_class(rng: np.random.Generator, spec: SymmetricDataSpec, out:
 
 
 def _check_sample_size(n: int, dim: int, what: str) -> None:
-    if n < 2:
+    if operator.index(n) < 2:
         raise ValueError(f"{what} must be at least 2")
     if n * dim > MAX_SAMPLE_FLOATS:
         raise ValueError(
@@ -247,12 +248,13 @@ def risk_gap_experiment(
 
     For each (alpha, n, trial) a fresh training set is drawn and trained for
     ``epochs`` at ``learning_rate`` inside the ball of the law's radius; the
-    true risk is estimated on one large fresh holdout.  The trial seeds derive
-    from the spec seed, so trials are independent of execution order;
-    diverged trials are excluded and counted.  Every argument is checked
-    before any draw.
+    true risk is estimated on one large fresh holdout.  Records follow
+    ``alphas`` in the given order, then n increasing, then trial; the trial
+    seeds derive from the spec seed, alpha, n and trial, so no record depends
+    on that order.  Diverged trials are excluded and counted.  Every argument
+    is checked before any draw.
     """
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise ValueError("trials must be positive")
     _check_sample_size(holdout_n, spec.dim, "holdout_n")
     for n in sample_sizes:
@@ -265,7 +267,7 @@ def risk_gap_experiment(
     diverged: list[tuple[float, int, int]] = []
     for config in configs:
         alpha = config.alpha
-        for n in sample_sizes:
+        for n in sorted(sample_sizes):
             for trial in range(trials):
                 data_seed = _derive_seed(spec.seed, _alpha_bits(alpha), n, trial, 0)
                 init_seed = _derive_seed(spec.seed, _alpha_bits(alpha), n, trial, 1)
@@ -287,7 +289,6 @@ def risk_gap_experiment(
                         zero_one_risk=1.0 - evaluate(model, holdout),
                     )
                 )
-    records.sort(key=lambda rec: (rec.alpha.value, rec.n, rec.trial))
     return RiskGapResult(records=records, diverged=diverged)
 
 

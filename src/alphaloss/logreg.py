@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +133,11 @@ class TrainConfig:
         rate, epochs = self.learning_rate, self.epochs
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"learning_rate must be finite and nonnegative, got {rate!r}")
-        if int(epochs) != epochs or epochs < 1:
+        if operator.index(epochs) < 1:
             raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
         if epochs > MAX_EPOCHS:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not self.init_scale >= 0.0:
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")

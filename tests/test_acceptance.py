@@ -80,7 +80,7 @@ def naive_conditional_risk_grid(alpha_value, eta, f_range=50.0, step=2.5e-4):
 def landscape_result():
     # 41 trials (criterion needs >= 20) and a 400k holdout keep the slope
     # estimate well away from trial noise and the holdout's own error floor
-    spec = SymmetricDataSpec.along_first_axis(
+    spec = SymmetricDataSpec(
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=20240819
     )
     return risk_gap_experiment(
@@ -310,7 +310,7 @@ def test_criterion_09_hoeffding_bound_validity():
     n = 5000
     delta = 0.05
     eps = hoeffding_epsilon(A2, n, 1, delta)
-    spec = SymmetricDataSpec.along_first_axis(
+    spec = SymmetricDataSpec(
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=777
     )
     theta = np.array([0.6, 0.1, -0.1, 0.05, 0.0])

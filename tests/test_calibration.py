@@ -82,7 +82,7 @@ class TestCheckCalibrationAt:
 
     def test_rejects_range_not_covering_optimum(self):
         # optimal classifier at (4, 0.9) is about 8.8
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f_range=5.0 does not cover"):
             check_calibration_at(Alpha(4), 0.9, work=calibration_workspace(f_range=5.0))
 
     def test_rejects_bad_grid(self):
@@ -197,6 +197,8 @@ class TestWrongSideSlice:
         grid = calibration_workspace(f_range, grid_step).grid
         mid = grid.size // 2
         assert grid[mid] == 0.0
+        # the ends are exact too: the coverage check reads f_range off grid[-1]
+        assert grid[0] == -f_range and grid[-1] == f_range
         for eta in (0.3, 0.7):
             assert mid in range(grid.size)[_wrong_side(grid, eta)], eta
 

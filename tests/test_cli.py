@@ -176,6 +176,14 @@ class TestCalibrationCommand:
         first = open(out, "rb").read()
         assert replay(manifest_path_for(out)) == 0
         assert open(out, "rb").read() == first
+        # versions before 0.3.2 recorded seed 0 for calibration; such a manifest still replays
+        with open(manifest_path_for(out), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest.update(seed=0, version="0.3.1")
+        with open(manifest_path_for(out), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert replay(manifest_path_for(out)) == 0
+        assert open(out, "rb").read() == first
 
 
     def test_grid_above_cap_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
@@ -525,38 +533,41 @@ class TestPinnedBytes:
 
 
 class TestManifestFlags:
-    """The manifest records every flag of the subcommand, typed as parsed."""
+    """The manifest records every flag of the subcommand, typed as parsed, and
+    the parsed --seed as its seed, null for a command that takes none."""
 
     @staticmethod
     def typed(flags):
         return {key: (value, type(value)) for key, value in flags.items()}
 
-    def flags_of(self, out):
+    def flags_of(self, out, seed):
         with open(manifest_path_for(out), encoding="utf-8") as fh:
-            return self.typed(json.load(fh)["flags"])
+            manifest = json.load(fh)
+        assert manifest["seed"] == seed
+        return self.typed(manifest["flags"])
 
     def test_train(self, tmp_path, synthetic_mnist_dir):
         out = str(tmp_path / "train.csv")
         assert main(["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1", "--seed", "7",
                      "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
-        assert self.flags_of(out) == self.typed({
+        assert self.flags_of(out, seed=7) == self.typed({
             "alpha": "2", "lr": 0.5, "epochs": 1, "seed": 7,
             "mnist-dir": synthetic_mnist_dir, "out": out,
         })
 
     def test_sweep(self, tmp_path, synthetic_mnist_dir):
         out = str(tmp_path / "sweep.csv")
-        assert main(["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1",
+        assert main(["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1", "--seed", "3",
                      "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
-        assert self.flags_of(out) == self.typed({
-            "alphas": "2", "lr-grid": "0.5", "epochs": 1, "seed": 0,
+        assert self.flags_of(out, seed=3) == self.typed({
+            "alphas": "2", "lr-grid": "0.5", "epochs": 1, "seed": 3,
             "mnist-dir": synthetic_mnist_dir, "out": out,
         })
 
     def test_calibration(self, tmp_path):
         out = str(tmp_path / "cal.csv")
         assert main(["calibration", "--eta-grid", "0.3", "--out", out]) == 0
-        assert self.flags_of(out) == self.typed({
+        assert self.flags_of(out, seed=None) == self.typed({
             "alphas": "1,1.5,2,inf", "eta-grid": "0.3", "f-range": 50.0,
             "grid-step": 0.001, "out": out,
         })
@@ -564,17 +575,17 @@ class TestManifestFlags:
     def test_landscape(self, tmp_path):
         out = str(tmp_path / "land.csv")
         assert main(["landscape", "--ns", "40,80", "--trials", "1", "--holdout-n", "500",
-                     "--epochs", "5", "--out", out]) == 0
-        assert self.flags_of(out) == self.typed({
+                     "--epochs", "5", "--seed", "5", "--out", out]) == 0
+        assert self.flags_of(out, seed=5) == self.typed({
             "alphas": "2", "ns": "40,80", "trials": 1, "dim": 5, "radius": 1.0,
             "mean-norm": 0.8, "noise": 0.14, "holdout-n": 500, "lr": 1.0, "epochs": 5,
-            "seed": 0, "out": out,
+            "seed": 5, "out": out,
         })
 
     def test_losscurves(self, tmp_path):
         out = str(tmp_path / "curves.csv")
         assert main(["losscurves", "--steps", "3", "--out", out]) == 0
-        assert self.flags_of(out) == self.typed({
+        assert self.flags_of(out, seed=None) == self.typed({
             "alphas": "1,1.5,2,inf", "z-min": -10.0, "z-max": 10.0, "steps": 3, "out": out,
         })
 
@@ -924,6 +935,27 @@ class TestCommandsReturnTables:
             assert header[0] == "alpha"
             assert rows and all(len(row) == len(header) for row in rows)
         assert os.listdir(tmp_path) == []
+
+
+class TestLandscapeRowOrder:
+    """Both landscape CSVs list the alphas in --alphas order, each with n increasing."""
+
+    ARGV = ["landscape", "--ns", "200,100", "--trials", "1", "--holdout-n", "1000",
+            "--epochs", "5"]
+
+    def test_trials_and_summary_follow_the_alphas_flag(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(self.ARGV + ["--alphas", "inf,1", "--out", str(out)]) == 0
+        cells = [["inf", "100"], ["inf", "200"], ["1", "100"], ["1", "200"]]
+        _, trial_rows = read_csv(out)
+        _, summary_rows = read_csv(tmp_path / "g_summary.csv")
+        assert [row[:2] for row in trial_rows] == cells
+        assert [row[:2] for row in summary_rows] == cells
+        # each trial row keeps its values whatever the order of the flag
+        increasing = tmp_path / "h.csv"
+        assert main(self.ARGV + ["--alphas", "1,inf", "--out", str(increasing)]) == 0
+        _, rows = read_csv(increasing)
+        assert sorted(rows) == sorted(trial_rows)
 
 
 class TestLandscapeSummaryCells:

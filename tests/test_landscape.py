@@ -31,7 +31,7 @@ A2 = Alpha(2)
 def default_spec(**overrides):
     base = dict(dim=2, radius=1.0, mean_norm=0.5, noise_scale=0.1, seed=99)
     base.update(overrides)
-    return SymmetricDataSpec.along_first_axis(**base)
+    return SymmetricDataSpec(**base)
 
 
 class TestSpecValidation:
@@ -200,7 +200,7 @@ class TestLayout:
 
     def test_generation_peak_is_at_most_one_and_a_half_datasets(self):
         # the landscape command's default law, which rejects 13% of its draws
-        spec = SymmetricDataSpec.along_first_axis(5, 1.0, 0.8, 0.14, 0)
+        spec = SymmetricDataSpec(5, 1.0, 0.8, 0.14, 0)
         tracemalloc.start()
         try:
             data = generate_symmetric_dataset(spec, 200_000)
@@ -213,7 +213,7 @@ class TestLayout:
     @pytest.mark.parametrize("projected", [False, True])
     def test_training_does_not_depend_on_the_layout(self, alpha, projected):
         # only the BLAS reduction order differs: 2.6e-16 apart at most, measured
-        spec = SymmetricDataSpec.along_first_axis(5, 1.0, 0.8, 0.14, 3)
+        spec = SymmetricDataSpec(5, 1.0, 0.8, 0.14, 3)
         data = generate_symmetric_dataset(spec, 2000)
         row_major = LabeledDataset(np.ascontiguousarray(data.features), data.labels)
         assert row_major.features.flags.c_contiguous
@@ -302,7 +302,7 @@ SCHEDULE = dict(learning_rate=1.0, epochs=60)
 
 @pytest.fixture(scope="module")
 def small_experiment():
-    spec = SymmetricDataSpec.along_first_axis(
+    spec = SymmetricDataSpec(
         dim=3, radius=1.0, mean_norm=0.7, noise_scale=0.12, seed=17
     )
     result = risk_gap_experiment(spec, [A1, A2], [50, 200], trials=3, holdout_n=4000, **SCHEDULE)
@@ -323,9 +323,15 @@ class TestRiskGapExperiment:
                 assert rec.hoeffding_term == hoeffding_epsilon(rec.alpha, rec.n, 1, 0.05)
 
     def test_records_sorted(self, small_experiment):
-        _, result = small_experiment
-        keys = [(rec.alpha.value, rec.n, rec.trial) for rec in result.records]
-        assert keys == sorted(keys)
+        """Records follow the alphas in argument order, then n increasing, then trial."""
+        spec, result = small_experiment
+        again = risk_gap_experiment(spec, [A2, A1], [200, 50], trials=3, holdout_n=4000, **SCHEDULE)
+        keys = [(rec.alpha.value, rec.n, rec.trial) for rec in again.records]
+        assert keys == [(a, n, t) for a in (2.0, 1.0) for n in (50, 200) for t in range(3)]
+        # the trial seeds derive from (alpha, n, trial), so every record keeps its values
+        assert dict(zip(keys, again.records)) == {
+            (rec.alpha.value, rec.n, rec.trial): rec for rec in result.records
+        }
 
     def test_deterministic_rerun(self, small_experiment):
         spec, result = small_experiment
@@ -426,7 +432,7 @@ class TestRiskGapExperiment:
             raise AssertionError("a dim-sized array was allocated")
 
         monkeypatch.setattr(np, "zeros", refuse)
-        spec = SymmetricDataSpec.along_first_axis(
+        spec = SymmetricDataSpec(
             dim=10**12, radius=1.0, mean_norm=0.5, noise_scale=0.1, seed=0
         )
         with pytest.raises(ValueError, match="floats"):
@@ -446,6 +452,29 @@ class TestRiskGapExperiment:
         monkeypatch.setattr(landscape_module, "generate_symmetric_dataset", refuse)
         with pytest.raises(ValueError, match=text):
             risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, **schedule)
+
+    @pytest.mark.parametrize("call", [
+        lambda: default_spec(dim=2.5),
+        lambda: default_spec(seed=1.5),
+        lambda: TrainConfig(A2, 0.1, 5.0, 0),
+        lambda: TrainConfig(A2, 0.1, 5, seed=1.5),
+        lambda: risk_gap_experiment(default_spec(), [A2], [50], trials=1.5, holdout_n=100_000,
+                                    **SCHEDULE),
+        lambda: risk_gap_experiment(default_spec(), [A2], [50, 10.5], trials=1,
+                                    holdout_n=100_000, **SCHEDULE),
+        lambda: risk_gap_experiment(default_spec(), [A2], [50], trials=1, holdout_n=100_000.0,
+                                    **SCHEDULE),
+        lambda: risk_gap_experiment(default_spec(), [A2], [50], trials=1, holdout_n=100_000,
+                                    learning_rate=1.0, epochs=60.0),
+    ], ids=["dim", "spec-seed", "epochs", "train-seed", "trials", "n", "holdout_n",
+            "experiment-epochs"])
+    def test_non_integer_whole_number_refused_before_any_draw(self, monkeypatch, call):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
 
     def test_input_validation(self, small_experiment):
         spec, _ = small_experiment
