@@ -31,9 +31,9 @@ from .losses import (
 CALIBRATION_TOL = 1e-9
 
 # Largest search grid: 10^7 points is 80 MB per float array, and a calibration
-# workspace holds four such arrays (the grid, the risks, the other side's losses
-# and the alpha-free loss tail shared by grid and -grid), 320 MB, for as long as
-# the run that shares it.  The default grid has 100,001 points.
+# workspace holds four such arrays (the grid, the risks, the losses on the grid
+# and the alpha-free loss tail of the grid), 320 MB, for as long as the run that
+# shares it.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,17 +93,19 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float
 class CalibrationWorkspace:
     """The read-only search grid over [-f_range, f_range] and the buffers of a check.
 
-    Every :func:`check_calibration_at` given the workspace overwrites
-    ``risks`` and ``other``, and only reads ``grid``.  ``tail`` holds the
-    :func:`margin_loss_tail` of ``grid``, which is also that of ``-grid``, for
-    the kind of alpha (finite or infinite) recorded in ``tail_infinite``; a
-    check rebuilds it in place only when its alpha is of the other kind, and
-    ``tail_infinite`` is the one field it sets.
+    ``grid`` is mirror-symmetric, ``grid == -grid[::-1]`` bit for bit, so the
+    loss at -grid[i] is the loss at grid[-1 - i].  Every
+    :func:`check_calibration_at` given the workspace overwrites ``risks`` and
+    ``losses``, and only reads ``grid``.  ``tail`` holds the
+    :func:`margin_loss_tail` of ``grid`` for the kind of alpha (finite or
+    infinite) recorded in ``tail_infinite``; a check rebuilds it in place only
+    when its alpha is of the other kind, and ``tail_infinite`` is the one field
+    it sets.
     """
 
     grid: np.ndarray
     risks: np.ndarray
-    other: np.ndarray
+    losses: np.ndarray
     tail: np.ndarray
     # None until a check first builds the tail
     tail_infinite: bool | None = field(default=None, init=False)
@@ -117,7 +119,16 @@ class CalibrationWorkspace:
 
 
 def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> CalibrationWorkspace:
-    """Build the sorted grid at about ``grid_step`` spacing and the buffers checks share."""
+    """Build the sorted grid at about ``grid_step`` spacing and the buffers checks share.
+
+    The grid has an odd point count, 2 * mid + 1.  Its upper half is
+    ``np.linspace(0, f_range, mid + 1)`` and its lower half that half negated,
+    so its middle point is exactly +0.0, its ends exactly -f_range and f_range,
+    and every point is its mirror's negation.  Both halves step by the same
+    f_range / mid as ``np.linspace(-f_range, f_range, 2 * mid + 1)``, so each
+    point is within a few ulps of f_range of that grid's (2 at most on the
+    grids the tests measure).
+    """
     # written so that NaN fails it too
     if not (f_range > 0.0 and grid_step > 0.0):
         raise ValueError(
@@ -127,8 +138,8 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     for name, value in (("f_range", f_range), ("grid_step", grid_step)):
         if math.isinf(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    # An odd point count has a middle point, set to 0 below: the constrained
-    # half includes f = 0.
+    # An odd point count has a middle point, 0 by construction below: the
+    # constrained half includes f = 0.
     ratio = f_range / grid_step
     points = 2 * max(1, round(ratio)) + 1 if math.isfinite(ratio) else math.inf
     if points > MAX_GRID_POINTS:
@@ -138,10 +149,11 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     # np.linspace would overflow to a grid of inf and nan
     if not math.isfinite(2.0 * f_range):
         raise ValueError(f"f_range={f_range:.6g} is too large: 2 * f_range overflows")
-    grid = np.linspace(-f_range, f_range, points)
-    # linspace can round its middle point a few ulps off 0 (7.1e-15 at
-    # f_range 50, step 2e-5); both wrong-side slices must hold f = 0
-    grid[points // 2] = 0.0
+    # built in place, with the half-grid temporary gone before the buffers exist
+    mid = points // 2
+    grid = np.empty(points)
+    grid[mid:] = np.linspace(0.0, f_range, mid + 1)
+    np.negative(grid[:mid:-1], out=grid[:mid])
     grid.flags.writeable = False
     return CalibrationWorkspace(grid, *(np.empty(points) for _ in range(3)))
 
@@ -149,8 +161,8 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
 def _wrong_side(grid: np.ndarray, eta: float) -> slice:
     """The indices of the workspace grid on the wrong side, f * (2 eta - 1) <= 0.
 
-    :func:`calibration_workspace` sets the middle point to 0: the prefix up to
-    it holds f <= 0 (for eta > 1/2) and the suffix from it f >= 0.
+    The middle point of a :func:`calibration_workspace` grid is 0: the prefix
+    up to it holds f <= 0 (for eta > 1/2) and the suffix from it f >= 0.
     """
     mid = grid.size // 2
     return slice(0, mid + 1) if eta > 0.5 else slice(mid, grid.size)
@@ -177,15 +189,15 @@ def check_calibration_at(
         raise ValueError(f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}")
 
     tail = work.tail_for(alpha)
-    # eta * L(f) + (1 - eta) * L(-f), combined in place; L(-f) is taken on -grid
-    # written into the buffer that receives it, which margin_losses allows, and
-    # both calls share the tail, a function of |f|.
-    risks = margin_losses(alpha, grid, out=work.risks, tail=tail)
-    risks *= eta
-    neg_grid = np.negative(grid, out=work.other)
-    other = margin_losses(alpha, neg_grid, out=work.other, tail=tail)
-    other *= 1.0 - eta
-    risks += other
+    # L once per point, one call per side of f = 0 (both write the middle
+    # point, with the same bits); on the mirrored grid L(-f) is L read backwards.
+    losses, mid = work.losses, grid.size // 2
+    for side in (slice(0, mid + 1), slice(mid, grid.size)):
+        margin_losses(alpha, grid[side], out=losses[side], tail=tail[side])
+    # eta * L(f) + (1 - eta) * L(-f), formed in place
+    risks = np.multiply(losses[::-1], 1.0 - eta, out=work.risks)
+    losses *= eta
+    risks += losses
 
     # golden section around the best grid cell of a side, kept inside the side
     def refine(side: slice) -> tuple[float, float]:

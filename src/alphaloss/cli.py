@@ -74,6 +74,9 @@ def load_manifest(path: str) -> RunManifest:
 def replay(manifest_path: str) -> int:
     """Re-run the command recorded in a manifest with its exact flags."""
     manifest = load_manifest(manifest_path)
+    if manifest.version != __version__:
+        print(f"warning: manifest written by alphaloss {manifest.version}, replaying under"
+              f" {__version__}: the outputs may differ from the recorded run", file=sys.stderr)
     # one token per flag, so a value that starts with "-" is not read as a flag
     argv = [manifest.command] + [f"--{key}={value}" for key, value in manifest.flags.items()]
     return main(argv)

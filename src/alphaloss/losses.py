@@ -236,11 +236,11 @@ def min_conditional_risk(alpha: Alpha, eta: float) -> float:
     if alpha.is_infinite:
         return min(eta, 1.0 - eta)
     a = alpha.value
-    hi = max(eta, 1.0 - eta)
-    ratio = min(eta, 1.0 - eta) / hi
-    # hi * (1 + ratio^a)^(1/a), stable for large alpha where ratio^a underflows.
-    power_mean = hi * math.exp(math.log1p(ratio**a) / a)
-    return alpha.scale * (1.0 - power_mean)
+    lo = min(eta, 1.0 - eta)
+    ratio = lo / (1.0 - lo)
+    # 1 - (1 - lo) * (1 + ratio^a)^(1/a) as -expm1 of its log: stable for large
+    # alpha, where ratio^a underflows, and free of cancellation as lo -> 0.
+    return alpha.scale * -math.expm1(math.log1p(-lo) + math.log1p(ratio**a) / a)
 
 
 def tilted_posterior(alpha: Alpha, p: float) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -23,6 +24,7 @@ from alphaloss import margin_losses
 from alphaloss.losses import margin_loss_tail
 from alphaloss.calibration import (
     MAX_GRID_POINTS,
+    _golden_section,
     _wrong_side,
     calibration_workspace,
 )
@@ -160,20 +162,22 @@ SLICE_ETAS = [k / 100 for k in range(1, 100) if k != 50] + [
 ]
 
 
+# Six grids (f_range, grid_step) that a symmetric np.linspace(-f_range, f_range,
+# n) builds differently: its middle point lands a few ulps off 0 on some.
+WRONG_SIDE_GRIDS = [
+    (50.0, 1e-3),  # the default grid, with f = 0 on it
+    (50.0, 1 / 3),
+    (7.0, 1e-3 / 7),  # the symmetric linspace rounds the middle point to +8.9e-16
+    (2.9, 1 / 3),  # and here to -4.4e-16
+    (1e-6, 1e-9 / 3),
+    (1e-300, 1e-301 / 3),
+]
+
+
 class TestWrongSideSlice:
     """The constrained half as a slice of the sorted grid, against the sign mask."""
 
-    @pytest.mark.parametrize(
-        "f_range, grid_step",
-        [
-            (50.0, 1e-3),  # the default grid, with f = 0 on it
-            (50.0, 1 / 3),
-            (7.0, 1e-3 / 7),  # linspace rounds the middle point to +8.9e-16
-            (2.9, 1 / 3),  # and here to -4.4e-16
-            (1e-6, 1e-9 / 3),
-            (1e-300, 1e-301 / 3),
-        ],
-    )
+    @pytest.mark.parametrize("f_range, grid_step", WRONG_SIDE_GRIDS)
     def test_matches_mask_form(self, f_range, grid_step):
         grid = calibration_workspace(f_range, grid_step).grid
         for alpha in (A1, A2, AINF):
@@ -187,8 +191,9 @@ class TestWrongSideSlice:
                 assert side.start + int(np.argmin(risks[side])) == masked_j, eta
 
 
-    # linspace rounds the middle point of all but the first grid off 0, by
-    # +7.1e-15, +8.9e-16, -4.4e-16, -3.6e-15 and +1.4e-17
+    # a symmetric np.linspace(-f_range, f_range, n) rounds the middle point of
+    # all but the first grid off 0, by +7.1e-15, +8.9e-16, -4.4e-16, -3.6e-15
+    # and +1.4e-17; the mirrored build puts it at 0 exactly
     @pytest.mark.parametrize(
         "f_range, grid_step",
         [(50.0, 1e-3), (50.0, 2e-5), (7.0, 1e-3 / 7), (2.9, 1 / 3), (30.0, 3e-4), (0.1, 3e-4)],
@@ -201,6 +206,95 @@ class TestWrongSideSlice:
         assert grid[0] == -f_range and grid[-1] == f_range
         for eta in (0.3, 0.7):
             assert mid in range(grid.size)[_wrong_side(grid, eta)], eta
+
+
+class TestMirroredGrid:
+    """The workspace grid is its own negation read backwards, near the symmetric linspace."""
+
+    GRIDS = WRONG_SIDE_GRIDS + [(50.0, 2e-5), (30.0, 3e-4), (0.1, 3e-4), (3.0, 0.1)]
+
+    @pytest.mark.parametrize("f_range, grid_step", GRIDS)
+    def test_mirror_symmetric_with_exact_zero_and_ends(self, f_range, grid_step):
+        grid = calibration_workspace(f_range, grid_step).grid
+        mid = grid.size // 2
+        mirror = -grid[::-1]
+        assert np.array_equal(grid, mirror)
+        # bit for bit off the middle, which is +0.0 where the mirror has -0.0
+        assert grid[:mid].tobytes() == mirror[:mid].tobytes()
+        assert grid[mid + 1 :].tobytes() == mirror[mid + 1 :].tobytes()
+        assert grid[mid] == 0.0 and math.copysign(1.0, grid[mid]) == 1.0
+        assert grid[0] == -f_range and grid[-1] == f_range
+
+    @pytest.mark.parametrize("f_range, grid_step", GRIDS)
+    def test_within_two_ulps_of_the_symmetric_linspace(self, f_range, grid_step):
+        # measured at exactly 2 ulps of f_range, the most on these ten grids
+        grid = calibration_workspace(f_range, grid_step).grid
+        linspace = np.linspace(-f_range, f_range, grid.size)
+        assert np.max(np.abs(grid - linspace)) <= 2.0 * np.spacing(f_range)
+
+
+def two_evaluation_check(alpha, eta, work):
+    """The check with L on the grid and on -grid, in two buffers: the reference.
+
+    It mirrors :func:`check_calibration_at` as it was before that read L(-grid)
+    off L(grid) backwards, and returns its report and its risks.
+    """
+    grid = work.grid
+    f_range = float(grid[-1])
+    f_star = optimal_classifier(alpha, eta)
+    if math.isfinite(f_star) and f_range <= abs(f_star):
+        raise ValueError(f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}")
+    tail = margin_loss_tail(alpha, grid)
+    risks = margin_losses(alpha, grid, tail=tail)
+    risks *= eta
+    other = margin_losses(alpha, np.negative(grid), tail=tail)
+    other *= 1.0 - eta
+    risks += other
+
+    def refine(side):
+        k = side.start + int(np.argmin(risks[side]))
+        cell_lo = grid[max(k - 1, side.start)]
+        cell_hi = grid[min(k + 1, side.stop - 1)]
+        x, refined = _golden_section(lambda f: conditional_risk(alpha, eta, f), cell_lo, cell_hi)
+        return x, min(refined, float(risks[k]))
+
+    argmin, unconstrained = refine(slice(0, grid.size))
+    edge = 0 if risks[0] <= risks[-1] else -1
+    at_boundary = float(risks[edge]) <= unconstrained + 1e-12 * max(1.0, abs(unconstrained))
+    if at_boundary:
+        argmin = float(grid[edge])
+    _, constrained = refine(_wrong_side(grid, eta))
+    report = CalibrationReport(
+        alpha=alpha,
+        eta=eta,
+        unconstrained_min=min(unconstrained, constrained),
+        constrained_min=constrained,
+        unconstrained_argmin=argmin,
+        argmin_at_boundary=at_boundary,
+    )
+    return report, risks
+
+
+class TestOneEvaluationPerPoint:
+    """L read backwards for L(-f) gives the two-evaluation reference's bits."""
+
+    ALPHAS = [A1, Alpha(1.2), Alpha(1.5), A2, Alpha(5), Alpha(10), AINF]
+    ETAS = [0.01, 0.1, 0.3, 0.49, 0.51, 0.7, 0.9, 0.99]
+
+    @pytest.mark.parametrize("f_range, grid_step", WRONG_SIDE_GRIDS)
+    def test_reports_and_risks_equal_the_reference(self, f_range, grid_step):
+        work = calibration_workspace(f_range, grid_step)
+        for alpha in self.ALPHAS:
+            for eta in self.ETAS:
+                try:
+                    expected, risks = two_evaluation_check(alpha, eta, work)
+                except ValueError as err:
+                    # the range does not cover the optimal classifier: both refuse
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        check_calibration_at(alpha, eta, work=work)
+                    continue
+                assert check_calibration_at(alpha, eta, work=work) == expected, (alpha, eta)
+                assert work.risks.tobytes() == risks.tobytes(), (alpha, eta)
 
 
 class TestCheckMemory:

@@ -9,6 +9,8 @@ import shutil
 import numpy as np
 import pytest
 
+from alphaloss import __version__
+from alphaloss.calibration import calibration_workspace
 from alphaloss.cli import build_parser, main, manifest_path_for, replay
 from conftest import damaged_gzip
 
@@ -168,7 +170,7 @@ class TestCalibrationCommand:
                      "--out", out]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "skipping eta=0.5" in lines[0]
-        assert sha256_of(out) == "70f50cb11f24619e03b2b7e1b4696eddc8543d23c82c1d95c23b9523b56ed911"
+        assert sha256_of(out) == "4bccdc2dbf502e0493e855d802d35e655aedf3eb883fdd48310d6001561d18af"
 
     def test_replay_identical(self, tmp_path):
         out = str(tmp_path / "cal.csv")
@@ -184,6 +186,22 @@ class TestCalibrationCommand:
             json.dump(manifest, fh)
         assert replay(manifest_path_for(out)) == 0
         assert open(out, "rb").read() == first
+
+    def test_replay_names_both_versions_when_they_differ(self, tmp_path, capsys):
+        out = str(tmp_path / "cal.csv")
+        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.7", "--out", out]) == 0
+        capsys.readouterr()
+        assert replay(manifest_path_for(out)) == 0
+        assert capsys.readouterr().err == ""
+        with open(manifest_path_for(out), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["version"] = "0.3.1"
+        with open(manifest_path_for(out), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert replay(manifest_path_for(out)) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "0.3.1" in lines[0] and __version__ in lines[0]
 
 
     def test_grid_above_cap_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
@@ -496,9 +514,12 @@ class TestBenchmarkTracing:
         checks = [i for i, span in enumerate(spans) if span[0] == "calibration.check"]
         # the loss tail is rebuilt between alpha = 1 and inf, and again before 2
         assert len(checks) == 6
+        # one call per side of f = 0, both holding the middle point
+        covered = calibration_workspace(50.0, 0.01).grid.size + 1
         for index in checks:
-            children = [span[0] for span in spans if span[3] == index]
-            assert children.count("losses.margin_losses") == 2
+            calls = [span for span in spans if span[3] == index and span[0] == "losses.margin_losses"]
+            assert len(calls) == 2
+            assert sum(span[4] for span in calls) == covered
 
 
 def sha256_of(path):
@@ -523,13 +544,13 @@ class TestPinnedBytes:
     def test_calibration_defaults(self, tmp_path):
         out = str(tmp_path / "cal.csv")
         assert main(["calibration", "--out", out]) == 0
-        assert sha256_of(out) == "472d71da2f3bdb4dc45373500cde089efbba2d6f68bf4c345501de374e96741a"
+        assert sha256_of(out) == "d47f0487a3f20517c9c8425df4c9860a2c610a52d82795b2a1977bafcd1ecf8d"
 
     def test_calibration_near_half_and_tails(self, tmp_path):
         out = str(tmp_path / "cal.csv")
         assert main(["calibration", "--alphas", "1.2,5,inf",
                      "--eta-grid", "0.01,0.49,0.51,0.99", "--out", out]) == 0
-        assert sha256_of(out) == "c79a273d1208a9d59d7df1e14aa68b641105e50f55de3e9c135d2552e05f90a9"
+        assert sha256_of(out) == "4f84e98677e016b6accc5b6ee17b6eb3a2ad1548371bad75007c70ae7e32b81d"
 
 
 class TestManifestFlags:
