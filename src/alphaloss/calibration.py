@@ -12,7 +12,7 @@ on both the full grid and the constrained half {f : f * (2 eta - 1) <= 0}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,8 @@ CALIBRATION_TOL = 1e-9
 
 # Largest search grid: 10^7 points is 80 MB per float array, and a calibration
 # workspace holds four such arrays (the grid, the risks, the losses on the grid
-# and the alpha-free loss tail of the grid), 320 MB, for as long as the run that
-# shares it.  The default grid has 100,001 points.
+# and the alpha-free loss tails of both alpha kinds on its nonnegative half),
+# 320 MB, for as long as the run that shares it.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -96,26 +96,16 @@ class CalibrationWorkspace:
     ``grid`` is mirror-symmetric, ``grid == -grid[::-1]`` bit for bit, so the
     loss at -grid[i] is the loss at grid[-1 - i].  Every
     :func:`check_calibration_at` given the workspace overwrites ``risks`` and
-    ``losses``, and only reads ``grid``.  ``tail`` holds the
-    :func:`margin_loss_tail` of ``grid`` for the kind of alpha (finite or
-    infinite) recorded in ``tail_infinite``; a check rebuilds it in place only
-    when its alpha is of the other kind, and ``tail_infinite`` is the one field
-    it sets.
+    ``losses``, and only reads ``grid`` and ``tails``.  ``tails`` is read-only
+    too: row 0 holds the :func:`margin_loss_tail` of the nonnegative half
+    ``grid[mid:]`` for finite alpha, row 1 for infinite alpha.  The tail is a
+    function of |f|, so the tail of ``grid[:mid + 1]`` is its row read backwards.
     """
 
     grid: np.ndarray
     risks: np.ndarray
     losses: np.ndarray
-    tail: np.ndarray
-    # None until a check first builds the tail
-    tail_infinite: bool | None = field(default=None, init=False)
-
-    def tail_for(self, alpha: Alpha) -> np.ndarray:
-        """The tail of ``grid`` for ``alpha``, rebuilt in place if it is of the other kind."""
-        if self.tail_infinite != alpha.is_infinite:
-            margin_loss_tail(alpha, self.grid, out=self.tail)
-            object.__setattr__(self, "tail_infinite", alpha.is_infinite)
-        return self.tail
+    tails: np.ndarray
 
 
 def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> CalibrationWorkspace:
@@ -155,7 +145,11 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     grid[mid:] = np.linspace(0.0, f_range, mid + 1)
     np.negative(grid[:mid:-1], out=grid[:mid])
     grid.flags.writeable = False
-    return CalibrationWorkspace(grid, *(np.empty(points) for _ in range(3)))
+    tails = np.empty((2, mid + 1))
+    for row, alpha in zip(tails, (Alpha(1.0), Alpha(math.inf))):
+        margin_loss_tail(alpha, grid[mid:], out=row)
+    tails.flags.writeable = False
+    return CalibrationWorkspace(grid, np.empty(points), np.empty(points), tails)
 
 
 def _wrong_side(grid: np.ndarray, eta: float) -> slice:
@@ -188,12 +182,12 @@ def check_calibration_at(
     if math.isfinite(f_star) and f_range <= abs(f_star):
         raise ValueError(f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}")
 
-    tail = work.tail_for(alpha)
     # L once per point, one call per side of f = 0 (both write the middle
     # point, with the same bits); on the mirrored grid L(-f) is L read backwards.
     losses, mid = work.losses, grid.size // 2
-    for side in (slice(0, mid + 1), slice(mid, grid.size)):
-        margin_losses(alpha, grid[side], out=losses[side], tail=tail[side])
+    tail = work.tails[int(alpha.is_infinite)]
+    margin_losses(alpha, grid[:mid + 1], out=losses[:mid + 1], tail=tail[::-1])
+    margin_losses(alpha, grid[mid:], out=losses[mid:], tail=tail)
     # eta * L(f) + (1 - eta) * L(-f), formed in place
     risks = np.multiply(losses[::-1], 1.0 - eta, out=work.risks)
     losses *= eta

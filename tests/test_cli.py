@@ -512,7 +512,7 @@ class TestBenchmarkTracing:
         assert proc.returncode == 0, proc.stderr
         spans = json.loads(spans_path.read_text())
         checks = [i for i, span in enumerate(spans) if span[0] == "calibration.check"]
-        # the loss tail is rebuilt between alpha = 1 and inf, and again before 2
+        # alpha = 1, inf and 2 read the two tails the workspace built once
         assert len(checks) == 6
         # one call per side of f = 0, both holding the middle point
         covered = calibration_workspace(50.0, 0.01).grid.size + 1

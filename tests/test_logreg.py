@@ -638,8 +638,14 @@ class TestMaskFreeMarginLosses:
 
     @pytest.mark.parametrize("alpha", [A1, Alpha(1.2), A2, Alpha(5), AINF], ids=str)
     def test_precomputed_tail_gives_the_same_bits(self, alpha):
-        for margins in (MARGIN_EDGES, np.array(-3.0), np.array(0.0), np.array(-0.0)):
-            tail = margin_loss_tail(alpha, margins)
+        cases = [
+            (margins, margin_loss_tail(alpha, margins))
+            for margins in (MARGIN_EDGES, np.array(-3.0), np.array(0.0), np.array(-0.0))
+        ]
+        # the mirror of a half grid takes the half's tail as a reversed view
+        half = np.concatenate([np.linspace(0.0, 50.0, 101), [745.0, 1e308, math.inf]])
+        cases.append((-half[::-1], margin_loss_tail(alpha, half)[::-1]))
+        for margins, tail in cases:
             # the tail of m is the tail of -m: it depends on |m| alone
             for signed in (margins, np.array(-margins)):
                 expected = margin_losses(alpha, signed)
