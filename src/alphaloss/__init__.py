@@ -1,6 +1,6 @@
 """Tunable alpha-loss family for binary classification."""
 
-__version__ = "0.3.3"
+__version__ = "0.3.4"
 
 from .losses import (
     Alpha,

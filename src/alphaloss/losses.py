@@ -55,7 +55,8 @@ class Alpha:
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "is_log", v == 1.0)
         object.__setattr__(self, "is_infinite", infinite)
-        object.__setattr__(self, "exponent", 1.0 if infinite else 1.0 - 1.0 / v)
+        # v - 1 is exact for v below 2^53, so the quotient is correctly rounded
+        object.__setattr__(self, "exponent", 1.0 if infinite else (v - 1.0) / v)
         scale = math.inf if v == 1.0 else 1.0 if infinite else v / (v - 1.0)
         object.__setattr__(self, "scale", scale)
 

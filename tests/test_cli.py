@@ -539,12 +539,12 @@ class TestPinnedBytes:
     def test_losscurves_defaults(self, tmp_path):
         out = str(tmp_path / "curves.csv")
         assert main(["losscurves", "--out", out]) == 0
-        assert sha256_of(out) == "4ce62b42ebe025784ff7e04c41ceb4bd3b5adfe79b53278ae40fe6c8f6ccd76f"
+        assert sha256_of(out) == "86f661a4842ddbbd78f38b04aecb1e39a4b8667db76102486cc755bae3162024"
 
     def test_calibration_defaults(self, tmp_path):
         out = str(tmp_path / "cal.csv")
         assert main(["calibration", "--out", out]) == 0
-        assert sha256_of(out) == "d47f0487a3f20517c9c8425df4c9860a2c610a52d82795b2a1977bafcd1ecf8d"
+        assert sha256_of(out) == "c90c98167fa0741beccdfe4f517963957c7f6395bdcc2e91839384b5082c8ca5"
 
     def test_calibration_near_half_and_tails(self, tmp_path):
         out = str(tmp_path / "cal.csv")

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestAlphaParam:
         (1.0, True, False, "0x0.0p+0", "inf"),
         (1.0 + 1e-10, True, False, "0x0.0p+0", "inf"),
         (1.2, False, False, "0x1.5555555555554p-3", "0x1.8000000000001p+2"),
-        (1.5, False, False, "0x1.5555555555556p-2", "0x1.8000000000000p+1"),
+        (1.5, False, False, "0x1.5555555555555p-2", "0x1.8000000000000p+1"),
         (2.0, False, False, "0x1.0000000000000p-1", "0x1.0000000000000p+1"),
         (5.0, False, False, "0x1.999999999999ap-1", "0x1.4000000000000p+0"),
         (1e6, False, False, "0x1.ffffde7210be9p-1", "0x1.000010c6f8ba3p+0"),
@@ -137,6 +138,23 @@ class TestAlphaParam:
         assert derived(pickle.loads(pickle.dumps(a))) == derived(a)
         assert derived(dataclasses.replace(A2, value=value)) == derived(a)
         assert derived(dataclasses.replace(a)) == derived(a)
+
+    @staticmethod
+    def assert_exponent_correctly_rounded(value):
+        a = Alpha(value)
+        v = Fraction(a.value)
+        assert a.exponent == float((v - 1) / v), value
+
+    @pytest.mark.parametrize("value", [
+        1.0, 1.0 + 1e-7, 1.001, 1.1, 1.2, 1.5,
+        math.nextafter(2.0, 1.0), 2.0, math.nextafter(2.0, 3.0), 3.0, 1e6, 2.0**52, 2.0**53,
+    ])
+    def test_exponent_is_correctly_rounded(self, value):
+        self.assert_exponent_correctly_rounded(value)
+
+    @given(st.floats(min_value=1.0, max_value=2.0**53))
+    def test_exponent_is_correctly_rounded_over_a_range(self, value):
+        self.assert_exponent_correctly_rounded(value)
 
     @given(st.floats(min_value=1.0 + 1e-6, max_value=1e12))
     def test_scale_exponent_consistency(self, value):
