@@ -139,8 +139,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not self.init_scale >= 0.0:
-            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
+        # uniform(-s, s) needs its width 2 * s finite
+        if not 0.0 <= self.init_scale <= np.finfo(float).max / 2:
+            raise ValueError(
+                f"init_scale must be nonnegative and at most half the largest float,"
+                f" got {self.init_scale!r}"
+            )
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
@@ -227,7 +231,6 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     y = data.labels
     scores = np.empty(n)
     margins = np.empty(n)
-    coefs = np.empty(n)
     grad = np.empty(data.dim)
     work = _margin_workspace(n)
     trace = np.empty(config.epochs)
@@ -243,7 +246,8 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
         recent = collections.deque([w.tobytes()], maxlen=SETTLE_WINDOW)
         epoch = 0
         while epoch < config.epochs:
-            np.matmul(x.T, np.multiply(y, slopes, out=coefs), out=grad)
+            # y * slopes over the slopes, which the next epoch rewrites
+            np.matmul(x.T, np.multiply(y, slopes, out=slopes), out=grad)
             grad /= n
             w -= config.learning_rate * grad
             norm = math.sqrt(float(w @ w))

@@ -108,6 +108,15 @@ class TestTypes:
             TrainConfig(A2, learning_rate=0.1, epochs=1, seed=-1)
         with pytest.raises(ValueError):
             TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, init_scale=-1.0)
+        # the initial draw uniform(-s, s) needs its width 2 * s finite
+        widest = np.finfo(float).max / 2
+        for scale in (math.inf, 1e308, math.nextafter(widest, math.inf), math.nan):
+            with pytest.raises(ValueError, match="init_scale"):
+                TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, init_scale=scale)
+        data = LabeledDataset(np.array([[1e-300, 0.0], [0.0, -1e-300]]), np.array([1, -1]))
+        report = train(TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0, init_scale=widest), data)
+        weights = report.final_model.weights
+        assert np.isfinite(weights).all() and np.abs(weights).max() <= widest
         # zero learning rate is a legitimate no-op configuration
         TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0)
         with pytest.raises(ValueError, match="epochs"):
