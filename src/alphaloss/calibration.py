@@ -32,8 +32,8 @@ CALIBRATION_TOL = 1e-9
 
 # Largest search grid: 10^7 points is 80 MB per float array, and a calibration
 # workspace holds four such arrays (the grid, the risks, the losses on the grid
-# and the alpha-free loss tails of both alpha kinds on its nonnegative half),
-# 320 MB, for as long as the run that shares it.  The default grid has 100,001 points.
+# and the loss tails of both alpha kinds on its nonnegative half), 320 MB, for
+# as long as the run that shares it.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

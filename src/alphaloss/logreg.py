@@ -130,7 +130,7 @@ class TrainConfig:
     radius: float = math.inf
 
     def __post_init__(self):
-        rate, epochs = self.learning_rate, self.epochs
+        rate, epochs, scale = self.learning_rate, self.epochs, self.init_scale
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"learning_rate must be finite and nonnegative, got {rate!r}")
         if operator.index(epochs) < 1:
@@ -140,11 +140,8 @@ class TrainConfig:
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         # uniform(-s, s) needs its width 2 * s finite
-        if not 0.0 <= self.init_scale <= np.finfo(float).max / 2:
-            raise ValueError(
-                f"init_scale must be nonnegative and at most half the largest float,"
-                f" got {self.init_scale!r}"
-            )
+        if not 0.0 <= scale <= np.finfo(float).max / 2:
+            raise ValueError(f"init_scale must lie in [0, max float / 2], got {scale!r}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 

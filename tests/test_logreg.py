@@ -114,8 +114,8 @@ class TestTypes:
             with pytest.raises(ValueError, match="init_scale"):
                 TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, init_scale=scale)
         data = LabeledDataset(np.array([[1e-300, 0.0], [0.0, -1e-300]]), np.array([1, -1]))
-        report = train(TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0, init_scale=widest), data)
-        weights = report.final_model.weights
+        config = TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0, init_scale=widest)
+        weights = train(config, data).final_model.weights
         assert np.isfinite(weights).all() and np.abs(weights).max() <= widest
         # zero learning rate is a legitimate no-op configuration
         TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0)
