@@ -139,22 +139,18 @@ class TestAlphaParam:
         assert derived(dataclasses.replace(A2, value=value)) == derived(a)
         assert derived(dataclasses.replace(a)) == derived(a)
 
-    @staticmethod
-    def assert_exponent_correctly_rounded(value):
-        a = Alpha(value)
-        v = Fraction(a.value)
-        assert a.exponent == float((v - 1) / v), value
-
     @pytest.mark.parametrize("value", [
         1.0, 1.0 + 1e-7, 1.001, 1.1, 1.2, 1.5,
         math.nextafter(2.0, 1.0), 2.0, math.nextafter(2.0, 3.0), 3.0, 1e6, 2.0**52, 2.0**53,
     ])
     def test_exponent_is_correctly_rounded(self, value):
-        self.assert_exponent_correctly_rounded(value)
+        a = Alpha(value)
+        v = Fraction(a.value)
+        assert a.exponent == float((v - 1) / v), value
 
     @given(st.floats(min_value=1.0, max_value=2.0**53))
     def test_exponent_is_correctly_rounded_over_a_range(self, value):
-        self.assert_exponent_correctly_rounded(value)
+        self.test_exponent_is_correctly_rounded(value)
 
     @given(st.floats(min_value=1.0 + 1e-6, max_value=1e12))
     def test_scale_exponent_consistency(self, value):
