@@ -36,7 +36,9 @@ CALIBRATION_TOL = 1e-9
 # as long as the run that shares it.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
+# Golden-section search shrinks its bracket by this ratio until it is _GOLDEN_TOL wide.
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,13 @@ class CalibrationReport:
         return self.gap > CALIBRATION_TOL
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
     """Minimize a unimodal scalar function on [lo, hi]; returns (argmin, min)."""
     a, b = lo, hi
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
@@ -172,15 +174,16 @@ def check_calibration_at(
     default one.
     """
     eta = check_posterior(eta)
+    cell = f"alpha={alpha}, eta={eta}"
     if eta == 0.5:
-        raise ValueError("eta = 1/2 is excluded: both infima coincide there")
+        raise ValueError(f"{cell}: eta = 1/2 is excluded, both infima coincide there")
     if work is None:
         work = calibration_workspace()
     grid = work.grid
     f_range = float(grid[-1])  # exactly the workspace's, as np.linspace writes its stop
     f_star = optimal_classifier(alpha, eta)
     if math.isfinite(f_star) and f_range <= abs(f_star):
-        raise ValueError(f"f_range={f_range} does not cover the optimal classifier {f_star:.6g}")
+        raise ValueError(f"{cell}: f_range={f_range} does not cover the optimal classifier {f_star:.6g}")
 
     # L once per point, one call per side of f = 0 (both write the middle
     # point, with the same bits); on the mirrored grid L(-f) is L read backwards.
@@ -248,10 +251,4 @@ def calibration_sweep(
     """Run :func:`check_calibration_at` over a grid of posteriors, in order, on one workspace."""
     if work is None:
         work = calibration_workspace()
-    reports = []
-    for eta in eta_grid:
-        try:
-            reports.append(check_calibration_at(alpha, eta, work=work))
-        except ValueError as err:
-            raise ValueError(f"eta={eta}: {err}") from err
-    return reports
+    return [check_calibration_at(alpha, eta, work=work) for eta in eta_grid]

@@ -35,16 +35,20 @@ from .losses import (
 # with a period up to this long stops computing once it does.
 SETTLE_WINDOW = 16
 
+# Half-width of the initial weights' uniform draw; perfbench draws the same start.
+INIT_SCALE = 0.01
+
 # Most epochs a run may request: its risk trace is then 800 MB, the size of
 # landscape.MAX_SAMPLE_FLOATS.
 MAX_EPOCHS = 10**8
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the empirical risk becomes non-finite during training."""
+    """Raised when the empirical risk becomes non-finite; names a given config's alpha and rate."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"empirical risk became non-finite at epoch {epoch}")
+    def __init__(self, epoch: int, config: TrainConfig | None = None):
+        run = "" if config is None else f"alpha={config.alpha}, lr={config.learning_rate}: "
+        super().__init__(f"{run}empirical risk became non-finite at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -117,7 +121,7 @@ class LabeledDataset:
 class TrainConfig:
     """Full-batch gradient-descent settings.
 
-    Weights start i.i.d. uniform in [-init_scale, init_scale] drawn from
+    Weights start i.i.d. uniform in [-INIT_SCALE, INIT_SCALE] drawn from
     ``seed``; the iterate is rescaled back onto the ball of ``radius``
     whenever it leaves it, which at the default infinite radius is never.
     """
@@ -126,11 +130,10 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     seed: int
-    init_scale: float = 0.01
     radius: float = math.inf
 
     def __post_init__(self):
-        rate, epochs, scale = self.learning_rate, self.epochs, self.init_scale
+        rate, epochs = self.learning_rate, self.epochs
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"learning_rate must be finite and nonnegative, got {rate!r}")
         if operator.index(epochs) < 1:
@@ -139,9 +142,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        # uniform(-s, s) needs its width 2 * s finite
-        if not 0.0 <= scale <= np.finfo(float).max / 2:
-            raise ValueError(f"init_scale must lie in [0, max float / 2], got {scale!r}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
@@ -221,7 +221,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     """
     rng = np.random.default_rng(config.seed)
     radius = config.radius
-    w = rng.uniform(-config.init_scale, config.init_scale, size=data.dim)
+    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=data.dim)
     x = data.features
     n = data.n
     # every per-sample array is allocated once and rewritten in place each epoch
@@ -253,7 +253,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
                 # only when w is, and such a w never reaches x @ w
                 peak = float(np.abs(w).max())
                 if not math.isfinite(peak):
-                    raise TrainingDiverged(epoch)
+                    raise TrainingDiverged(epoch, config)
                 # the norm of w / max|w| does not overflow
                 unit = w / peak
                 norm = math.sqrt(float(unit @ unit))
@@ -266,7 +266,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
             # the pairwise sum and division of np.mean, without its call overhead
             risk = float(losses.sum() / n)
             if not math.isfinite(risk):
-                raise TrainingDiverged(epoch)
+                raise TrainingDiverged(epoch, config)
             trace[epoch] = risk
             epoch += 1
             # w passed the divergence checks above, so a skip hides none;

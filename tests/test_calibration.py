@@ -79,12 +79,12 @@ class TestCheckCalibrationAt:
         assert rep.unconstrained_argmin == pytest.approx(0.405465, abs=1e-3)
 
     def test_rejects_half(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha=2, eta=0.5: "):
             check_calibration_at(A2, 0.5)
 
     def test_rejects_range_not_covering_optimum(self):
         # optimal classifier at (4, 0.9) is about 8.8
-        with pytest.raises(ValueError, match="f_range=5.0 does not cover"):
+        with pytest.raises(ValueError, match="alpha=4, eta=0.9: f_range=5.0 does not cover"):
             check_calibration_at(Alpha(4), 0.9, work=calibration_workspace(f_range=5.0))
 
     def test_rejects_bad_grid(self):

@@ -107,6 +107,18 @@ class TestLossCurves:
         assert "--z-min" in err and "--z-max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_fewer_than_two_steps_exit_one_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                             steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "curves.csv"
+        assert main(["losscurves", "--steps", steps, "--out", str(out)]) == 1
+        assert "steps must be at least 2" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_rows_at_cap_reach_the_grid(self, tmp_path, monkeypatch):
         class GridBuilt(Exception):
             pass
@@ -227,6 +239,17 @@ class TestCalibrationCommand:
         assert "f_range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_uncovered_optimum_names_its_cell(self, tmp_path, capsys):
+        # the optimal classifier at (4, 0.9) is about 8.79, outside [-5, 5]
+        code = main(["calibration", "--alphas", "1,4", "--eta-grid", "0.3,0.9", "--f-range", "5",
+                     "--out", str(tmp_path / "cal.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: alpha=4, eta=0.9: f_range=5.0 does not cover the optimal classifier 8.7889\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+
 class TestUsageErrors:
     """Bad flags exit 1: exit code 2 is reserved for training divergence."""
 
@@ -273,6 +296,28 @@ class TestUsageErrors:
                               env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
         assert proc.returncode == 1, proc.stderr
         assert b"unrecognized arguments: --bogus" in proc.stderr
+
+
+def conflicted_mnist_dir(tmp_path, corpus):
+    """The corpus with every digit-1 image a copy of a digit-7 image, as IDX files.
+
+    The task is inseparable, so a huge step at alpha = 1 sends some
+    misclassified margin to -inf and training diverges.
+    """
+    from alphaloss.mnist import dump_idx_images, dump_idx_labels
+
+    images, labels, test_images, test_labels = corpus
+    conflicted = images.copy()
+    ones = np.flatnonzero(labels == 1)
+    sevens = np.flatnonzero(labels == 7)
+    conflicted[ones] = conflicted[sevens[np.arange(ones.size) % sevens.size]]
+    bad_dir = tmp_path / "conflicted"
+    bad_dir.mkdir()
+    (bad_dir / "train-images-idx3-ubyte").write_bytes(dump_idx_images(conflicted))
+    (bad_dir / "train-labels-idx1-ubyte").write_bytes(dump_idx_labels(labels))
+    (bad_dir / "t10k-images-idx3-ubyte").write_bytes(dump_idx_images(test_images))
+    (bad_dir / "t10k-labels-idx1-ubyte").write_bytes(dump_idx_labels(test_labels))
+    return str(bad_dir)
 
 
 class TestTrainCommand:
@@ -341,27 +386,13 @@ class TestTrainCommand:
         assert not os.path.exists(out)
 
     def test_divergence_exits_two(self, tmp_path, synthetic_full_corpus, capsys):
-        from alphaloss.mnist import dump_idx_images, dump_idx_labels
-
-        # every digit-1 image copies a digit-7 image: the task is inseparable,
-        # so a huge step sends some misclassified margin to -inf
-        images, labels, test_images, test_labels = synthetic_full_corpus
-        conflicted = images.copy()
-        ones = np.flatnonzero(labels == 1)
-        sevens = np.flatnonzero(labels == 7)
-        conflicted[ones] = conflicted[sevens[np.arange(ones.size) % sevens.size]]
-        bad_dir = tmp_path / "conflicted"
-        bad_dir.mkdir()
-        (bad_dir / "train-images-idx3-ubyte").write_bytes(dump_idx_images(conflicted))
-        (bad_dir / "train-labels-idx1-ubyte").write_bytes(dump_idx_labels(labels))
-        (bad_dir / "t10k-images-idx3-ubyte").write_bytes(dump_idx_images(test_images))
-        (bad_dir / "t10k-labels-idx1-ubyte").write_bytes(dump_idx_labels(test_labels))
-
         out = str(tmp_path / "train.csv")
         code = main(["train", "--alpha", "1", "--lr", "1e306", "--epochs", "3",
-                     "--mnist-dir", str(bad_dir), "--out", out])
+                     "--mnist-dir", conflicted_mnist_dir(tmp_path, synthetic_full_corpus),
+                     "--out", out])
         assert code == 2
-        assert "epoch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha=1, lr=1e+306: ") and "epoch" in err
 
 
 class TestSweepCommand:
@@ -389,6 +420,17 @@ class TestSweepCommand:
         assert len(rows) == 2
         # a real gradient step beats the frozen random initialization here
         assert all(row[1] == "0.5" for row in rows)
+
+    def test_divergence_exits_two_naming_the_model(self, tmp_path, synthetic_full_corpus, capsys):
+        # alpha = 2 has a bounded loss and survives the huge step; alpha = 1 does not
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--alphas", "2,1", "--lr-grid", "1,1e306", "--epochs", "5",
+                     "--mnist-dir", conflicted_mnist_dir(tmp_path, synthetic_full_corpus),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha=1, lr=1e+306: ") and "epoch" in err
+        assert not out.exists()
 
     def test_manifest_records_seed_runs(self, tmp_path, synthetic_mnist_dir):
         out_a = str(tmp_path / "s1.csv")

@@ -39,6 +39,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             default_spec(mean_norm=0.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            default_spec(radius=radius)
+
     def test_nonnegative_noise(self):
         with pytest.raises(ValueError):
             default_spec(noise_scale=-0.1)
@@ -252,6 +257,12 @@ class TestCheckAssumptions:
         data = LabeledDataset(features, np.array([1, 1]))
         with pytest.raises(ValueError):
             check_assumptions(data, 1.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_nonpositive_r_rejected(self, r):
+        data = generate_symmetric_dataset(default_spec(), 10)
+        with pytest.raises(ValueError, match="r must be positive"):
+            check_assumptions(data, r)
 
 
 class TestHoeffdingEpsilon:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -106,17 +107,6 @@ class TestTypes:
             TrainConfig(A2, learning_rate=0.1, epochs=0, seed=0)
         with pytest.raises(ValueError):
             TrainConfig(A2, learning_rate=0.1, epochs=1, seed=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, init_scale=-1.0)
-        # the initial draw uniform(-s, s) needs its width 2 * s finite
-        widest = np.finfo(float).max / 2
-        for scale in (math.inf, 1e308, math.nextafter(widest, math.inf), math.nan):
-            with pytest.raises(ValueError, match="init_scale"):
-                TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, init_scale=scale)
-        data = LabeledDataset(np.array([[1e-300, 0.0], [0.0, -1e-300]]), np.array([1, -1]))
-        config = TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0, init_scale=widest)
-        weights = train(config, data).final_model.weights
-        assert np.isfinite(weights).all() and np.abs(weights).max() <= widest
         # zero learning rate is a legitimate no-op configuration
         TrainConfig(A2, learning_rate=0.0, epochs=1, seed=0)
         with pytest.raises(ValueError, match="epochs"):
@@ -186,6 +176,8 @@ class TestPredictAndLoss:
         assert sample_loss(A1, zero, x, -1) == pytest.approx(math.log(2), abs=1e-12)
         w = LinearModel(np.array([math.log(9.0)]))  # logit(0.9)
         assert sample_loss(AINF, w, np.array([1.0]), 1) == pytest.approx(0.1, abs=1e-12)
+        with pytest.raises(ValueError, match=r"x has shape \(3,\), expected \(2,\)"):
+            sample_loss(A2, zero, np.ones(3), 1)
 
     def test_sample_loss_equals_alpha_loss_of_belief(self):
         rng = np.random.default_rng(11)
@@ -331,6 +323,12 @@ class TestEmpiricalRiskAndGradient:
         ) / data.n
         assert empirical_risk(A2, model, data) == pytest.approx(naive, abs=1e-12)
 
+    def test_model_of_another_dimension_is_refused(self):
+        model, data = LinearModel(np.zeros(3)), toy_separable()
+        for call in (evaluate, partial(empirical_risk, A2), partial(empirical_gradient, A2)):
+            with pytest.raises(ValueError, match="model dimension 3 != data dimension 2"):
+                call(model, data)
+
     def test_gradient_cancels_on_sign_symmetric_data(self):
         # each feature vector appears with both signs under the same label, so
         # the per-sample gradients cancel pairwise at zero weights
@@ -386,9 +384,10 @@ class TestTrain:
 
     def test_zero_learning_rate_is_noop(self):
         data = toy_separable()
-        cfg = TrainConfig(A2, learning_rate=0.0, epochs=1, seed=77, init_scale=0.05)
+        cfg = TrainConfig(A2, learning_rate=0.0, epochs=1, seed=77)
         rep = train(cfg, data)
-        expected_init = np.random.default_rng(77).uniform(-0.05, 0.05, size=2)
+        scale = logreg.INIT_SCALE
+        expected_init = np.random.default_rng(77).uniform(-scale, scale, size=2)
         assert np.array_equal(rep.final_model.weights, expected_init)
 
     def test_trace_monotone_for_convex_log_loss(self):
@@ -446,7 +445,7 @@ class TestTrain:
         assert exc.value.epoch == 0
 
     @pytest.mark.parametrize("projected", [False, True])
-    def test_inf_minus_inf_score_diverges_without_warning(self, projected):
+    def test_inf_minus_inf_score_diverges_without_warning(self, projected, monkeypatch):
         import warnings
 
         # Finite initial weights near 1e307 against rows of +-100 whose signs
@@ -460,7 +459,8 @@ class TestTrain:
             if not np.isnan(x @ w0).all():
                 pytest.skip("this BLAS sums each row in one accumulator: no inf - inf")
         radius = 400.0 if projected else math.inf
-        cfg = TrainConfig(A2, 1.0, 3, seed=0, init_scale=1e307, radius=radius)
+        monkeypatch.setattr(logreg, "INIT_SCALE", 1e307)
+        cfg = TrainConfig(A2, 1.0, 3, seed=0, radius=radius)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
@@ -495,6 +495,7 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as exc:
             train(cfg, data)
         assert exc.value.epoch == 0
+        assert str(exc.value).startswith("alpha=1, lr=1000000000.0: ")
 
 
 # The masked split-form array kernels that the mask-free ones replaced, kept
@@ -552,7 +553,7 @@ def three_matvec_train(config, data):
     """
     rng = np.random.default_rng(config.seed)
     radius = config.radius
-    w = rng.uniform(-config.init_scale, config.init_scale, size=data.dim)
+    w = rng.uniform(-logreg.INIT_SCALE, logreg.INIT_SCALE, size=data.dim)
     x, y, n = data.features, data.labels, data.n
     trace = np.empty(config.epochs)
     with np.errstate(over="ignore"):
@@ -752,10 +753,11 @@ class TestTrainMatchesThreeMatvecLoop:
     # sign with growing amplitude: the misclassified score after epoch k is
     # about -(k + 1) * lr * 2.5e299, so the larger rates overflow it sooner.
     @pytest.mark.parametrize("learning_rate, epoch", [(8e8, 0), (4e8, 1), (3e8, 2)])
-    def test_divergence_epoch_matches(self, learning_rate, epoch):
+    def test_divergence_epoch_matches(self, learning_rate, epoch, monkeypatch):
         x = np.array([[1e150, 0.0], [2e150, 0.0]])
         data = LabeledDataset(x, np.array([1, -1]))
-        cfg = TrainConfig(A1, learning_rate=learning_rate, epochs=5, seed=0, init_scale=0.0)
+        monkeypatch.setattr(logreg, "INIT_SCALE", 0.0)
+        cfg = TrainConfig(A1, learning_rate=learning_rate, epochs=5, seed=0)
         with pytest.raises(TrainingDiverged) as expected:
             three_matvec_train(cfg, data)
         with pytest.raises(TrainingDiverged) as got:

@@ -246,6 +246,8 @@ class TestBuildBinaryTask:
         images, labels, test_images, test_labels = synthetic_full_corpus
         with pytest.raises(ValueError, match="labels"):
             build_binary_task(images, labels[:-1], test_images, test_labels, seed=0)
+        with pytest.raises(ValueError, match="test images but"):
+            build_binary_task(images, labels, test_images, test_labels[:-1], seed=0)
 
 
 def pooled_build(images, labels, test_images, test_labels, seed):
