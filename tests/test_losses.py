@@ -562,6 +562,25 @@ def branchwise_conditional_risk(alpha, eta, f):
     return eta * branchwise_margin_loss(alpha, f) + (1.0 - eta) * branchwise_margin_loss(alpha, -f)
 
 
+def branchwise_tilted_posterior(alpha, p):
+    p = check_belief(p)
+    if alpha.is_log:
+        return p
+    if alpha.is_infinite:
+        if p == 0.5:
+            return 0.5
+        return 1.0 if p > 0.5 else 0.0
+    return split_form_sigmoid(alpha.value * logit(p))
+
+
+def branchwise_second_deriv_sign_change(alpha):
+    if alpha.is_log:
+        raise ValueError("the log-loss margin form is convex: no sign change")
+    if alpha.is_infinite:
+        return 0.0
+    return math.log((alpha.value - 1.0) / alpha.value)
+
+
 def same_float(a, b):
     return struct.pack("<d", a) == struct.pack("<d", b)
 
@@ -605,6 +624,18 @@ class TestScalarFormsMatchBranchwiseReferences:
             for y in (1, -1):
                 assert same_float(alpha_loss(alpha, y, p), branchwise_alpha_loss(alpha, y, p)), p
 
+    def test_tilted_posterior_and_sign_change(self):
+        rng = np.random.default_rng(14)
+        ps = [0.0, 5e-324, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+              1.0 - 2.0**-53, 1.0] + [float(u) for u in rng.uniform(size=200)]
+        for alpha in ALPHA_CYCLE + [Alpha(1.0 + 1e-7)]:
+            if not alpha.is_log:
+                expected = branchwise_second_deriv_sign_change(alpha)
+                assert same_float(second_deriv_sign_change(alpha), expected), alpha.value
+            for p in ps:
+                expected = branchwise_tilted_posterior(alpha, p)
+                assert same_float(tilted_posterior(alpha, p), expected), (alpha.value, p)
+
     def test_validation_errors_unchanged(self):
         cases = [
             (sigmoid, split_form_sigmoid, (math.nan,)),
@@ -617,6 +648,10 @@ class TestScalarFormsMatchBranchwiseReferences:
             (conditional_risk, branchwise_conditional_risk, (A2, 0.3, math.nan)),
             (alpha_loss, branchwise_alpha_loss, (A2, 0, 0.5)),
             (alpha_loss, branchwise_alpha_loss, (A2, 1, 1.5)),
+            (tilted_posterior, branchwise_tilted_posterior, (A2, 1.5)),
+            (tilted_posterior, branchwise_tilted_posterior, (AINF, math.nan)),
+            (tilted_posterior, branchwise_tilted_posterior, (A1, -0.25)),
+            (second_deriv_sign_change, branchwise_second_deriv_sign_change, (A1,)),
         ]
         for fn, reference, args in cases:
             with pytest.raises(ValueError) as expected:
