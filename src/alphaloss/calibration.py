@@ -36,6 +36,13 @@ CALIBRATION_TOL = 1e-9
 # as long as the run that shares it.  The default grid has 100,001 points.
 MAX_GRID_POINTS = 10**7
 
+# Coarsest grid step: the golden section refines only the best grid cell's
+# neighbours.  Over alphas 1..inf and 50 posteriors the minima were within
+# 2e-14 of the closed form at steps up to 20, 38 of 400 were wrong at 50, and
+# far coarser steps can stall the search.  With the point cap this bound also
+# keeps f_range below 5 * 10^6, so no grid value overflows.
+MAX_GRID_STEP = 1.0
+
 # Golden-section search shrinks its bracket by this ratio until it is _GOLDEN_TOL wide.
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10
@@ -121,15 +128,11 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
     point is within a few ulps of f_range of that grid's (2 at most on the
     grids the tests measure).
     """
-    # written so that NaN fails it too
-    if not (f_range > 0.0 and grid_step > 0.0):
-        raise ValueError(
-            f"f_range and grid_step must be positive, got {f_range!r} and {grid_step!r}"
-        )
-    # an infinite step would round up to a 3-point grid, an infinite range past the cap
-    for name, value in (("f_range", f_range), ("grid_step", grid_step)):
-        if math.isinf(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    # each written so that NaN fails it too
+    if not 0.0 < f_range < math.inf:
+        raise ValueError(f"f_range must be finite and positive, got {f_range!r}")
+    if not 0.0 < grid_step <= MAX_GRID_STEP:
+        raise ValueError(f"grid_step must lie in (0, {MAX_GRID_STEP}], got {grid_step!r}")
     # An odd point count has a middle point, 0 by construction below: the
     # constrained half includes f = 0.
     ratio = f_range / grid_step
@@ -138,9 +141,6 @@ def calibration_workspace(f_range: float = 50.0, grid_step: float = 1e-3) -> Cal
         raise ValueError(
             f"f_range / grid_step = {ratio:.6g} needs a grid above {MAX_GRID_POINTS} points"
         )
-    # np.linspace would overflow to a grid of inf and nan
-    if not math.isfinite(2.0 * f_range):
-        raise ValueError(f"f_range={f_range:.6g} is too large: 2 * f_range overflows")
     # built in place, with the half-grid temporary gone before the buffers exist
     mid = points // 2
     grid = np.empty(points)

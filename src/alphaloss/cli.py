@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--f-range", type=float, default=50.0,
                        help="the grid covers f in [-F, F] (default: %(default)s)")
     p_cal.add_argument("--grid-step", type=float, default=1e-3,
-                       help="spacing of the f grid (default: %(default)s)")
+                       help="spacing of the f grid, in (0, 1] (default: %(default)s)")
 
     p_land = command("landscape", cmd_landscape, seeded, "risk-gap scaling experiment")
     p_land.add_argument("--alphas", default="2", help=alphas)

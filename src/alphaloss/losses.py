@@ -61,7 +61,8 @@ class Alpha:
         object.__setattr__(self, "scale", scale)
 
     def __str__(self) -> str:
-        return "inf" if self.is_infinite else f"{self.value:g}"
+        """The shortest text that reads back as the value, without a trailing ".0"."""
+        return repr(self.value).removesuffix(".0")
 
 
 def check_belief(p: float) -> float:
@@ -195,12 +196,13 @@ def margin_alpha_loss_d3(alpha: Alpha, z: float) -> float:
 
 
 def second_deriv_sign_change(alpha: Alpha) -> float:
-    """The margin below which the second derivative is negative, log((a-1)/a)."""
+    """The margin below which the second derivative is negative, log((a-1)/a).
+
+    That is the log of ``alpha.exponent``, 0 in the infinite limit.
+    """
     if alpha.is_log:
         raise ValueError("the log-loss margin form is convex: no sign change")
-    if alpha.is_infinite:
-        return 0.0
-    return math.log((alpha.value - 1.0) / alpha.value)
+    return math.log(alpha.exponent)
 
 
 def conditional_risk(alpha: Alpha, eta: float, f: float) -> float:
@@ -248,17 +250,13 @@ def tilted_posterior(alpha: Alpha, p: float) -> float:
     """The belief eta^alpha / (eta^alpha + (1-eta)^alpha) minimizing expected loss.
 
     Identity at alpha = 1; the hard indicator of p > 1/2 in the infinite limit
-    (1/2 at p = 1/2).  Computed as sigmoid(alpha * logit(p)), which is exact at
-    the endpoints and stable for large alpha.
+    (1/2 at p = 1/2).  Computed as sigmoid(optimal_classifier(alpha, p)), that
+    is sigmoid(alpha * logit(p)), stable for large alpha; p = 0 and 1 are fixed.
     """
     p = check_belief(p)
-    if alpha.is_log:
+    if alpha.is_log or p in (0.0, 1.0):
         return p
-    if alpha.is_infinite:
-        if p == 0.5:
-            return 0.5
-        return 1.0 if p > 0.5 else 0.0
-    return sigmoid(alpha.value * logit(p))
+    return sigmoid(optimal_classifier(alpha, p))
 
 
 def _exp_and_tail(alpha: Alpha, m: np.ndarray, e: np.ndarray, tail: np.ndarray) -> np.ndarray:

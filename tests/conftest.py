@@ -1,14 +1,46 @@
 import gzip
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from alphaloss import Alpha
 from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
+
+A1 = Alpha(1.0)
+A2 = Alpha(2)
+AINF = Alpha(math.inf)
+
+# The posteriors 0.1..0.9 without the excluded 1/2.
+ETA_GRID = [e / 10 for e in range(1, 10) if e != 5]
+
+
+def naive_margin_loss(alpha_value, z):
+    """Direct textbook formula, independent of the stable implementation.
+
+    Valid for |z| well below the exp overflow threshold.
+    """
+    s = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+    if alpha_value == 1:
+        return -np.log(s)
+    if math.isinf(alpha_value):
+        return 1.0 - s
+    return alpha_value / (alpha_value - 1.0) * (1.0 - s ** (1.0 - 1.0 / alpha_value))
+
+
+def grid_minimize_conditional_risk(alpha_value, eta, step):
+    """Brute-force oracle: argmin and min of the conditional risk on a grid over [-50, 50]."""
+    grid = np.linspace(-50.0, 50.0, int(round(100.0 / step)) + 1)
+    risks = eta * naive_margin_loss(alpha_value, grid) + (1.0 - eta) * naive_margin_loss(
+        alpha_value, -grid
+    )
+    i = int(np.argmin(risks))
+    return float(grid[i]), float(risks[i])
 
 MNIST_ENV = "ALPHALOSS_MNIST_DIR"
 
@@ -33,6 +65,15 @@ def real_mnist_dir():
     if directory is None:
         pytest.skip(f"real MNIST IDX files not available (set {MNIST_ENV})")
     return directory
+
+
+def forbid(monkeypatch, target, name, what):
+    """Patch ``target.name`` so that any call fails with AssertionError(what)."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(what)
+
+    monkeypatch.setattr(target, name, fail)
 
 
 def damaged_gzip(raw: bytes, damage: str) -> bytes:

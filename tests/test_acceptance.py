@@ -38,13 +38,7 @@ from alphaloss import (
 )
 from alphaloss.losses import margin_alpha_loss
 from alphaloss.logreg import LabeledDataset, row_norms
-from conftest import find_real_mnist
-
-A1 = Alpha(1.0)
-A2 = Alpha(2)
-AINF = Alpha(math.inf)
-
-ETA_GRID = [round(0.1 * k, 1) for k in range(1, 10) if k != 5]
+from conftest import A1, A2, AINF, ETA_GRID, find_real_mnist, grid_minimize_conditional_risk
 
 
 def report(num, name, ok, detail=""):
@@ -57,23 +51,6 @@ def report(num, name, ok, detail=""):
 def report_skip(num, name, reason):
     print(f"\nACCEPTANCE {num:02d} {name}: SKIP ({reason})")
     pytest.skip(reason)
-
-
-def naive_conditional_risk_grid(alpha_value, eta, f_range=50.0, step=2.5e-4):
-    """Independent brute-force oracle built from the textbook formulas."""
-    grid = np.linspace(-f_range, f_range, int(round(2 * f_range / step)) + 1)
-
-    def naive_loss(z):
-        s = 1.0 / (1.0 + np.exp(-z))
-        if alpha_value == 1:
-            return -np.log(s)
-        if math.isinf(alpha_value):
-            return 1.0 - s
-        return alpha_value / (alpha_value - 1.0) * (1.0 - s ** (1.0 - 1.0 / alpha_value))
-
-    risks = eta * naive_loss(grid) + (1.0 - eta) * naive_loss(-grid)
-    i = int(np.argmin(risks))
-    return float(grid[i]), float(risks[i])
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +132,7 @@ def test_criterion_03_optimal_classifier_closed_forms():
     for alpha_value in (1.0, 1.5, 2.0, 4.0):
         alpha = Alpha(alpha_value)
         for eta in ETA_GRID:
-            grid_argmin, grid_min = naive_conditional_risk_grid(alpha_value, eta)
+            grid_argmin, grid_min = grid_minimize_conditional_risk(alpha_value, eta, step=2.5e-4)
             closed_argmin = alpha_value * logit(eta)
             closed_min = min_conditional_risk(alpha, eta)
             worst_arg = max(worst_arg, abs(grid_argmin - closed_argmin))

@@ -24,16 +24,12 @@ from alphaloss import margin_losses
 from alphaloss.losses import margin_loss_tail
 from alphaloss.calibration import (
     MAX_GRID_POINTS,
+    MAX_GRID_STEP,
     _golden_section,
     _wrong_side,
     calibration_workspace,
 )
-
-A1 = Alpha(1.0)
-A2 = Alpha(2)
-AINF = Alpha(math.inf)
-
-ETA_GRID = [e / 10 for e in range(1, 10) if e != 5]
+from conftest import A1, A2, AINF, ETA_GRID, forbid
 
 
 def bisect_root(fn, lo, hi, iters=200):
@@ -123,36 +119,34 @@ class TestGridCap:
         ],
     )
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch, f_range, grid_step):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         with pytest.raises(ValueError, match="grid above"):
             check_calibration_at(Alpha(2), 0.3, work=calibration_workspace(f_range, grid_step))
 
     @pytest.mark.parametrize("f_range", [1e308, math.nextafter(sys.float_info.max / 2, math.inf)])
     def test_overflowing_range_rejected_before_allocation(self, monkeypatch, f_range):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
-        with pytest.raises(ValueError, match="f_range"):
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
+        with pytest.raises(ValueError, match="grid_step"):
             calibration_workspace(f_range, 1e305)
 
     @pytest.mark.parametrize("f_range, grid_step", [(math.nan, 1e-3), (50.0, math.nan)])
     def test_nan_input_named_not_blamed_on_the_cap(self, monkeypatch, f_range, grid_step):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
-        with pytest.raises(ValueError, match="must be positive, got") as err:
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
+        name = "f_range" if math.isnan(f_range) else "grid_step"
+        with pytest.raises(ValueError, match=f"^{name} must .*, got nan$") as err:
             calibration_workspace(f_range, grid_step)
         assert "grid above" not in str(err.value)
 
-    def test_widest_range_gives_a_finite_grid(self):
-        grid = calibration_workspace(sys.float_info.max / 2, 1e305).grid
-        assert np.isfinite(grid).all()
-        assert grid[0] == -grid[-1] == -sys.float_info.max / 2
+    @pytest.mark.parametrize("grid_step", [0.1, MAX_GRID_STEP])
+    def test_coarsest_steps_find_the_closed_form_minima(self, grid_step):
+        work = calibration_workspace(grid_step=grid_step)
+        for alpha in (A1, Alpha(1.5), A2, Alpha(10), AINF):
+            for eta in (0.01, 0.3, 0.7, 0.99):
+                rep = check_calibration_at(alpha, eta, work=work)
+                assert rep.unconstrained_min == pytest.approx(
+                    min_conditional_risk(alpha, eta), abs=1e-9
+                ), (alpha.value, eta)
+                assert rep.gap > 0, (alpha.value, eta)
 
 
 # Posteriors 0.01..0.99 without 1/2, and 1/2 plus or minus one ulp.

@@ -12,7 +12,7 @@ import pytest
 from alphaloss import __version__
 from alphaloss.calibration import calibration_workspace
 from alphaloss.cli import build_parser, main, manifest_path_for, replay
-from conftest import damaged_gzip
+from conftest import damaged_gzip, forbid
 
 # The checkout's own sources, for child processes: an import error there also
 # exits 1, so a child that cannot import the package must not pass as a result.
@@ -80,10 +80,7 @@ class TestLossCurves:
     )
     def test_rows_above_cap_exit_one_before_allocating(self, tmp_path, capsys, monkeypatch,
                                                         alphas, steps):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         out = tmp_path / "curves.csv"
         assert main(["losscurves", "--alphas", alphas, "--steps", str(steps),
                      "--out", str(out)]) == 1
@@ -97,10 +94,7 @@ class TestLossCurves:
     )
     def test_nonfinite_range_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch,
                                                          bounds):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         out = tmp_path / "curves.csv"
         assert main(["losscurves", *bounds, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -110,10 +104,7 @@ class TestLossCurves:
     @pytest.mark.parametrize("steps", ["1", "0"])
     def test_fewer_than_two_steps_exit_one_before_allocating(self, tmp_path, capsys, monkeypatch,
                                                              steps):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         out = tmp_path / "curves.csv"
         assert main(["losscurves", "--steps", steps, "--out", str(out)]) == 1
         assert "steps must be at least 2" in capsys.readouterr().err
@@ -217,10 +208,7 @@ class TestCalibrationCommand:
 
 
     def test_grid_above_cap_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         out = str(tmp_path / "cal.csv")
         code = main(["calibration", "--alphas", "2", "--eta-grid", "0.3",
                      "--grid-step", "1e-12", "--out", out])
@@ -228,16 +216,25 @@ class TestCalibrationCommand:
         assert "grid above" in capsys.readouterr().err
 
     def test_overflowing_range_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         out = tmp_path / "cal.csv"
         code = main(["calibration", "--alphas", "2", "--eta-grid", "0.3", "--f-range", "1e308",
                      "--grid-step", "1e305", "--out", str(out)])
         assert code == 1
-        assert "f_range" in capsys.readouterr().err
+        assert "grid_step" in capsys.readouterr().err
         assert not out.exists()
+
+    # the first once wrote a false "not calibrated" row, the second never ended
+    @pytest.mark.parametrize("alpha, f_range, grid_step", [("2", "1e6", "1e3"),
+                                                           ("1", "1e40", "1e37")])
+    def test_coarse_step_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                     alpha, f_range, grid_step):
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
+        argv = ["calibration", "--alphas", alpha, "--eta-grid", "0.3", "--f-range", f_range,
+                "--grid-step", grid_step, "--out", str(tmp_path / "cal.csv")]
+        assert main(argv) == 1
+        assert "grid_step" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_uncovered_optimum_names_its_cell(self, tmp_path, capsys):
         # the optimal classifier at (4, 0.9) is about 8.79, outside [-5, 5]
@@ -750,10 +747,7 @@ class TestLandscapeSizeCap:
     def test_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch, flags):
         from alphaloss import landscape
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr(landscape, "_draw_positive_class", refuse)
+        forbid(monkeypatch, landscape, "_draw_positive_class", "a sample was drawn")
         out = tmp_path / "gaps.csv"
         assert main(["landscape", "--trials", "1", "--epochs", "5", "--out", str(out)] + flags) == 1
         assert "floats" in capsys.readouterr().err
@@ -769,10 +763,7 @@ class TestLandscapeSizesBeforeWork:
         ["--dim", "0"],
     ])
     def test_dim_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch, flags):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a dim-sized array was allocated")
-
-        monkeypatch.setattr(np, "zeros", refuse)
+        forbid(monkeypatch, np, "zeros", "a dim-sized array was allocated")
         out = tmp_path / "gaps.csv"
         assert main(["landscape", "--trials", "1", "--out", str(out)] + flags) == 1
         assert "dim" in capsys.readouterr().err
@@ -782,10 +773,7 @@ class TestLandscapeSizesBeforeWork:
     def test_n_below_two_exits_one_before_training(self, tmp_path, capsys, monkeypatch, ns):
         from alphaloss import landscape
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a model was trained")
-
-        monkeypatch.setattr(landscape, "train", refuse)
+        forbid(monkeypatch, landscape, "train", "a model was trained")
         out = tmp_path / "gaps.csv"
         argv = ["landscape", "--alphas", "1,2", "--ns", ns, "--trials", "3",
                 "--holdout-n", "1000", "--out", str(out)]
@@ -1095,22 +1083,19 @@ class TestNonFiniteGridFlags:
         assert main(["calibration", "--alphas", "2", "--eta-grid", "0.3", flag, "nan",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "f_range and grid_step must be positive" in err
+        assert f"{flag[2:].replace('-', '_')} must" in err and "got nan" in err
         assert "grid above" not in err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag, name", [("--f-range", "f_range"), ("--grid-step", "grid_step")])
     def test_inf_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, flag, name):
         # an infinite step once ran on a 3-point grid, an infinite range blamed the cap
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
+        forbid(monkeypatch, np, "linspace", "the grid was allocated")
         out = tmp_path / "cal.csv"
         assert main(["calibration", "--alphas", "2", "--eta-grid", "0.3", flag, "inf",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"{name} must be finite, got inf" in err
+        assert f"{name} must" in err and "got inf" in err
         assert "grid above" not in err
         assert os.listdir(tmp_path) == []
 
@@ -1179,11 +1164,9 @@ class TestSeedRange:
     def test_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, command, seed):
         from alphaloss import cli, landscape
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the run got past its flags to the corpus or the sample")
-
-        monkeypatch.setattr(cli, "load_mnist_dir", refuse)
-        monkeypatch.setattr(landscape, "generate_symmetric_dataset", refuse)
+        reached = "the run got past its flags to the corpus or the sample"
+        forbid(monkeypatch, cli, "load_mnist_dir", reached)
+        forbid(monkeypatch, landscape, "generate_symmetric_dataset", reached)
         argv = TestEpochsCap.ARGV[command] + ["--seed", seed, "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 1
         assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err

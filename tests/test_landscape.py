@@ -23,9 +23,7 @@ from alphaloss import (
     train,
 )
 from alphaloss.logreg import MAX_EPOCHS, row_norms
-
-A1 = Alpha(1.0)
-A2 = Alpha(2)
+from conftest import A1, A2, forbid
 
 
 def default_spec(**overrides):
@@ -130,10 +128,7 @@ class TestGeneration:
             generate_symmetric_dataset(default_spec(), 1)
 
     def test_size_cap_rejects_before_drawing(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
+        forbid(monkeypatch, landscape_module, "_draw_positive_class", "a sample was drawn")
         cap = landscape_module.MAX_SAMPLE_FLOATS
         for n in (10**13, cap // 2 + 1):
             with pytest.raises(ValueError, match="floats"):
@@ -431,18 +426,12 @@ class TestRiskGapExperiment:
     def test_size_cap_checked_before_any_draw(self, small_experiment, monkeypatch, sizes, holdout_n):
         spec, _ = small_experiment
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
+        forbid(monkeypatch, landscape_module, "_draw_positive_class", "a sample was drawn")
         with pytest.raises(ValueError, match="floats"):
             risk_gap_experiment(spec, [A2], sizes, trials=1, holdout_n=holdout_n, **SCHEDULE)
 
     def test_wide_dim_refused_before_any_dim_sized_array(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a dim-sized array was allocated")
-
-        monkeypatch.setattr(np, "zeros", refuse)
+        forbid(monkeypatch, np, "zeros", "a dim-sized array was allocated")
         spec = SymmetricDataSpec(
             dim=10**12, radius=1.0, mean_norm=0.5, noise_scale=0.1, seed=0
         )
@@ -457,10 +446,7 @@ class TestRiskGapExperiment:
                                               text):
         spec, _ = small_experiment
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr(landscape_module, "generate_symmetric_dataset", refuse)
+        forbid(monkeypatch, landscape_module, "generate_symmetric_dataset", "a sample was drawn")
         with pytest.raises(ValueError, match=text):
             risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, **schedule)
 
@@ -480,10 +466,7 @@ class TestRiskGapExperiment:
     ], ids=["dim", "spec-seed", "epochs", "train-seed", "trials", "n", "holdout_n",
             "experiment-epochs"])
     def test_non_integer_whole_number_refused_before_any_draw(self, monkeypatch, call):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr(landscape_module, "_draw_positive_class", refuse)
+        forbid(monkeypatch, landscape_module, "_draw_positive_class", "a sample was drawn")
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
 

@@ -35,10 +35,7 @@ from alphaloss.losses import (
     margin_loss_tail,
     margin_losses,
 )
-
-A1 = Alpha(1.0)
-A2 = Alpha(2)
-AINF = Alpha(math.inf)
+from conftest import A1, A2, AINF
 
 ALPHA_CYCLE = [A1, Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF]
 

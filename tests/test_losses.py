@@ -31,36 +31,9 @@ from alphaloss import (
     sigmoid,
     tilted_posterior,
 )
-
-A1 = Alpha(1.0)
-A2 = Alpha(2)
-AINF = Alpha(math.inf)
+from conftest import A1, A2, AINF, grid_minimize_conditional_risk, naive_margin_loss
 
 ALPHA_SAMPLE = [A1, Alpha(1.01), Alpha(1.1), Alpha(1.5), A2, Alpha(5), Alpha(10), Alpha(1e6), AINF]
-
-
-def naive_margin_loss(alpha_value, z):
-    """Direct textbook formula, independent of the stable implementation.
-
-    Valid for |z| well below the exp overflow threshold.
-    """
-    s = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
-    if alpha_value == 1:
-        return -np.log(s)
-    if math.isinf(alpha_value):
-        return 1.0 - s
-    return alpha_value / (alpha_value - 1.0) * (1.0 - s ** (1.0 - 1.0 / alpha_value))
-
-
-def grid_minimize_conditional_risk(alpha_value, eta, f_range=50.0, step=1e-3):
-    """Brute-force oracle: argmin and min of the conditional risk on a grid."""
-    n = int(round(2 * f_range / step)) + 1
-    grid = np.linspace(-f_range, f_range, n)
-    risks = eta * naive_margin_loss(alpha_value, grid) + (1 - eta) * naive_margin_loss(
-        alpha_value, -grid
-    )
-    i = int(np.argmin(risks))
-    return float(grid[i]), float(risks[i])
 
 
 class TestAlphaParam:
@@ -130,6 +103,11 @@ class TestAlphaParam:
         assert hash(Alpha(2)) == hash(Alpha("2.0"))
         assert repr(Alpha(2)) == "Alpha(value=2.0)"
         assert Alpha(1.0 + 1e-12) == A1 and Alpha(1.5) != A2
+
+    def test_str_names_each_alpha_exactly(self):
+        # six significant digits printed 1 for both of the first two
+        texts = [str(Alpha(v)) for v in (1.0000001, 1.0000002, 1234567.0, 2, 1e300, "inf")]
+        assert texts == ["1.0000001", "1.0000002", "1234567", "2", "1e+300", "inf"]
 
     @pytest.mark.parametrize("value", [1.0, 1.5, math.inf])
     def test_replace_and_pickle_keep_derived_fields(self, value):
@@ -417,7 +395,7 @@ class TestMinConditionalRisk:
     def test_matches_grid_minimization(self):
         for alpha_value in (1.0, 1.5, 2.0, 4.0):
             for eta in (0.1, 0.3, 0.5, 0.8):
-                _, value = grid_minimize_conditional_risk(alpha_value, eta)
+                _, value = grid_minimize_conditional_risk(alpha_value, eta, step=1e-3)
                 assert min_conditional_risk(Alpha(alpha_value), eta) == pytest.approx(value, abs=1e-6)
 
     def test_symmetry(self):
