@@ -9,9 +9,10 @@ import shutil
 import numpy as np
 import pytest
 
-from alphaloss import __version__
+from alphaloss import __version__, cli, landscape
 from alphaloss.calibration import calibration_workspace
 from alphaloss.cli import build_parser, main, manifest_path_for, replay
+from alphaloss.logreg import MAX_EPOCHS
 from conftest import damaged_gzip, forbid
 
 # The checkout's own sources, for child processes: an import error there also
@@ -1195,3 +1196,116 @@ class TestNonFiniteLaw:
         out = tmp_path / "gaps.csv"
         assert main(self.ARGV + ["--mean-norm", "1e200", "--out", str(out)]) == 0
         assert out.exists()
+
+
+# One small run per command.  A row's flags come after these, so a flag a row
+# names overrides this one; "unread" is never opened, since the corpus loader
+# is forbidden wherever it is used below.
+BASE = {
+    "train": ["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1", "--mnist-dir", "unread"],
+    "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1",
+              "--mnist-dir", "unread"],
+    "calibration": ["calibration", "--alphas", "2", "--eta-grid", "0.7", "--f-range", "5",
+                    "--grid-step", "0.01"],
+    "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500",
+                  "--epochs", "5"],
+    "losscurves": ["losscurves", "--steps", "3"],
+}
+
+# Every flag the CLI refuses, with a fragment of the one error line it prints.
+REFUSALS = [
+    ("losscurves", ["--alphas", "2", "--steps", "1000001"], "1000001 steps x 1 alphas is above"),
+    ("losscurves", ["--alphas", "1,2,inf", "--steps", "333334"], "333334 steps x 3 alphas"),
+    ("losscurves", ["--alphas", "1,1.5,2,inf", "--steps", str(10**9)], "steps x 4 alphas is above"),
+    ("losscurves", ["--z-min=-1e308", "--z-max=1e308"], "--z-min -1e+308 and --z-max 1e+308 must"),
+    ("losscurves", ["--z-min=-inf"], "--z-min -inf and --z-max 10 must be finite"),
+    ("losscurves", ["--z-max=inf"], "--z-min -10 and --z-max inf must be finite"),
+    ("losscurves", ["--z-max=nan"], "--z-min -10 and --z-max nan must be finite"),
+    ("losscurves", ["--steps", "1"], "steps must be at least 2"),
+    ("losscurves", ["--steps", "0"], "steps must be at least 2"),
+    ("calibration", ["--f-range", "50", "--grid-step", "1e-12"], "= 5e+13 needs a grid above"),
+    ("calibration", ["--f-range", "1e308", "--grid-step", "1e305"],
+     "grid_step must lie in (0, 1.0], got 1e+305"),
+    # the first once wrote a false "not calibrated" row, the second never ended
+    ("calibration", ["--eta-grid", "0.3", "--f-range", "1e6", "--grid-step", "1e3"],
+     "grid_step must lie in (0, 1.0], got 1000.0"),
+    ("calibration", ["--alphas", "1", "--eta-grid", "0.3", "--f-range", "1e40", "--grid-step",
+                     "1e37"], "grid_step must lie in (0, 1.0], got 1e+37"),
+    # an infinite step once ran on a 3-point grid, an infinite or NaN range blamed the cap
+    ("calibration", ["--f-range", "nan"], "f_range must be finite and positive, got nan"),
+    ("calibration", ["--f-range", "inf"], "f_range must be finite and positive, got inf"),
+    ("calibration", ["--grid-step", "nan"], "grid_step must lie in (0, 1.0], got nan"),
+    ("calibration", ["--grid-step", "inf"], "grid_step must lie in (0, 1.0], got inf"),
+    ("calibration", ["--eta-grid", "0.5"], "every eta is 0.5, which is excluded"),
+    ("train", ["--mnist-dir", ""], "no MNIST directory: pass --mnist-dir or set"),
+    *((command, [flag, text], f"empty list {text!r}")
+      for command, flag in [("sweep", "--alphas"), ("sweep", "--lr-grid"),
+                            ("calibration", "--alphas"), ("calibration", "--eta-grid"),
+                            ("landscape", "--alphas"), ("landscape", "--ns"),
+                            ("losscurves", "--alphas")]
+      for text in ["", ","]),
+    ("sweep", ["--alphas", "2,2.0"], "duplicate entry 2 in list '2,2.0'"),
+    ("sweep", ["--lr-grid", "1,1.0"], "duplicate entry 1.0 in list '1,1.0'"),
+    ("calibration", ["--alphas", "inf,Infinity"], "duplicate entry inf in list 'inf,Infinity'"),
+    ("calibration", ["--eta-grid", "0.3,0.30"], "duplicate entry 0.3 in list '0.3,0.30'"),
+    ("landscape", ["--alphas", "2,2"], "duplicate entry 2 in list '2,2'"),
+    ("landscape", ["--ns", "40,40"], "duplicate entry 40 in list '40,40'"),
+    ("losscurves", ["--alphas", "1,1.5,1"], "duplicate entry 1 in list '1,1.5,1'"),
+    ("landscape", ["--holdout-n", str(10**13)], "holdout_n 10000000000000 x dim 5 is"),
+    ("landscape", ["--ns", "100,30000000"], "n 30000000 x dim 5 is 150000000 floats, above"),
+    ("landscape", ["--ns", "100", "--dim", "200", "--holdout-n", "600000"],
+     "holdout_n 600000 x dim 200 is 120000000 floats, above the 100000000 allowed"),
+    ("landscape", ["--dim", "10000000", "--holdout-n", "100"], "holdout_n 100 x dim 10000000 is"),
+    ("landscape", ["--dim", "1000000000000"], "holdout_n 500 x dim 1000000000000 is"),
+    ("landscape", ["--dim", "0"], "dim must be at least 1"),
+    *(("landscape", ["--alphas", "1,2", "--ns", ns, "--trials", "3", "--holdout-n", "1000"],
+       "n must be at least 2") for ns in ["100,1", "100,-5"]),
+    # a rate that is not finite is a bad flag, exit 1, not a training divergence, exit 2
+    ("train", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
+    ("sweep", ["--lr-grid", "1,inf"], "learning_rate must be finite and nonnegative, got inf"),
+    ("landscape", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
+    *((command, ["--epochs", str(MAX_EPOCHS + 1)], f"epochs must be at most {MAX_EPOCHS}, got")
+      for command in ["train", "sweep", "landscape"]),
+    *((command, ["--seed", seed], f"seed must fit in 64 unsigned bits, got {seed}")
+      for command in ["train", "sweep", "landscape"] for seed in ["-1", str(2**64)]),
+    ("landscape", ["--radius", "inf", "--noise", "inf"], "noise_scale must be finite"),
+    ("landscape", ["--radius", "inf", "--mean-norm", "inf"], "mean_norm must be finite"),
+]
+
+# Flags at their largest allowed value, with the entry point into the work each reaches.
+AT_THE_BOUND = [
+    ("losscurves", ["--alphas", "2", "--steps", str(10**6)], np, "linspace"),
+    ("train", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
+    ("sweep", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
+    ("landscape", ["--epochs", str(MAX_EPOCHS)], landscape, "generate_symmetric_dataset"),
+]
+
+
+def cases(rows):
+    return [pytest.param(*row, id="-".join([row[0], *row[1]])) for row in rows]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every way into a run's work fails, naming itself: corpus, sample, model or grid."""
+    monkeypatch.delenv("ALPHALOSS_MNIST_DIR", raising=False)
+    for target, name in [(cli, "load_mnist_dir"), (cli, "train"),
+                         (landscape, "generate_symmetric_dataset"), (landscape, "train"),
+                         (np, "linspace"), (np, "zeros")]:
+        forbid(monkeypatch, target, name, f"{target.__name__}.{name} was called")
+
+
+@pytest.mark.parametrize("command, flags, message", cases(REFUSALS))
+def test_refused_before_any_work(tmp_path, capfd, no_work, command, flags, message):
+    assert main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, flags, target, name", cases(AT_THE_BOUND))
+def test_at_the_bound_reaches_the_work(tmp_path, monkeypatch, command, flags, target, name):
+    forbid(monkeypatch, target, name, "the run reached its work")
+    with pytest.raises(AssertionError, match="the run reached its work"):
+        main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")])
