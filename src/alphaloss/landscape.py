@@ -20,6 +20,7 @@ from .logreg import (
     LabeledDataset,
     TrainConfig,
     TrainingDiverged,
+    _check_seed,
     empirical_risk,
     evaluate,
     row_norms,
@@ -66,8 +67,7 @@ class SymmetricDataSpec:
             raise ValueError("mean_norm must be finite and positive (a nonzero class mean)")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be finite and nonnegative")
-        if not 0 <= operator.index(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        _check_seed(self.seed)
 
     @classmethod
     def along_first_axis(cls, dim, radius, mean_norm, noise_scale, seed) -> "SymmetricDataSpec":

@@ -117,6 +117,12 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
+def _check_seed(seed: int) -> None:
+    """The rule for every seed of the package: an integer in 0..2^64 - 1."""
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Full-batch gradient-descent settings.
@@ -140,8 +146,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
         if epochs > MAX_EPOCHS:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
-        if not 0 <= operator.index(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        _check_seed(self.seed)
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
@@ -153,21 +158,23 @@ class TrainReport:
     train_accuracy: float
 
 
-def predict_proba(model: LinearModel, x: np.ndarray) -> float:
-    """Probability assigned to label +1 at x: sigmoid(w . x)."""
+def _point_score(model: LinearModel, x: np.ndarray) -> float:
+    """The score w . x of one point, which must be a vector of the model's dimension."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.dim},)")
-    return sigmoid(float(model.weights @ x))
+    return float(model.weights @ x)
+
+
+def predict_proba(model: LinearModel, x: np.ndarray) -> float:
+    """Probability assigned to label +1 at x: sigmoid(w . x)."""
+    return sigmoid(_point_score(model, x))
 
 
 def sample_loss(alpha: Alpha, model: LinearModel, x: np.ndarray, y: int) -> float:
     """Loss of the model's belief on one labeled sample, via the margin form."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.dim},)")
-    y = check_label(y)
-    return margin_alpha_loss(alpha, y * float(model.weights @ x))
+    score = _point_score(model, x)
+    return margin_alpha_loss(alpha, check_label(y) * score)
 
 
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:
