@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +17,16 @@ from alphaloss.cli import build_parser, main, manifest_path_for, replay
 from alphaloss.logreg import MAX_EPOCHS
 from conftest import damaged_gzip, forbid
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The checkout's own sources, for child processes: an import error there also
 # exits 1, so a child that cannot import the package must not pass as a result.
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SRC = os.path.join(ROOT, "src")
+
+
+def run_child(*argv):
+    """Run a fresh Python on argv from the checkout root, importing the checkout's sources."""
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
 
 
 def read_csv(path):
@@ -29,6 +38,121 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# One small run per command.  A row's flags come after these, so a flag a row
+# names overrides the one here.  No test opens "unread": each that gets that far
+# forbids the corpus loader or names a real --mnist-dir after it.
+BASE = {
+    "train": ["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1", "--mnist-dir", "unread"],
+    "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1",
+              "--mnist-dir", "unread"],
+    "calibration": ["calibration", "--alphas", "2", "--eta-grid", "0.7", "--f-range", "5",
+                    "--grid-step", "0.01"],
+    "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500",
+                  "--epochs", "5"],
+    "losscurves": ["losscurves", "--steps", "3"],
+}
+
+# Every flag the CLI refuses, with a fragment of the one error line it prints.
+# The refusals that need some work first (a damaged corpus, an uncovered
+# calibration optimum, a law whose draws overflow) are tested with their commands.
+REFUSALS = [
+    ("losscurves", ["--alphas", "2", "--steps", "1000001"], "1000001 steps x 1 alphas is above"),
+    ("losscurves", ["--alphas", "1,2,inf", "--steps", "333334"], "333334 steps x 3 alphas"),
+    ("losscurves", ["--alphas", "1,1.5,2,inf", "--steps", str(10**9)], "steps x 4 alphas is above"),
+    ("losscurves", ["--z-min=-1e308", "--z-max=1e308"], "--z-min -1e+308 and --z-max 1e+308 must"),
+    ("losscurves", ["--z-min=-inf"], "--z-min -inf and --z-max 10 must be finite"),
+    ("losscurves", ["--z-max=inf"], "--z-min -10 and --z-max inf must be finite"),
+    ("losscurves", ["--z-max=nan"], "--z-min -10 and --z-max nan must be finite"),
+    ("losscurves", ["--steps", "1"], "steps must be at least 2"),
+    ("losscurves", ["--steps", "0"], "steps must be at least 2"),
+    ("calibration", ["--f-range", "50", "--grid-step", "1e-12"], "= 5e+13 needs a grid above"),
+    ("calibration", ["--f-range", "1e308", "--grid-step", "1e305"],
+     "grid_step must lie in (0, 1.0], got 1e+305"),
+    # the first once wrote a false "not calibrated" row, the second never ended
+    ("calibration", ["--eta-grid", "0.3", "--f-range", "1e6", "--grid-step", "1e3"],
+     "grid_step must lie in (0, 1.0], got 1000.0"),
+    ("calibration", ["--alphas", "1", "--eta-grid", "0.3", "--f-range", "1e40", "--grid-step",
+                     "1e37"], "grid_step must lie in (0, 1.0], got 1e+37"),
+    # an infinite step once ran on a 3-point grid, an infinite or NaN range blamed the cap
+    ("calibration", ["--f-range", "nan"], "f_range must be finite and positive, got nan"),
+    ("calibration", ["--f-range", "inf"], "f_range must be finite and positive, got inf"),
+    ("calibration", ["--grid-step", "nan"], "grid_step must lie in (0, 1.0], got nan"),
+    ("calibration", ["--grid-step", "inf"], "grid_step must lie in (0, 1.0], got inf"),
+    ("calibration", ["--eta-grid", "0.5"], "every eta is 0.5, which is excluded"),
+    ("train", ["--mnist-dir", ""], "no MNIST directory: pass --mnist-dir or set"),
+    *((command, [flag, text], f"empty list {text!r}")
+      for command, flag in [("sweep", "--alphas"), ("sweep", "--lr-grid"),
+                            ("calibration", "--alphas"), ("calibration", "--eta-grid"),
+                            ("landscape", "--alphas"), ("landscape", "--ns"),
+                            ("losscurves", "--alphas")]
+      for text in ["", ","]),
+    ("sweep", ["--alphas", "2,2.0"], "duplicate entry 2 in list '2,2.0'"),
+    ("sweep", ["--lr-grid", "1,1.0"], "duplicate entry 1.0 in list '1,1.0'"),
+    ("calibration", ["--alphas", "inf,Infinity"], "duplicate entry inf in list 'inf,Infinity'"),
+    ("calibration", ["--eta-grid", "0.3,0.30"], "duplicate entry 0.3 in list '0.3,0.30'"),
+    ("landscape", ["--alphas", "2,2"], "duplicate entry 2 in list '2,2'"),
+    ("landscape", ["--ns", "40,40"], "duplicate entry 40 in list '40,40'"),
+    ("losscurves", ["--alphas", "1,1.5,1"], "duplicate entry 1 in list '1,1.5,1'"),
+    ("landscape", ["--holdout-n", str(10**13)], "holdout_n 10000000000000 x dim 5 is"),
+    ("landscape", ["--ns", "100,30000000"], "n 30000000 x dim 5 is 150000000 floats, above"),
+    ("landscape", ["--ns", "100", "--dim", "200", "--holdout-n", "600000"],
+     "holdout_n 600000 x dim 200 is 120000000 floats, above the 100000000 allowed"),
+    ("landscape", ["--dim", "10000000", "--holdout-n", "100"], "holdout_n 100 x dim 10000000 is"),
+    ("landscape", ["--dim", "1000000000000"], "holdout_n 500 x dim 1000000000000 is"),
+    ("landscape", ["--dim", "0"], "dim must be at least 1"),
+    *(("landscape", ["--alphas", "1,2", "--ns", ns, "--trials", "3", "--holdout-n", "1000"],
+       "n must be at least 2") for ns in ["100,1", "100,-5"]),
+    # a rate that is not finite is a bad flag, exit 1, not a training divergence, exit 2
+    ("train", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
+    ("sweep", ["--lr-grid", "1,inf"], "learning_rate must be finite and nonnegative, got inf"),
+    ("landscape", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
+    *((command, ["--epochs", str(MAX_EPOCHS + 1)], f"epochs must be at most {MAX_EPOCHS}, got")
+      for command in ["train", "sweep", "landscape"]),
+    *((command, ["--seed", seed], f"seed must fit in 64 unsigned bits, got {seed}")
+      for command in ["train", "sweep", "landscape"] for seed in ["-1", str(2**64)]),
+    ("landscape", ["--radius", "inf", "--noise", "inf"], "noise_scale must be finite"),
+    ("landscape", ["--radius", "inf", "--mean-norm", "inf"], "mean_norm must be finite"),
+]
+
+# Flags at their largest allowed value, with the entry point into the work each reaches.
+AT_THE_BOUND = [
+    ("losscurves", ["--alphas", "2", "--steps", str(10**6)], np, "linspace"),
+    ("train", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
+    ("sweep", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
+    ("landscape", ["--epochs", str(MAX_EPOCHS)], landscape, "generate_symmetric_dataset"),
+]
+
+
+def cases(rows):
+    return [pytest.param(*row, id="-".join([row[0], *row[1]])) for row in rows]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every way into a run's work fails, naming itself: corpus, sample, model or grid."""
+    monkeypatch.delenv("ALPHALOSS_MNIST_DIR", raising=False)
+    for target, name in [(cli, "load_mnist_dir"), (cli, "train"),
+                         (landscape, "generate_symmetric_dataset"), (landscape, "train"),
+                         (np, "linspace"), (np, "zeros")]:
+        forbid(monkeypatch, target, name, f"{target.__name__}.{name} was called")
+
+
+@pytest.mark.parametrize("command, flags, message", cases(REFUSALS))
+def test_refused_before_any_work(tmp_path, capfd, no_work, command, flags, message):
+    assert main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, flags, target, name", cases(AT_THE_BOUND))
+def test_at_the_bound_reaches_the_work(tmp_path, monkeypatch, command, flags, target, name):
+    forbid(monkeypatch, target, name, "the run reached its work")
+    with pytest.raises(AssertionError, match="the run reached its work"):
+        main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")])
 
 
 class TestLossCurves:
@@ -74,67 +198,6 @@ class TestLossCurves:
         assert main(["losscurves"] + sum((["--" + k, str(v)] for k, v in manifest["flags"].items()), [])) == 0
         assert open(out, "rb").read() == first
         assert replay(manifest_file) == 0
-        assert open(out, "rb").read() == first
-
-    @pytest.mark.parametrize(
-        "alphas, steps", [("2", 10**6 + 1), ("1,2,inf", 333_334), ("1,1.5,2,inf", 10**9)]
-    )
-    def test_rows_above_cap_exit_one_before_allocating(self, tmp_path, capsys, monkeypatch,
-                                                        alphas, steps):
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        out = tmp_path / "curves.csv"
-        assert main(["losscurves", "--alphas", alphas, "--steps", str(steps),
-                     "--out", str(out)]) == 1
-        assert "10^6 rows" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "bounds",
-        [["--z-min=-1e308", "--z-max=1e308"], ["--z-min=-inf"], ["--z-max=inf"],
-         ["--z-max=nan"]],
-    )
-    def test_nonfinite_range_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch,
-                                                         bounds):
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        out = tmp_path / "curves.csv"
-        assert main(["losscurves", *bounds, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "--z-min" in err and "--z-max" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("steps", ["1", "0"])
-    def test_fewer_than_two_steps_exit_one_before_allocating(self, tmp_path, capsys, monkeypatch,
-                                                             steps):
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        out = tmp_path / "curves.csv"
-        assert main(["losscurves", "--steps", steps, "--out", str(out)]) == 1
-        assert "steps must be at least 2" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    def test_rows_at_cap_reach_the_grid(self, tmp_path, monkeypatch):
-        class GridBuilt(Exception):
-            pass
-
-        def refuse(*args, **kwargs):
-            raise GridBuilt
-
-        monkeypatch.setattr(np, "linspace", refuse)
-        with pytest.raises(GridBuilt):
-            main(["losscurves", "--alphas", "2", "--steps", str(10**6),
-                  "--out", str(tmp_path / "curves.csv")])
-
-    def test_fresh_process_reproduces_bytes(self, tmp_path):
-        import subprocess
-        import sys
-
-        out = str(tmp_path / "curves.csv")
-        argv = ["landscape", "--alphas", "2", "--ns", "40,80", "--trials", "2",
-                "--holdout-n", "500", "--epochs", "20", "--seed", "9", "--out", out]
-        assert main(argv) == 0
-        first = open(out, "rb").read()
-        proc = subprocess.run([sys.executable, "-m", "alphaloss.cli"] + argv,
-                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
-        assert proc.returncode == 0, proc.stderr
         assert open(out, "rb").read() == first
 
     def test_replay_of_a_value_starting_with_a_dash(self, tmp_path, monkeypatch):
@@ -207,36 +270,6 @@ class TestCalibrationCommand:
         assert len(lines) == 1
         assert "0.3.1" in lines[0] and __version__ in lines[0]
 
-
-    def test_grid_above_cap_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        out = str(tmp_path / "cal.csv")
-        code = main(["calibration", "--alphas", "2", "--eta-grid", "0.3",
-                     "--grid-step", "1e-12", "--out", out])
-        assert code == 1
-        assert "grid above" in capsys.readouterr().err
-
-    def test_overflowing_range_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch):
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        out = tmp_path / "cal.csv"
-        code = main(["calibration", "--alphas", "2", "--eta-grid", "0.3", "--f-range", "1e308",
-                     "--grid-step", "1e305", "--out", str(out)])
-        assert code == 1
-        assert "grid_step" in capsys.readouterr().err
-        assert not out.exists()
-
-    # the first once wrote a false "not calibrated" row, the second never ended
-    @pytest.mark.parametrize("alpha, f_range, grid_step", [("2", "1e6", "1e3"),
-                                                           ("1", "1e40", "1e37")])
-    def test_coarse_step_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch,
-                                                     alpha, f_range, grid_step):
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        argv = ["calibration", "--alphas", alpha, "--eta-grid", "0.3", "--f-range", f_range,
-                "--grid-step", grid_step, "--out", str(tmp_path / "cal.csv")]
-        assert main(argv) == 1
-        assert "grid_step" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
     def test_uncovered_optimum_names_its_cell(self, tmp_path, capsys):
         # the optimal classifier at (4, 0.9) is about 8.79, outside [-5, 5]
         code = main(["calibration", "--alphas", "1,4", "--eta-grid", "0.3,0.9", "--f-range", "5",
@@ -285,15 +318,10 @@ class TestUsageErrors:
             assert action.option_strings[-1] in text
 
     def test_fresh_process_exit_status(self, tmp_path):
-        import subprocess
-        import sys
-
-        out = str(tmp_path / "curves.csv")
-        proc = subprocess.run([sys.executable, "-m", "alphaloss.cli", "losscurves",
-                               "--bogus", "1", "--out", out],
-                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
+        proc = run_child("-m", "alphaloss.cli", "losscurves", "--bogus", "1",
+                         "--out", str(tmp_path / "curves.csv"))
         assert proc.returncode == 1, proc.stderr
-        assert b"unrecognized arguments: --bogus" in proc.stderr
+        assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 def conflicted_mnist_dir(tmp_path, corpus):
@@ -351,12 +379,6 @@ class TestTrainCommand:
         out = str(tmp_path / "train.csv")
         assert main(["train", "--alpha", "inf", "--lr", "0.1", "--epochs", "1",
                      "--out", out]) == 0
-
-    def test_missing_directory_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ALPHALOSS_MNIST_DIR", raising=False)
-        out = str(tmp_path / "train.csv")
-        assert main(["train", "--alpha", "2", "--lr", "1", "--out", out]) == 1
-        assert "MNIST" in capsys.readouterr().err
 
     def test_corrupt_data_exits_one(self, tmp_path, capsys):
         bad_dir = tmp_path / "bad"
@@ -470,44 +492,38 @@ class TestLandscapeCommand:
         assert open(out, "rb").read() == first
         assert open(summary, "rb").read() == first_summary
 
+    def test_fresh_process_reproduces_bytes(self, tmp_path):
+        out = str(tmp_path / "land.csv")
+        argv = ["landscape", "--alphas", "2", "--ns", "40,80", "--trials", "2",
+                "--holdout-n", "500", "--epochs", "20", "--seed", "9", "--out", out]
+        assert main(argv) == 0
+        first = open(out, "rb").read()
+        proc = run_child("-m", "alphaloss.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert open(out, "rb").read() == first
+
 
 class TestBenchmarkTracing:
+    @staticmethod
+    def spans(tmp_path, *argv):
+        """The spans of one CLI run traced by the benchmark's child."""
+        spans_path = tmp_path / "spans.json"
+        proc = run_child("perfbench/child.py", "trace", str(spans_path), "--", *argv)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans_path.read_text())
+
     def test_traced_child_runs_landscape(self, tmp_path):
         """The benchmark's tracer wraps module attributes by name; all must resolve."""
-        import os
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spans_path = tmp_path / "spans.json"
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
-             "landscape", "--alphas", "2", "--ns", "100,200", "--trials", "1",
-             "--holdout-n", "1000", "--epochs", "5", "--out", str(tmp_path / "gaps.csv")],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        spans = json.loads(spans_path.read_text())
+        spans = self.spans(tmp_path, "landscape", "--alphas", "2", "--ns", "100,200", "--trials",
+                           "1", "--holdout-n", "1000", "--epochs", "5",
+                           "--out", str(tmp_path / "gaps.csv"))
         assert sum(1 for span in spans if span[0] == "logreg.train") == 2
 
     def test_traced_child_runs_settled_landscape(self, tmp_path):
         """Trials that settle before their last epoch still count n x epochs of work."""
-        import os
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spans_path = tmp_path / "spans.json"
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
-             "landscape", "--alphas", "1,inf", "--ns", "100,200", "--trials", "2",
-             "--holdout-n", "1000", "--epochs", "300", "--out", str(tmp_path / "gaps.csv")],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        spans = json.loads(spans_path.read_text())
+        spans = self.spans(tmp_path, "landscape", "--alphas", "1,inf", "--ns", "100,200",
+                           "--trials", "2", "--holdout-n", "1000", "--epochs", "300",
+                           "--out", str(tmp_path / "gaps.csv"))
         trains = [span for span in spans if span[0] == "logreg.train"]
         assert sorted(span[4] for span in trains) == [100 * 300] * 4 + [200 * 300] * 4
         assert all(span[5] is None for span in trains)
@@ -515,42 +531,18 @@ class TestBenchmarkTracing:
 
     def test_traced_child_runs_sweep(self, tmp_path, synthetic_mnist_dir):
         """A traced sweep loads and builds the task once and trains |alpha| x |lr| models."""
-        import os
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spans_path = tmp_path / "spans.json"
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
-             "sweep", "--alphas", "1,2", "--lr-grid", "1,2", "--epochs", "1",
-             "--mnist-dir", synthetic_mnist_dir, "--out", str(tmp_path / "sweep.csv")],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        names = [span[0] for span in json.loads(spans_path.read_text())]
+        spans = self.spans(tmp_path, "sweep", "--alphas", "1,2", "--lr-grid", "1,2", "--epochs",
+                           "1", "--mnist-dir", synthetic_mnist_dir,
+                           "--out", str(tmp_path / "sweep.csv"))
+        names = [span[0] for span in spans]
         assert names.count("mnist.load") == 1
         assert names.count("mnist.task_build") == 1
         assert names.count("logreg.train") == 4
 
     def test_traced_child_runs_calibration(self, tmp_path):
         """Each traced check makes two grid margin_losses calls: the benchmark counts them."""
-        import os
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spans_path = tmp_path / "spans.json"
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "perfbench/child.py", "trace", str(spans_path), "--",
-             "calibration", "--alphas", "1,inf,2", "--eta-grid", "0.3,0.7", "--grid-step", "0.01",
-             "--out", str(tmp_path / "cal.csv")],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        spans = json.loads(spans_path.read_text())
+        spans = self.spans(tmp_path, "calibration", "--alphas", "1,inf,2", "--eta-grid", "0.3,0.7",
+                           "--grid-step", "0.01", "--out", str(tmp_path / "cal.csv"))
         checks = [i for i, span in enumerate(spans) if span[0] == "calibration.check"]
         # alpha = 1, inf and 2 read the two tails the workspace built once
         assert len(checks) == 6
@@ -669,118 +661,6 @@ class TestReplayMnistCommands:
         first = open(out, "rb").read()
         assert replay(manifest_path_for(out)) == 0
         assert open(out, "rb").read() == first
-
-
-class TestEmptyLists:
-    """An empty list flag is a parameter error (exit 1) and writes nothing."""
-
-    @pytest.mark.parametrize("text", ["", ","])
-    @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("sweep", "--alphas"),
-            ("sweep", "--lr-grid"),
-            ("calibration", "--alphas"),
-            ("calibration", "--eta-grid"),
-            ("landscape", "--alphas"),
-            ("landscape", "--ns"),
-            ("losscurves", "--alphas"),
-        ],
-    )
-    def test_exits_one(self, tmp_path, capsys, synthetic_mnist_dir, command, flag, text):
-        out = tmp_path / "out.csv"
-        argv = [command, flag, text, "--out", str(out)]
-        if command == "sweep":
-            argv += ["--epochs", "1", "--mnist-dir", synthetic_mnist_dir]
-        if command == "landscape":
-            argv += ["--trials", "1", "--holdout-n", "500", "--epochs", "5"]
-        assert main(argv) == 1
-        assert "empty" in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestDuplicateEntries:
-    """A list flag naming one value twice is a parameter error (exit 1) and writes nothing."""
-
-    @pytest.mark.parametrize(
-        "command, flag, text",
-        [
-            ("sweep", "--alphas", "2,2.0"),
-            ("sweep", "--lr-grid", "1,1.0"),
-            ("calibration", "--alphas", "inf,Infinity"),
-            ("calibration", "--eta-grid", "0.3,0.30"),
-            ("landscape", "--alphas", "2,2"),
-            ("landscape", "--ns", "40,40"),
-            ("losscurves", "--alphas", "1,1.5,1"),
-        ],
-    )
-    def test_exits_one(self, tmp_path, capsys, synthetic_mnist_dir, command, flag, text):
-        out = tmp_path / "out.csv"
-        argv = [command, flag, text, "--out", str(out)]
-        if command == "sweep":
-            argv += ["--epochs", "1", "--mnist-dir", synthetic_mnist_dir]
-        if command == "landscape":
-            argv += ["--trials", "1", "--holdout-n", "500", "--epochs", "5"]
-        assert main(argv) == 1
-        assert "duplicate" in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestCalibrationAllEtasExcluded:
-    def test_only_half_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "cal.csv"
-        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.5", "--out", str(out)]) == 1
-        assert "0.5" in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestLandscapeSizeCap:
-    """Sizes whose n x dim exceed MAX_SAMPLE_FLOATS exit 1 before anything is drawn."""
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--holdout-n", str(10**13)],
-            ["--ns", "100,30000000"],
-            ["--ns", "100", "--dim", "200", "--holdout-n", "600000"],
-        ],
-    )
-    def test_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch, flags):
-        from alphaloss import landscape
-
-        forbid(monkeypatch, landscape, "_draw_positive_class", "a sample was drawn")
-        out = tmp_path / "gaps.csv"
-        assert main(["landscape", "--trials", "1", "--epochs", "5", "--out", str(out)] + flags) == 1
-        assert "floats" in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestLandscapeSizesBeforeWork:
-    """Every size flag is checked before a dim-sized array, a sample or a model exists."""
-
-    @pytest.mark.parametrize("flags", [
-        ["--dim", "10000000", "--holdout-n", "100"],
-        ["--dim", "1000000000000"],
-        ["--dim", "0"],
-    ])
-    def test_dim_exits_one_before_allocating(self, tmp_path, capsys, monkeypatch, flags):
-        forbid(monkeypatch, np, "zeros", "a dim-sized array was allocated")
-        out = tmp_path / "gaps.csv"
-        assert main(["landscape", "--trials", "1", "--out", str(out)] + flags) == 1
-        assert "dim" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("ns", ["100,1", "100,-5"])
-    def test_n_below_two_exits_one_before_training(self, tmp_path, capsys, monkeypatch, ns):
-        from alphaloss import landscape
-
-        forbid(monkeypatch, landscape, "train", "a model was trained")
-        out = tmp_path / "gaps.csv"
-        argv = ["landscape", "--alphas", "1,2", "--ns", ns, "--trials", "3",
-                "--holdout-n", "1000", "--out", str(out)]
-        assert main(argv) == 1
-        assert "n must be at least 2" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
 
 
 class TestProjectionOverflow:
@@ -963,20 +843,10 @@ class TestOneOutputStep:
 class TestCommandsReturnTables:
     """A subcommand computes its tables and writes nothing; ``main`` writes them."""
 
-    ARGV = {
-        "train": ["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1"],
-        "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1"],
-        "calibration": ["calibration", "--alphas", "2", "--eta-grid", "0.7",
-                        "--f-range", "5", "--grid-step", "0.01"],
-        "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500",
-                      "--epochs", "5"],
-        "losscurves": ["losscurves", "--steps", "3"],
-    }
-
-    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("command", sorted(BASE))
     def test_tables_and_no_file(self, tmp_path, monkeypatch, synthetic_mnist_dir, command):
         monkeypatch.chdir(tmp_path)
-        argv = self.ARGV[command] + ["--out", "out.csv"]
+        argv = BASE[command] + ["--out", "out.csv"]
         if command in ("train", "sweep"):
             argv += ["--mnist-dir", synthetic_mnist_dir]
         args = build_parser().parse_args(argv)
@@ -1077,119 +947,18 @@ class TestLandscapeSummaryCells:
             )
 
 
-class TestNonFiniteGridFlags:
-    @pytest.mark.parametrize("flag", ["--f-range", "--grid-step"])
-    def test_nan_exits_one_naming_the_flags(self, tmp_path, capsys, flag):
-        out = tmp_path / "cal.csv"
-        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.3", flag, "nan",
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"{flag[2:].replace('-', '_')} must" in err and "got nan" in err
-        assert "grid above" not in err
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("flag, name", [("--f-range", "f_range"), ("--grid-step", "grid_step")])
-    def test_inf_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, flag, name):
-        # an infinite step once ran on a 3-point grid, an infinite range blamed the cap
-        forbid(monkeypatch, np, "linspace", "the grid was allocated")
-        out = tmp_path / "cal.csv"
-        assert main(["calibration", "--alphas", "2", "--eta-grid", "0.3", flag, "inf",
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"{name} must" in err and "got inf" in err
-        assert "grid above" not in err
-        assert os.listdir(tmp_path) == []
-
-
-class TestNonFiniteLearningRate:
-    """An infinite rate is a bad flag, exit 1, not a training divergence, exit 2."""
-
-    @pytest.mark.parametrize("argv", [
-        ["train", "--alpha", "2", "--lr", "inf", "--epochs", "1"],
-        ["sweep", "--alphas", "2", "--lr-grid", "1,inf", "--epochs", "1"],
-        ["landscape", "--lr", "inf", "--ns", "40", "--trials", "1", "--holdout-n", "500"],
-    ])
-    def test_exits_one_naming_the_rate(self, tmp_path, capsys, synthetic_mnist_dir, argv):
-        if argv[0] != "landscape":
-            argv = argv + ["--mnist-dir", synthetic_mnist_dir]
-        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
-        assert "learning_rate" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-
-class TestEpochsCap:
-    """An --epochs above logreg.MAX_EPOCHS exits 1 before a corpus is loaded or a sample drawn."""
-
-    ARGV = {
-        "train": ["train", "--alpha", "2", "--lr", "0.5", "--mnist-dir", "unread"],
-        "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--mnist-dir", "unread"],
-        "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500"],
-    }
-
-    class Reached(Exception):
-        """The run got past its flags to the corpus or the sample."""
-
-    def refuse_work(self, monkeypatch):
-        from alphaloss import cli, landscape
-
-        def refuse(*args, **kwargs):
-            raise self.Reached
-
-        monkeypatch.setattr(cli, "load_mnist_dir", refuse)
-        monkeypatch.setattr(landscape, "generate_symmetric_dataset", refuse)
-
-    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
-    def test_above_cap_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        from alphaloss.logreg import MAX_EPOCHS
-
-        self.refuse_work(monkeypatch)
-        argv = self.ARGV[command] + ["--epochs", str(MAX_EPOCHS + 1), "--out", str(tmp_path / "o.csv")]
-        assert main(argv) == 1
-        assert f"epochs must be at most {MAX_EPOCHS}" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
-    def test_at_cap_reaches_the_work(self, tmp_path, monkeypatch, command):
-        from alphaloss.logreg import MAX_EPOCHS
-
-        self.refuse_work(monkeypatch)
-        with pytest.raises(self.Reached):
-            main(self.ARGV[command] + ["--epochs", str(MAX_EPOCHS), "--out", str(tmp_path / "o.csv")])
-
-
-class TestSeedRange:
-    """A seed outside 64 unsigned bits exits 1 naming the seed, before any corpus or sample."""
-
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
-    def test_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, command, seed):
-        from alphaloss import cli, landscape
-
-        reached = "the run got past its flags to the corpus or the sample"
-        forbid(monkeypatch, cli, "load_mnist_dir", reached)
-        forbid(monkeypatch, landscape, "generate_symmetric_dataset", reached)
-        argv = TestEpochsCap.ARGV[command] + ["--seed", seed, "--out", str(tmp_path / "o.csv")]
-        assert main(argv) == 1
-        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-
 class TestNonFiniteLaw:
-    """An infinite or overflowing synthetic law is a bad flag: exit 1, no warning, no file."""
+    """A law whose draws overflow is a bad flag: exit 1, no warning, no file."""
 
     ARGV = ["landscape", "--radius", "inf", "--ns", "40", "--trials", "2", "--holdout-n", "500",
             "--epochs", "5"]
 
-    @pytest.mark.parametrize("flags, text", [
-        (["--noise", "inf"], "noise_scale must be finite"),
-        (["--mean-norm", "1e308", "--noise", "1e308"], "features must be finite"),
-        (["--mean-norm", "inf"], "mean_norm must be finite"),
-    ])
-    def test_exits_one_without_warning(self, tmp_path, capfd, flags, text):
+    def test_exits_one_without_warning(self, tmp_path, capfd):
+        flags = ["--mean-norm", "1e308", "--noise", "1e308"]
         assert main(self.ARGV + flags + ["--out", str(tmp_path / "gaps.csv")]) == 1
         err = capfd.readouterr().err
         # one line: no numpy warning and no diverged trial
-        assert err.startswith(f"error: {text}") and err.count("\n") == 1
+        assert err.startswith("error: features must be finite") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_overflowing_row_norms_still_run(self, tmp_path):
@@ -1197,115 +966,3 @@ class TestNonFiniteLaw:
         assert main(self.ARGV + ["--mean-norm", "1e200", "--out", str(out)]) == 0
         assert out.exists()
 
-
-# One small run per command.  A row's flags come after these, so a flag a row
-# names overrides this one; "unread" is never opened, since the corpus loader
-# is forbidden wherever it is used below.
-BASE = {
-    "train": ["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1", "--mnist-dir", "unread"],
-    "sweep": ["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1",
-              "--mnist-dir", "unread"],
-    "calibration": ["calibration", "--alphas", "2", "--eta-grid", "0.7", "--f-range", "5",
-                    "--grid-step", "0.01"],
-    "landscape": ["landscape", "--ns", "40", "--trials", "1", "--holdout-n", "500",
-                  "--epochs", "5"],
-    "losscurves": ["losscurves", "--steps", "3"],
-}
-
-# Every flag the CLI refuses, with a fragment of the one error line it prints.
-REFUSALS = [
-    ("losscurves", ["--alphas", "2", "--steps", "1000001"], "1000001 steps x 1 alphas is above"),
-    ("losscurves", ["--alphas", "1,2,inf", "--steps", "333334"], "333334 steps x 3 alphas"),
-    ("losscurves", ["--alphas", "1,1.5,2,inf", "--steps", str(10**9)], "steps x 4 alphas is above"),
-    ("losscurves", ["--z-min=-1e308", "--z-max=1e308"], "--z-min -1e+308 and --z-max 1e+308 must"),
-    ("losscurves", ["--z-min=-inf"], "--z-min -inf and --z-max 10 must be finite"),
-    ("losscurves", ["--z-max=inf"], "--z-min -10 and --z-max inf must be finite"),
-    ("losscurves", ["--z-max=nan"], "--z-min -10 and --z-max nan must be finite"),
-    ("losscurves", ["--steps", "1"], "steps must be at least 2"),
-    ("losscurves", ["--steps", "0"], "steps must be at least 2"),
-    ("calibration", ["--f-range", "50", "--grid-step", "1e-12"], "= 5e+13 needs a grid above"),
-    ("calibration", ["--f-range", "1e308", "--grid-step", "1e305"],
-     "grid_step must lie in (0, 1.0], got 1e+305"),
-    # the first once wrote a false "not calibrated" row, the second never ended
-    ("calibration", ["--eta-grid", "0.3", "--f-range", "1e6", "--grid-step", "1e3"],
-     "grid_step must lie in (0, 1.0], got 1000.0"),
-    ("calibration", ["--alphas", "1", "--eta-grid", "0.3", "--f-range", "1e40", "--grid-step",
-                     "1e37"], "grid_step must lie in (0, 1.0], got 1e+37"),
-    # an infinite step once ran on a 3-point grid, an infinite or NaN range blamed the cap
-    ("calibration", ["--f-range", "nan"], "f_range must be finite and positive, got nan"),
-    ("calibration", ["--f-range", "inf"], "f_range must be finite and positive, got inf"),
-    ("calibration", ["--grid-step", "nan"], "grid_step must lie in (0, 1.0], got nan"),
-    ("calibration", ["--grid-step", "inf"], "grid_step must lie in (0, 1.0], got inf"),
-    ("calibration", ["--eta-grid", "0.5"], "every eta is 0.5, which is excluded"),
-    ("train", ["--mnist-dir", ""], "no MNIST directory: pass --mnist-dir or set"),
-    *((command, [flag, text], f"empty list {text!r}")
-      for command, flag in [("sweep", "--alphas"), ("sweep", "--lr-grid"),
-                            ("calibration", "--alphas"), ("calibration", "--eta-grid"),
-                            ("landscape", "--alphas"), ("landscape", "--ns"),
-                            ("losscurves", "--alphas")]
-      for text in ["", ","]),
-    ("sweep", ["--alphas", "2,2.0"], "duplicate entry 2 in list '2,2.0'"),
-    ("sweep", ["--lr-grid", "1,1.0"], "duplicate entry 1.0 in list '1,1.0'"),
-    ("calibration", ["--alphas", "inf,Infinity"], "duplicate entry inf in list 'inf,Infinity'"),
-    ("calibration", ["--eta-grid", "0.3,0.30"], "duplicate entry 0.3 in list '0.3,0.30'"),
-    ("landscape", ["--alphas", "2,2"], "duplicate entry 2 in list '2,2'"),
-    ("landscape", ["--ns", "40,40"], "duplicate entry 40 in list '40,40'"),
-    ("losscurves", ["--alphas", "1,1.5,1"], "duplicate entry 1 in list '1,1.5,1'"),
-    ("landscape", ["--holdout-n", str(10**13)], "holdout_n 10000000000000 x dim 5 is"),
-    ("landscape", ["--ns", "100,30000000"], "n 30000000 x dim 5 is 150000000 floats, above"),
-    ("landscape", ["--ns", "100", "--dim", "200", "--holdout-n", "600000"],
-     "holdout_n 600000 x dim 200 is 120000000 floats, above the 100000000 allowed"),
-    ("landscape", ["--dim", "10000000", "--holdout-n", "100"], "holdout_n 100 x dim 10000000 is"),
-    ("landscape", ["--dim", "1000000000000"], "holdout_n 500 x dim 1000000000000 is"),
-    ("landscape", ["--dim", "0"], "dim must be at least 1"),
-    *(("landscape", ["--alphas", "1,2", "--ns", ns, "--trials", "3", "--holdout-n", "1000"],
-       "n must be at least 2") for ns in ["100,1", "100,-5"]),
-    # a rate that is not finite is a bad flag, exit 1, not a training divergence, exit 2
-    ("train", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
-    ("sweep", ["--lr-grid", "1,inf"], "learning_rate must be finite and nonnegative, got inf"),
-    ("landscape", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
-    *((command, ["--epochs", str(MAX_EPOCHS + 1)], f"epochs must be at most {MAX_EPOCHS}, got")
-      for command in ["train", "sweep", "landscape"]),
-    *((command, ["--seed", seed], f"seed must fit in 64 unsigned bits, got {seed}")
-      for command in ["train", "sweep", "landscape"] for seed in ["-1", str(2**64)]),
-    ("landscape", ["--radius", "inf", "--noise", "inf"], "noise_scale must be finite"),
-    ("landscape", ["--radius", "inf", "--mean-norm", "inf"], "mean_norm must be finite"),
-]
-
-# Flags at their largest allowed value, with the entry point into the work each reaches.
-AT_THE_BOUND = [
-    ("losscurves", ["--alphas", "2", "--steps", str(10**6)], np, "linspace"),
-    ("train", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
-    ("sweep", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
-    ("landscape", ["--epochs", str(MAX_EPOCHS)], landscape, "generate_symmetric_dataset"),
-]
-
-
-def cases(rows):
-    return [pytest.param(*row, id="-".join([row[0], *row[1]])) for row in rows]
-
-
-@pytest.fixture
-def no_work(monkeypatch):
-    """Every way into a run's work fails, naming itself: corpus, sample, model or grid."""
-    monkeypatch.delenv("ALPHALOSS_MNIST_DIR", raising=False)
-    for target, name in [(cli, "load_mnist_dir"), (cli, "train"),
-                         (landscape, "generate_symmetric_dataset"), (landscape, "train"),
-                         (np, "linspace"), (np, "zeros")]:
-        forbid(monkeypatch, target, name, f"{target.__name__}.{name} was called")
-
-
-@pytest.mark.parametrize("command, flags, message", cases(REFUSALS))
-def test_refused_before_any_work(tmp_path, capfd, no_work, command, flags, message):
-    assert main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")]) == 1
-    err = capfd.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-    assert message in err
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("command, flags, target, name", cases(AT_THE_BOUND))
-def test_at_the_bound_reaches_the_work(tmp_path, monkeypatch, command, flags, target, name):
-    forbid(monkeypatch, target, name, "the run reached its work")
-    with pytest.raises(AssertionError, match="the run reached its work"):
-        main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")])

@@ -1,5 +1,4 @@
 import gzip
-import os
 import re
 import struct
 import tracemalloc
@@ -19,7 +18,7 @@ from alphaloss import (
     load_mnist_dir,
     read_idx_bytes,
 )
-from conftest import FULL_TEST_COUNTS, FULL_TRAIN_COUNTS, damaged_gzip, synthetic_corpus
+from conftest import FULL_TEST_COUNTS, damaged_gzip, synthetic_corpus
 
 
 def images_bytes(count=3, rows=2, cols=2, magic=2051, pixels=None, pad=b""):
