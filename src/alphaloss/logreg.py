@@ -159,7 +159,6 @@ class TrainReport:
 
 
 def _point_score(model: LinearModel, x: np.ndarray) -> float:
-    """The score w . x of one point, which must be a vector of the model's dimension."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.dim},)")

@@ -129,18 +129,14 @@ def cases(rows):
     return [pytest.param(*row, id="-".join([row[0], *row[1]])) for row in rows]
 
 
-@pytest.fixture
-def no_work(monkeypatch):
-    """Every way into a run's work fails, naming itself: corpus, sample, model or grid."""
+@pytest.mark.parametrize("command, flags, message", cases(REFUSALS))
+def test_refused_before_any_work(tmp_path, capfd, monkeypatch, command, flags, message):
     monkeypatch.delenv("ALPHALOSS_MNIST_DIR", raising=False)
+    # every way into the work fails, naming itself: the corpus, a sample, a model or a grid
     for target, name in [(cli, "load_mnist_dir"), (cli, "train"),
                          (landscape, "generate_symmetric_dataset"), (landscape, "train"),
                          (np, "linspace"), (np, "zeros")]:
         forbid(monkeypatch, target, name, f"{target.__name__}.{name} was called")
-
-
-@pytest.mark.parametrize("command, flags, message", cases(REFUSALS))
-def test_refused_before_any_work(tmp_path, capfd, no_work, command, flags, message):
     assert main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capfd.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
