@@ -297,12 +297,10 @@ class TestUsageErrors:
         assert main(["losscurves", "--help"]) == 0
         assert "--steps" in capsys.readouterr().out
 
-    COMMANDS = ["calibration", "landscape", "losscurves", "sweep", "train"]
-
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", sorted(BASE))
     def test_every_option_has_help(self, command, capsys):
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-        assert sorted(subparsers.choices) == self.COMMANDS
+        assert sorted(subparsers.choices) == sorted(BASE)
         actions = subparsers.choices[command]._actions
         for action in actions:
             assert action.help and action.help.strip(), action.option_strings
