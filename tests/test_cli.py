@@ -56,11 +56,9 @@ BASE = {
 
 # Every flag the CLI refuses, with a fragment of the one error line it prints.
 # The refusals that need some work first (a damaged corpus, an uncovered
-# calibration optimum, a law whose draws overflow) are tested with their commands.
+# calibration optimum, a law whose draws overflow) are tested with their commands,
+# and so are the two caps tested on both sides: losscurves rows and --epochs.
 REFUSALS = [
-    ("losscurves", ["--alphas", "2", "--steps", "1000001"], "1000001 steps x 1 alphas is above"),
-    ("losscurves", ["--alphas", "1,2,inf", "--steps", "333334"], "333334 steps x 3 alphas"),
-    ("losscurves", ["--alphas", "1,1.5,2,inf", "--steps", str(10**9)], "steps x 4 alphas is above"),
     ("losscurves", ["--z-min=-1e308", "--z-max=1e308"], "--z-min -1e+308 and --z-max 1e+308 must"),
     ("losscurves", ["--z-min=-inf"], "--z-min -inf and --z-max 10 must be finite"),
     ("losscurves", ["--z-max=inf"], "--z-min -10 and --z-max inf must be finite"),
@@ -108,29 +106,15 @@ REFUSALS = [
     ("train", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
     ("sweep", ["--lr-grid", "1,inf"], "learning_rate must be finite and nonnegative, got inf"),
     ("landscape", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
-    *((command, ["--epochs", str(MAX_EPOCHS + 1)], f"epochs must be at most {MAX_EPOCHS}, got")
-      for command in ["train", "sweep", "landscape"]),
     *((command, ["--seed", seed], f"seed must fit in 64 unsigned bits, got {seed}")
       for command in ["train", "sweep", "landscape"] for seed in ["-1", str(2**64)]),
     ("landscape", ["--radius", "inf", "--noise", "inf"], "noise_scale must be finite"),
     ("landscape", ["--radius", "inf", "--mean-norm", "inf"], "mean_norm must be finite"),
 ]
 
-# Flags at their largest allowed value, with the entry point into the work each reaches.
-AT_THE_BOUND = [
-    ("losscurves", ["--alphas", "2", "--steps", str(10**6)], np, "linspace"),
-    ("train", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
-    ("sweep", ["--epochs", str(MAX_EPOCHS)], cli, "load_mnist_dir"),
-    ("landscape", ["--epochs", str(MAX_EPOCHS)], landscape, "generate_symmetric_dataset"),
-]
 
-
-def cases(rows):
-    return [pytest.param(*row, id="-".join([row[0], *row[1]])) for row in rows]
-
-
-@pytest.mark.parametrize("command, flags, message", cases(REFUSALS))
-def test_refused_before_any_work(tmp_path, capfd, monkeypatch, command, flags, message):
+def assert_refused(tmp_path, capfd, monkeypatch, command, flags, message):
+    """The run exits 1 with one error line holding message, before any work, writing nothing."""
     monkeypatch.delenv("ALPHALOSS_MNIST_DIR", raising=False)
     # every way into the work fails, naming itself: the corpus, a sample, a model or a grid
     for target, name in [(cli, "load_mnist_dir"), (cli, "train"),
@@ -144,11 +128,34 @@ def test_refused_before_any_work(tmp_path, capfd, monkeypatch, command, flags, m
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command, flags, target, name", cases(AT_THE_BOUND))
-def test_at_the_bound_reaches_the_work(tmp_path, monkeypatch, command, flags, target, name):
+def assert_reaches(tmp_path, monkeypatch, command, flags, target, name):
+    """The run gets past its flags to target.name, the entry point into its work."""
     forbid(monkeypatch, target, name, "the run reached its work")
     with pytest.raises(AssertionError, match="the run reached its work"):
         main(BASE[command] + flags + ["--out", str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("command, flags, message",
+                         [pytest.param(*row, id="-".join([row[0], *row[1]])) for row in REFUSALS])
+def test_refused_before_any_work(tmp_path, capfd, monkeypatch, command, flags, message):
+    assert_refused(tmp_path, capfd, monkeypatch, command, flags, message)
+
+
+class TestEpochsCap:
+    """--epochs at logreg.MAX_EPOCHS reaches the corpus or the sample; one above is refused."""
+
+    WORK = {"train": (cli, "load_mnist_dir"), "sweep": (cli, "load_mnist_dir"),
+            "landscape": (landscape, "generate_symmetric_dataset")}
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
+    def test_above_cap_exits_one_before_any_work(self, tmp_path, capfd, monkeypatch, command):
+        assert_refused(tmp_path, capfd, monkeypatch, command, ["--epochs", str(MAX_EPOCHS + 1)],
+                       f"epochs must be at most {MAX_EPOCHS}, got")
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "landscape"])
+    def test_at_cap_reaches_the_work(self, tmp_path, monkeypatch, command):
+        assert_reaches(tmp_path, monkeypatch, command, ["--epochs", str(MAX_EPOCHS)],
+                       *self.WORK[command])
 
 
 class TestLossCurves:
@@ -202,6 +209,20 @@ class TestLossCurves:
         first = open("-c.csv", "rb").read()
         assert replay("-c.csv.manifest.json") == 0
         assert open("-c.csv", "rb").read() == first
+
+    # each side of the 10^6-row cap
+    @pytest.mark.parametrize(
+        "alphas, steps", [("2", 10**6 + 1), ("1,2,inf", 333_334), ("1,1.5,2,inf", 10**9)]
+    )
+    def test_rows_above_cap_exit_one_before_allocating(self, tmp_path, capfd, monkeypatch,
+                                                        alphas, steps):
+        assert_refused(tmp_path, capfd, monkeypatch, "losscurves",
+                       ["--alphas", alphas, "--steps", str(steps)],
+                       f"{steps} steps x {len(alphas.split(','))} alphas is above 10^6 rows")
+
+    def test_rows_at_cap_reach_the_grid(self, tmp_path, monkeypatch):
+        assert_reaches(tmp_path, monkeypatch, "losscurves", ["--alphas", "2", "--steps", str(10**6)],
+                       np, "linspace")
 
 
 class TestCalibrationCommand:
