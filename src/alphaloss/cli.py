@@ -211,14 +211,15 @@ def cmd_sweep(args) -> dict:
 def cmd_calibration(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha)
     etas = _parse_list(args.eta_grid, float)
+    # _parse_list refuses duplicates, so every eta is 0.5 only when the list is [0.5]
+    if etas == [0.5]:
+        raise ValueError("every eta is 0.5, which is excluded: no calibration rows to write")
+    work = calibration_workspace(args.f_range, args.grid_step)
     if 0.5 in etas:
         etas.remove(0.5)
-        if not etas:
-            raise ValueError("every eta is 0.5, which is excluded: no calibration rows to write")
         print("warning: skipping eta=0.5 (excluded)", file=sys.stderr)
     header = ["alpha", "eta", "unconstrained_min", "constrained_min", "gap", "argmin",
               "closed_form_argmin", "min_cond_risk_closed_form"]
-    work = calibration_workspace(args.f_range, args.grid_step)
     rows = []
     for alpha in alphas:
         for eta in etas:

@@ -1,12 +1,14 @@
 import gzip
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from alphaloss import Alpha
+from alphaloss import Alpha, LabeledDataset, LinearModel
+from alphaloss.logreg import row_norms
 from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -41,6 +43,27 @@ def grid_minimize_conditional_risk(alpha_value, eta, step):
     )
     i = int(np.argmin(risks))
     return float(grid[i]), float(risks[i])
+
+
+def random_instance(rng, d, n, radius=1.0):
+    """Random dataset with rows scaled into the given ball, plus a random model."""
+    x = rng.normal(size=(n, d))
+    x *= radius / max(row_norms(x).max(), 1e-12) * rng.uniform(0.5, 1.0)
+    y = rng.choice([-1, 1], size=n)
+    data = LabeledDataset(x, y)
+    w = rng.normal(size=d) * 0.4
+    return data, LinearModel(w)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 MNIST_ENV = "ALPHALOSS_MNIST_DIR"
 

@@ -32,13 +32,15 @@ from alphaloss import (
     margin_alpha_loss_d3,
     median_gaps,
     min_conditional_risk,
+    optimal_classifier,
     risk_gap_experiment,
     sample_loss,
     second_deriv_sign_change,
 )
 from alphaloss.losses import margin_alpha_loss
-from alphaloss.logreg import LabeledDataset, row_norms
-from conftest import A1, A2, AINF, ETA_GRID, find_real_mnist, grid_minimize_conditional_risk
+from conftest import (
+    A1, A2, AINF, ETA_GRID, find_real_mnist, grid_minimize_conditional_risk, random_instance,
+)
 
 
 def report(num, name, ok, detail=""):
@@ -46,6 +48,11 @@ def report(num, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"\nACCEPTANCE {num:02d} {name}: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed {suffix}"
+
+
+def failed(cases):
+    """Detail for a criterion over many cases: how many failed, and the first."""
+    return f"{len(cases)} failures" + (f", first {cases[0]}" if cases else "")
 
 
 def report_skip(num, name, reason):
@@ -103,69 +110,72 @@ def test_criterion_01_accuracy_table(tmp_path):
 
 
 def test_criterion_02_margin_equivalence():
-    rng = np.random.default_rng(424242)
-    failures = 0
-    for _ in range(10_000):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            alpha = A1
-        elif kind == 1:
-            alpha = AINF
-        elif kind == 2:
-            alpha = Alpha(1.0 + 10.0 ** rng.uniform(-6, 2))
-        else:
-            alpha = Alpha(rng.uniform(1 + 1e-6, 50.0))
-        p1 = rng.uniform(1e-6, 1 - 1e-6)
-        y = 1 if rng.integers(0, 2) else -1
-        p_of_y = p1 if y == 1 else 1.0 - p1
-        direct = alpha_loss(alpha, y, p_of_y)
-        via_margin = margin_alpha_loss(alpha, y * logit(p1))
-        if abs(direct - via_margin) >= 1e-10:
-            failures += 1
-    report(2, "margin equivalence on 10^4 random triples", failures == 0,
-           f"{failures} failures")
+    failures = []
+    for seed in (424242, 20240817):
+        rng = np.random.default_rng(seed)
+        for _ in range(10_000):
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                alpha = A1
+            elif kind == 1:
+                alpha = AINF
+            elif kind == 2:
+                alpha = Alpha(1.0 + 10.0 ** rng.uniform(-6, 2))
+            else:
+                alpha = Alpha(rng.uniform(1 + 1e-6, 50.0))
+            p1 = rng.uniform(1e-6, 1 - 1e-6)
+            y = 1 if rng.integers(0, 2) else -1
+            p_of_y = p1 if y == 1 else 1.0 - p1
+            direct = alpha_loss(alpha, y, p_of_y)
+            via_margin = margin_alpha_loss(alpha, y * logit(p1))
+            if not abs(direct - via_margin) < 1e-10:
+                failures.append((str(alpha), p1, y))
+    report(2, "margin equivalence on 2 x 10^4 random triples", not failures, failed(failures))
 
 
 def test_criterion_03_optimal_classifier_closed_forms():
+    failures = []
     worst_arg = 0.0
     worst_val = 0.0
     for alpha_value in (1.0, 1.5, 2.0, 4.0):
         alpha = Alpha(alpha_value)
-        for eta in ETA_GRID:
+        for eta in [*ETA_GRID, 0.5]:
             grid_argmin, grid_min = grid_minimize_conditional_risk(alpha_value, eta, step=2.5e-4)
-            closed_argmin = alpha_value * logit(eta)
-            closed_min = min_conditional_risk(alpha, eta)
-            worst_arg = max(worst_arg, abs(grid_argmin - closed_argmin))
-            worst_val = max(worst_val, abs(grid_min - closed_min))
-    ok = worst_arg < 1e-3 and worst_val < 1e-6
-    report(3, "optimal classifier and minimum risk closed forms", ok,
-           f"max argmin err {worst_arg:.2e}, max value err {worst_val:.2e}")
+            arg_errs = (abs(grid_argmin - alpha_value * logit(eta)),
+                        abs(grid_argmin - optimal_classifier(alpha, eta)))
+            val_err = abs(grid_min - min_conditional_risk(alpha, eta))
+            worst_arg = max(worst_arg, *arg_errs)
+            worst_val = max(worst_val, val_err)
+            if not (all(err < 1e-3 for err in arg_errs) and val_err < 1e-6):
+                failures.append((str(alpha), eta))
+    report(3, "optimal classifier and minimum risk closed forms", not failures,
+           f"max argmin err {worst_arg:.2e}, max value err {worst_val:.2e}, {failed(failures)}")
 
 
 def test_criterion_04_calibration_gap_positive():
     failures = []
     for alpha in (A1, Alpha(1.5), A2, AINF):
-        for rep in calibration_sweep(alpha, ETA_GRID):
+        reports = calibration_sweep(alpha, ETA_GRID)
+        if [rep.eta for rep in reports] != ETA_GRID:
+            failures.append((str(alpha), "reports at", [rep.eta for rep in reports]))
+        for rep in reports:
             if not (rep.gap > 1e-9 and rep.calibrated_at_eta):
                 failures.append((str(alpha), rep.eta))
-    report(4, "calibration gap strictly positive", not failures, f"{len(failures)} failures")
+    report(4, "calibration gap strictly positive", not failures, failed(failures))
 
 
 def test_criterion_05_derivative_oracles():
+    failures = []
     rng = np.random.default_rng(99)
     cycle = [A1, Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF]
     h = 1e-6
-    grad_ok = True
     for k in range(100):
         alpha = cycle[k % len(cycle)]
         d = int(rng.integers(2, 21))
         n = int(rng.integers(5, 51))
-        x = rng.normal(size=(n, d))
-        x *= 1.0 / max(row_norms(x).max(), 1e-12) * rng.uniform(0.5, 1.0)
-        data = LabeledDataset(x, rng.choice([-1, 1], size=n))
-        w = rng.normal(size=d) * 0.4
-        model = LinearModel(w)
+        data, model = random_instance(rng, d, n)
         grad = empirical_gradient(alpha, model, data)
+        w = model.weights
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
@@ -173,17 +183,17 @@ def test_criterion_05_derivative_oracles():
                 empirical_risk(alpha, LinearModel(w + e), data)
                 - empirical_risk(alpha, LinearModel(w - e), data)
             ) / (2 * h)
-            if abs(grad[j] - fd) > 1e-5 * max(abs(fd), 1e-4):
-                grad_ok = False
+            if not abs(grad[j] - fd) <= 1e-5 * max(abs(fd), 1e-4):
+                failures.append(("gradient", str(alpha), f"instance {k}", f"w[{j}]"))
 
-    hess_ok = True
-    h2 = 1e-4
+    rng = np.random.default_rng(41)
+    h = 1e-4
     for alpha in (A1, Alpha(1.5), A2, AINF):
-        d = 4
-        x = rng.normal(size=d)
-        x /= np.linalg.norm(x) * rng.uniform(1.0, 2.0)
-        y = int(rng.choice([-1, 1]))
-        w = rng.normal(size=d) * 0.4
+        d = int(rng.integers(2, 6))
+        data, model = random_instance(rng, d, 1)
+        x = data.features[0]
+        y = int(data.labels[0])
+        w = model.weights
         analytic = margin_alpha_loss_d2(alpha, y * float(w @ x)) * np.outer(x, x)
 
         def loss_at(delta, alpha=alpha, w=w, x=x, y=y):
@@ -193,81 +203,79 @@ def test_criterion_05_derivative_oracles():
             for j in range(d):
                 ei = np.zeros(d)
                 ej = np.zeros(d)
-                ei[i] = h2
-                ej[j] = h2
+                ei[i] = h
+                ej[j] = h
                 fd = (
                     loss_at(ei + ej) - loss_at(ei - ej) - loss_at(-ei + ej) + loss_at(-ei - ej)
-                ) / (4 * h2 * h2)
-                if abs(analytic[i, j] - fd) > 1e-4:
-                    hess_ok = False
+                ) / (4 * h * h)
+                if not abs(analytic[i, j] - fd) < 1e-4:
+                    failures.append(("hessian", str(alpha), f"entry {i},{j}"))
 
-    third_ok = True
-    h3 = 1e-3
+    rng = np.random.default_rng(42)
+    h = 1e-3
     for alpha in (A1, Alpha(1.5), A2, Alpha(10), AINF):
-        d = 4
-        x = rng.normal(size=d)
-        x /= np.linalg.norm(x) * rng.uniform(1.0, 2.0)
-        y = int(rng.choice([-1, 1]))
-        w = rng.normal(size=d) * 0.4
-        v = rng.normal(size=d)
+        data, model = random_instance(rng, 4, 1)
+        x = data.features[0]
+        y = int(data.labels[0])
+        w = model.weights
+        v = rng.normal(size=4)
         v /= np.linalg.norm(v)
+        # the full tensor contracted three times with v is y * d3 * (x.v)^3
         analytic = y * margin_alpha_loss_d3(alpha, y * float(w @ x)) * float(x @ v) ** 3
 
         def loss_at(t, alpha=alpha, w=w, x=x, y=y, v=v):
             return sample_loss(alpha, LinearModel(w + t * v), x, y)
 
-        fd = (loss_at(2 * h3) - 2 * loss_at(h3) + 2 * loss_at(-h3) - loss_at(-2 * h3)) / (
-            2 * h3**3
-        )
-        if abs(analytic - fd) > 1e-4:
-            third_ok = False
+        fd = (loss_at(2 * h) - 2 * loss_at(h) + 2 * loss_at(-h) - loss_at(-2 * h)) / (2 * h**3)
+        if not abs(analytic - fd) < 1e-4:
+            failures.append(("third", str(alpha)))
 
-    ok = grad_ok and hess_ok and third_ok
-    report(5, "analytic derivatives match finite differences", ok,
-           f"gradient {grad_ok}, hessian {hess_ok}, third {third_ok}")
+    report(5, "analytic derivatives match finite differences", not failures, failed(failures))
 
 
 def test_criterion_06_coefficient_bounds():
     rng = np.random.default_rng(20240818)
     cycle = [A1, Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF]
     per = 100_000 // len(cycle)
-    violations = 0
+    draws = 0
+    failures = []
     for alpha in cycle:
         gs = rng.uniform(0.0, 1.0, size=per)
         ys = rng.choice([-1, 1], size=per)
         for g, y in zip(gs, ys):
             # the coefficients are y * d1, d2 and y * d3 at the margin of belief g
             m = y * logit(g)
-            if abs(margin_alpha_loss_d1(alpha, m)) > 1.0:
-                violations += 1
-            if abs(margin_alpha_loss_d2(alpha, m)) > 0.25:
-                violations += 1
-            if abs(margin_alpha_loss_d3(alpha, m)) > 2.0:
-                violations += 1
-    report(6, "coefficient bounds 1, 1/4, 2 over 10^5 draws", violations == 0,
-           f"{violations} violations")
+            for derivative, bound in ((margin_alpha_loss_d1, 1.0), (margin_alpha_loss_d2, 0.25),
+                                      (margin_alpha_loss_d3, 2.0)):
+                if not abs(derivative(alpha, m)) <= bound:
+                    failures.append((derivative.__name__, str(alpha), float(g), int(y)))
+            draws += 1
+    report(6, "coefficient bounds 1, 1/4, 2 over 10^5 draws",
+           not failures and draws == per * len(cycle), f"{draws} draws, {failed(failures)}")
 
 
 def test_criterion_07_convexity_structure():
-    zs = np.linspace(-35.0, 35.0, 701)
-    log_convex = all(margin_alpha_loss_d2(A1, float(z)) >= 0.0 for z in zs)
+    failures = []
+    # the 0.05 step refines grids of step 0.1 and 0.35 on the same range
+    for z in np.linspace(-35.0, 35.0, 1401):
+        if not margin_alpha_loss_d2(A1, float(z)) >= 0.0:
+            failures.append(("log convex", float(z)))
 
-    witnesses = True
     for alpha in (Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF):
         z0 = second_deriv_sign_change(alpha)
-        if not margin_alpha_loss_d2(alpha, z0 - 1.0) < 0.0:
-            witnesses = False
+        if not margin_alpha_loss_d2(alpha, z0 - 1.0) < 0.0 < margin_alpha_loss_d2(alpha, z0 + 1.0):
+            failures.append(("witness", str(alpha), z0))
 
     etas = np.arange(0.01, 0.995, 0.01)
-    concave = True
-    for alpha in (A1, Alpha(1.5), A2, Alpha(4), AINF):
+    for alpha in (A1, Alpha(1.1), Alpha(1.5), A2, Alpha(4), Alpha(10), AINF):
         vals = np.array([min_conditional_risk(alpha, float(e)) for e in etas])
-        if np.max(vals[:-2] - 2 * vals[1:-1] + vals[2:]) > 1e-9:
-            concave = False
+        second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
+        # argmax stops at the first nan, which fails the check too
+        i = int(np.argmax(second))
+        if not second[i] <= 1e-9:
+            failures.append(("concave", str(alpha), float(etas[i + 1])))
 
-    ok = log_convex and witnesses and concave
-    report(7, "convexity and concavity structure", ok,
-           f"log convex {log_convex}, witnesses {witnesses}, concave {concave}")
+    report(7, "convexity and concavity structure", not failures, failed(failures))
 
 
 def test_criterion_08_risk_gap_scaling(landscape_result):

@@ -79,6 +79,9 @@ REFUSALS = [
     ("calibration", ["--grid-step", "nan"], "grid_step must lie in (0, 1.0], got nan"),
     ("calibration", ["--grid-step", "inf"], "grid_step must lie in (0, 1.0], got inf"),
     ("calibration", ["--eta-grid", "0.5"], "every eta is 0.5, which is excluded"),
+    # refused before the warning that 0.5 is skipped, so stderr is one line
+    ("calibration", ["--eta-grid", "0.3,0.5", "--grid-step", "nan"],
+     "grid_step must lie in (0, 1.0], got nan"),
     ("train", ["--mnist-dir", ""], "no MNIST directory: pass --mnist-dir or set"),
     *((command, [flag, text], f"empty list {text!r}")
       for command, flag in [("sweep", "--alphas"), ("sweep", "--lr-grid"),
@@ -600,62 +603,41 @@ class TestPinnedBytes:
         assert sha256_of(out) == "4f84e98677e016b6accc5b6ee17b6eb3a2ad1548371bad75007c70ae7e32b81d"
 
 
-class TestManifestFlags:
+# The --seed each BASE run is given, None for a command that takes none, and
+# the flags its manifest records besides --seed, --mnist-dir and --out.
+MANIFEST_FLAGS = {
+    "train": (7, {"alpha": "2", "lr": 0.5, "epochs": 1}),
+    "sweep": (3, {"alphas": "2", "lr-grid": "0.5", "epochs": 1}),
+    "calibration": (None, {"alphas": "2", "eta-grid": "0.7", "f-range": 5.0, "grid-step": 0.01}),
+    "landscape": (5, {"alphas": "2", "ns": "40", "trials": 1, "dim": 5, "radius": 1.0,
+                      "mean-norm": 0.8, "noise": 0.14, "holdout-n": 500, "lr": 1.0, "epochs": 5}),
+    "losscurves": (None, {"alphas": "1,1.5,2,inf", "z-min": -10.0, "z-max": 10.0, "steps": 3}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_FLAGS))
+def test_manifest_records_every_flag_typed(tmp_path, synthetic_mnist_dir, command):
     """The manifest records every flag of the subcommand, typed as parsed, and
     the parsed --seed as its seed, null for a command that takes none."""
+    seed, flags = MANIFEST_FLAGS[command]
+    out = str(tmp_path / "out.csv")
+    argv = BASE[command] + ["--out", out]
+    expected = dict(flags, out=out)
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+        expected["seed"] = seed
+    if "--mnist-dir" in argv:
+        argv += ["--mnist-dir", synthetic_mnist_dir]
+        expected["mnist-dir"] = synthetic_mnist_dir
+    assert main(argv) == 0
+    with open(manifest_path_for(out), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["seed"] == seed
 
-    @staticmethod
-    def typed(flags):
-        return {key: (value, type(value)) for key, value in flags.items()}
+    def typed(named):
+        return {key: (value, type(value)) for key, value in named.items()}
 
-    def flags_of(self, out, seed):
-        with open(manifest_path_for(out), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        assert manifest["seed"] == seed
-        return self.typed(manifest["flags"])
-
-    def test_train(self, tmp_path, synthetic_mnist_dir):
-        out = str(tmp_path / "train.csv")
-        assert main(["train", "--alpha", "2", "--lr", "0.5", "--epochs", "1", "--seed", "7",
-                     "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
-        assert self.flags_of(out, seed=7) == self.typed({
-            "alpha": "2", "lr": 0.5, "epochs": 1, "seed": 7,
-            "mnist-dir": synthetic_mnist_dir, "out": out,
-        })
-
-    def test_sweep(self, tmp_path, synthetic_mnist_dir):
-        out = str(tmp_path / "sweep.csv")
-        assert main(["sweep", "--alphas", "2", "--lr-grid", "0.5", "--epochs", "1", "--seed", "3",
-                     "--mnist-dir", synthetic_mnist_dir, "--out", out]) == 0
-        assert self.flags_of(out, seed=3) == self.typed({
-            "alphas": "2", "lr-grid": "0.5", "epochs": 1, "seed": 3,
-            "mnist-dir": synthetic_mnist_dir, "out": out,
-        })
-
-    def test_calibration(self, tmp_path):
-        out = str(tmp_path / "cal.csv")
-        assert main(["calibration", "--eta-grid", "0.3", "--out", out]) == 0
-        assert self.flags_of(out, seed=None) == self.typed({
-            "alphas": "1,1.5,2,inf", "eta-grid": "0.3", "f-range": 50.0,
-            "grid-step": 0.001, "out": out,
-        })
-
-    def test_landscape(self, tmp_path):
-        out = str(tmp_path / "land.csv")
-        assert main(["landscape", "--ns", "40,80", "--trials", "1", "--holdout-n", "500",
-                     "--epochs", "5", "--seed", "5", "--out", out]) == 0
-        assert self.flags_of(out, seed=5) == self.typed({
-            "alphas": "2", "ns": "40,80", "trials": 1, "dim": 5, "radius": 1.0,
-            "mean-norm": 0.8, "noise": 0.14, "holdout-n": 500, "lr": 1.0, "epochs": 5,
-            "seed": 5, "out": out,
-        })
-
-    def test_losscurves(self, tmp_path):
-        out = str(tmp_path / "curves.csv")
-        assert main(["losscurves", "--steps", "3", "--out", out]) == 0
-        assert self.flags_of(out, seed=None) == self.typed({
-            "alphas": "1,1.5,2,inf", "z-min": -10.0, "z-max": 10.0, "steps": 3, "out": out,
-        })
+    assert typed(manifest["flags"]) == typed(expected)
 
 
 class TestReplayMnistCommands:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from alphaloss import (
     train,
 )
 from alphaloss.logreg import MAX_EPOCHS, row_norms
-from conftest import A1, A2, forbid
+from conftest import A1, A2, forbid, traced_peak
 
 
 def default_spec(**overrides):
@@ -201,12 +200,7 @@ class TestLayout:
     def test_generation_peak_is_at_most_one_and_a_half_datasets(self):
         # the landscape command's default law, which rejects 13% of its draws
         spec = SymmetricDataSpec(5, 1.0, 0.8, 0.14, 0)
-        tracemalloc.start()
-        try:
-            data = generate_symmetric_dataset(spec, 200_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(generate_symmetric_dataset, spec, 200_000)
         assert peak <= 1.5 * (data.features.nbytes + data.labels.nbytes)
 
     @pytest.mark.parametrize("alpha", [A1, A2, Alpha("inf")], ids=str)

@@ -1,7 +1,6 @@
 import gzip
 import re
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,7 +17,7 @@ from alphaloss import (
     load_mnist_dir,
     read_idx_bytes,
 )
-from conftest import FULL_TEST_COUNTS, damaged_gzip, synthetic_corpus
+from conftest import FULL_TEST_COUNTS, damaged_gzip, synthetic_corpus, traced_peak
 
 
 def images_bytes(count=3, rows=2, cols=2, magic=2051, pixels=None, pad=b""):
@@ -155,13 +154,9 @@ class TestFileReading:
         zipped = tmp_path / "data.gz"
         zipped.write_bytes(b"".join(chunks) + packer.flush())
         load = load_idx_labels if head[3] == 1 else load_idx_images
-        tracemalloc.start()
-        try:
-            with pytest.raises(IdxFormatError, match=cause):
-                load(read_idx_bytes(str(zipped)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        raised, peak = traced_peak(pytest.raises, IdxFormatError,
+                                   lambda: load(read_idx_bytes(str(zipped))))
+        raised.match(cause)
         assert peak < 2 * 2**20, f"peak {peak} bytes"
 
     def test_load_mnist_dir_resolves_gz(self, synthetic_mnist_dir):
@@ -297,14 +292,7 @@ class TestBuildMatchesPooledConstruction:
 class TestBuildMemory:
     def test_peak_near_output_size(self, synthetic_full_corpus):
         """Allocations during the build peak at most 1.25x the bytes it returns."""
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            split = build_binary_task(*synthetic_full_corpus, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        split, peak = traced_peak(build_binary_task, *synthetic_full_corpus, 0)
         parts = (split.train, split.validation, split.test)
         returned = sum(part.features.nbytes + part.labels.nbytes for part in parts)
         assert peak <= 1.25 * returned, f"peak {peak / returned:.2f}x the returned bytes"
