@@ -1,6 +1,6 @@
 """Tunable alpha-loss family for binary classification."""
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"
 
 from .losses import (
     Alpha,
@@ -10,7 +10,6 @@ from .losses import (
     check_margin,
     check_posterior,
     conditional_risk,
-    log_sigmoid,
     logit,
     margin_alpha_loss,
     margin_alpha_loss_d1,
@@ -29,9 +28,9 @@ from .calibration import (
     calibration_sweep,
     calibration_workspace,
     check_calibration_at,
-    inner_derivative,
 )
 from .logreg import (
+    BallSolution,
     LabeledDataset,
     LinearModel,
     TrainConfig,
@@ -41,7 +40,9 @@ from .logreg import (
     empirical_risk,
     evaluate,
     predict_proba,
+    risk_and_accuracy,
     sample_loss,
+    solve_on_ball,
     train,
 )
 from .landscape import (

@@ -21,7 +21,6 @@ from .losses import (
     check_posterior,
     margin_loss_tail,
     margin_losses,
-    margin_alpha_loss_d1,
     conditional_risk,
     optimal_classifier,
 )
@@ -223,25 +222,6 @@ def check_calibration_at(
         constrained_min=constrained,
         unconstrained_argmin=argmin,
         argmin_at_boundary=at_boundary,
-    )
-
-
-def inner_derivative(alpha: Alpha, eta: float, f: float) -> float:
-    """Derivative of the objective whose maximizer is the optimal classifier.
-
-    For finite alpha > 1 the minimum conditional risk is scale * (1 - sup_f
-    [eta * sigmoid(f)^c + (1-eta) * sigmoid(-f)^c]); this is d/df of the
-    bracket, c * ((1-eta) * L'(-f) - eta * L'(f)) for the margin-loss
-    derivative L', whose unique zero is f0 = alpha * log(eta / (1 - eta)).
-    """
-    if alpha.is_log or alpha.is_infinite:
-        raise ValueError("inner derivative is defined for finite alpha > 1 only")
-    eta = check_posterior(eta)
-    f = float(f)
-    if not math.isfinite(f):
-        raise ValueError("f must be finite")
-    return alpha.exponent * (
-        (1.0 - eta) * margin_alpha_loss_d1(alpha, -f) - eta * margin_alpha_loss_d1(alpha, f)
     )
 
 

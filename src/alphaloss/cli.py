@@ -37,7 +37,7 @@ from .landscape import (
     median_gaps,
     risk_gap_experiment,
 )
-from .logreg import TrainConfig, TrainingDiverged, evaluate, train
+from .logreg import NEWTON_MAX_DIM, TrainConfig, TrainingDiverged, evaluate, train
 from .losses import (
     Alpha,
     margin_alpha_loss,
@@ -249,6 +249,12 @@ def cmd_landscape(args) -> dict:
     for alpha, n, trial in result.diverged:
         print(f"warning: training diverged at alpha={alpha!r}, n={n}, trial={trial};"
               " the trial is left out of the gaps and counted in diverged", file=sys.stderr)
+    if args.dim > NEWTON_MAX_DIM:
+        print(f"warning: --dim {args.dim} is above {NEWTON_MAX_DIM}: each model is trained for"
+              " --epochs gradient-descent epochs and no KKT point is certified", file=sys.stderr)
+    for alpha, n, trial in result.unconverged:
+        print(f"warning: no KKT point certified at alpha={alpha!r}, n={n}, trial={trial};"
+              " the trial keeps its iterate of least residual", file=sys.stderr)
     trial_rows = [
         (rec.alpha, rec.n, rec.trial, rec.gap, rec.hoeffding_term, rec.zero_one_risk)
         for rec in result.records
@@ -350,9 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--holdout-n", type=int, default=100000,
                         help="held-out rows that estimate the true risk (default: %(default)s)")
     p_land.add_argument("--lr", type=float, default=1.0,
-                        help="learning rate (default: %(default)s)")
+                        help="learning rate of each model's gradient descent: its warm start,"
+                             f" or above {NEWTON_MAX_DIM} dimensions all its epochs"
+                             " (default: %(default)s)")
     p_land.add_argument("--epochs", type=int, default=300,
-                        help="full-batch gradient steps per model (default: %(default)s)")
+                        help="most iterations per model: its warm-start epochs, at most 10,"
+                             f" then its KKT solver's steps; above {NEWTON_MAX_DIM} dimensions, its gradient-descent"
+                             " epochs (default: %(default)s)")
 
     p_curves = command("losscurves", cmd_losscurves, out, "margin loss and derivatives on a z grid")
     p_curves.add_argument("--alphas", default="1,1.5,2,inf", help=alphas)

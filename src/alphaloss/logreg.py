@@ -1,9 +1,10 @@
 """Logistic regression under the tunable loss family.
 
 The soft classifier is g(x) = sigmoid(w . x).  Per-sample losses, empirical
-risk and its gradient, full-batch gradient-descent training, and 0-1 accuracy
-all live here.  The per-sample derivatives in w are the margin derivatives
-of :mod:`alphaloss.losses` at m = y * (w . x) times powers of y * x.
+risk and its gradient, full-batch gradient-descent training, a Newton solver
+for the KKT points of the risk on a ball, and 0-1 accuracy all live here.
+The per-sample derivatives in w are the margin derivatives of
+:mod:`alphaloss.losses` at m = y * (w . x) times powers of y * x.
 Everything is deterministic given a seed: identical configs on identical data
 produce bit-identical reports.
 """
@@ -23,6 +24,7 @@ from .losses import (
     Alpha,
     check_label,
     margin_alpha_loss,
+    margin_loss_tail,
     margin_losses,
     sigmoid,
     _margin_terms,
@@ -41,6 +43,30 @@ INIT_SCALE = 0.01
 # Most epochs a run may request: its risk trace is then 800 MB, the size of
 # landscape.MAX_SAMPLE_FLOATS.
 MAX_EPOCHS = 10**8
+
+# KKT residual at or below which solve_on_ball certifies its point, if its
+# Newton step is also at most NEWTON_STEP_TOL times max(1, |w|).
+KKT_TOL = 1e-12
+NEWTON_STEP_TOL = 1e-6
+
+# Largest dimension solve_on_ball takes: it forms a d x d Hessian, n * d^2
+# flops, at each point it accepts.
+NEWTON_MAX_DIM = 64
+
+# The Armijo test's fraction of the predicted decrease, and the most halvings
+# of one step before the line search gives up.
+ARMIJO_FRACTION = 1e-4
+MAX_HALVINGS = 60
+
+# Relative change of the risk below its rounding: a step within it that lowers
+# the residual is accepted, since the Armijo test cannot resolve it.
+RISK_ROUNDING = 64 * np.finfo(float).eps
+
+# A norm within this relative distance of the radius is on the sphere.
+SPHERE_TOL = 1e-12
+
+# Margins per block of the loss tail that a risk on a large sample builds.
+LOSS_BLOCK = 2**14
 
 
 class TrainingDiverged(RuntimeError):
@@ -179,10 +205,33 @@ def sample_loss(alpha: Alpha, model: LinearModel, x: np.ndarray, y: int) -> floa
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:
     """Mean per-sample loss over the dataset."""
     _check_dims(model, data)
-    # the losses overwrite the margins, so the call holds two n-vectors
-    margins = data.features @ model.weights
-    margins *= data.labels
-    return float(np.mean(margin_losses(alpha, margins, out=margins)))
+    return _mean_loss(alpha, data.features @ model.weights, data.labels)
+
+
+def risk_and_accuracy(
+    alpha: Alpha, model: LinearModel, data: LabeledDataset
+) -> tuple[float, float]:
+    """:func:`empirical_risk` and :func:`evaluate` of one model from one x @ w.
+
+    The accuracy is counted from the scores before they become the margins.
+    """
+    _check_dims(model, data)
+    scores = data.features @ model.weights
+    accuracy = _accuracy(scores, data.labels)
+    return _mean_loss(alpha, scores, data.labels), accuracy
+
+
+def _mean_loss(alpha: Alpha, scores: np.ndarray, labels: np.ndarray) -> float:
+    # the margins and then the losses overwrite the scores, and the loss tail
+    # is built one block at a time, so the call holds one n-vector and a
+    # block; each loss has the bits of one margin_losses call on all margins
+    scores *= labels
+    tail = np.empty(min(LOSS_BLOCK, scores.size))
+    for start in range(0, scores.size, LOSS_BLOCK):
+        block = scores[start : start + LOSS_BLOCK]
+        block_tail = margin_loss_tail(alpha, block, tail[: block.size])
+        margin_losses(alpha, block, out=block, tail=block_tail)
+    return float(np.mean(scores))
 
 
 def empirical_gradient(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> np.ndarray:
@@ -288,6 +337,212 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
         final_model=LinearModel(weights=w),
         empirical_risk_trace=trace,
         train_accuracy=_accuracy(scores, data.labels),
+    )
+
+
+# The solve's records are namedtuples, which cost a tenth of a dataclass to
+# create when the package is imported.
+class BallSolution(
+    collections.namedtuple("BallSolution", "model risk residual multiplier newton_step steps")
+):
+    """Where :func:`solve_on_ball` stopped: a model, its risk and its KKT terms.
+
+    On the sphere ``multiplier`` is lambda = max(-w . grad / |w|, 0), and 0
+    inside it; ``residual`` is |grad + lambda * w / |w||.  ``newton_step`` is
+    the length of the Newton step from the model, on the sphere's tangent
+    space where the ball binds, and inf where that Hessian is not positive
+    definite.  ``steps`` counts the steps taken.
+    """
+
+    __slots__ = ()
+
+    @property
+    def converged(self) -> bool:
+        return _certified(self.residual, self.newton_step, self.model.weights)
+
+
+def _certified(residual: float, newton_step: float, weights: np.ndarray) -> bool:
+    # a small residual alone also holds far out on a flat tail, where the
+    # Newton step is of order 1
+    scale = max(1.0, float(row_norms(weights[None, :])[0]))
+    return residual <= KKT_TOL and newton_step <= NEWTON_STEP_TOL * scale
+
+
+# One point of a solve.
+_Iterate = collections.namedtuple("_Iterate", "weights norm risk grad multiplier residual")
+
+
+class _BallRisk:
+    """The empirical risk of one dataset and its KKT terms on one ball.
+
+    Every evaluation rewrites the same per-sample buffers, as in :func:`train`:
+    the margins, a :func:`_margin_workspace` and the curvatures.
+    """
+
+    def __init__(self, alpha: Alpha, data: LabeledDataset, radius: float):
+        self.alpha, self.data, self.radius = alpha, data, radius
+        self.margins = np.empty(data.n)
+        self.work = _margin_workspace(data.n)
+        self.curvature = np.empty(data.n)
+
+    def at(self, w: np.ndarray) -> _Iterate:
+        x, y, n = self.data.features, self.data.labels, self.data.n
+        # the margins, losses and risk of train's loop, so the risk has the
+        # bits empirical_risk gives
+        margins = np.matmul(x, w, out=self.margins)
+        margins *= y
+        losses, slopes = _margin_terms(self.alpha, margins, self.work, self.curvature)
+        risk = float(losses.sum() / n)
+        grad = x.T @ np.multiply(y, slopes, out=slopes)
+        grad /= n
+        norm = float(row_norms(w[None, :])[0])
+        pull = -float(w @ grad) / norm if norm >= self.radius * (1.0 - SPHERE_TOL) else 0.0
+        multiplier = max(pull, 0.0)
+        kkt = grad + (multiplier / norm) * w if multiplier > 0.0 else grad
+        return _Iterate(w, norm, risk, grad, multiplier, float(np.linalg.norm(kkt)))
+
+    def hessian(self) -> np.ndarray:
+        """The Hessian X' diag(L'') X / n at the point of the last :meth:`at`.
+
+        Formed one row at a time through the margins, which are free by then.
+        """
+        x, d = self.data.features, self.data.dim
+        hessian = np.empty((d, d))
+        for j in range(d):
+            np.matmul(np.multiply(self.curvature, x[:, j], out=self.margins), x, out=hessian[j])
+        hessian /= self.data.n
+        return hessian
+
+
+def _newton_step(point: _Iterate, hessian: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The gradient a step follows and Newton's step, or None where its Hessian is not positive definite.
+
+    Where the ball binds (lambda > 0) both lie in the sphere's tangent space:
+    with u = w / |w|, P = I - u u' and mu = lambda / |w|, the gradient is P g
+    and the Hessian is that of the Lagrangian on the tangent space,
+    P (H + mu I) P, with eigenvalue 1 along u, so that it is positive definite
+    exactly where the reduced Hessian is and its step stays tangent.
+    """
+    grad = point.grad
+    if point.multiplier > 0.0:
+        u = point.weights / point.norm
+        mu = point.multiplier / point.norm
+        grad = grad - (u @ grad) * u
+        hu = hessian @ u
+        hessian = hessian - np.outer(u, hu) - np.outer(hu, u)
+        hessian += (u @ hu + 1.0 - mu) * np.outer(u, u)
+        hessian[np.diag_indices_from(hessian)] += mu
+    return grad, _solve_positive_definite(hessian, grad)
+
+
+def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """a^-1 b through the Cholesky factor of a, or None where a is not positive definite.
+
+    Written out column by column on dot products, because each LAPACK routine
+    numpy would call pages its code into the process: the factor, the solve
+    and a QR of the tangent space took about 1.5 MB of resident memory.  The
+    loops are d long, d <= NEWTON_MAX_DIM.
+    """
+    d = b.size
+    low = np.zeros((d, d))
+    for j in range(d):
+        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        # also false for a NaN pivot
+        if not pivot > 0.0:
+            return None
+        low[j, j] = math.sqrt(pivot)
+        low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    x = np.empty(d)
+    for j in range(d):
+        x[j] = (b[j] - low[j, :j] @ x[:j]) / low[j, j]
+    for j in reversed(range(d)):
+        x[j] = (x[j] - low[j + 1 :, j] @ x[j + 1 :]) / low[j, j]
+    return x
+
+
+def _line_search(problem: _BallRisk, point: _Iterate, direction: np.ndarray) -> _Iterate | None:
+    """The first of w + t * direction, t = 1, 1/2, ..., kept on the ball, that is accepted.
+
+    A point on the sphere that the ball binds is kept on it; elsewhere a point
+    outside the ball is scaled back onto it.  Armijo accepts a risk at most
+    R(w) + ARMIJO_FRACTION * grad . (w_t - w); a risk within RISK_ROUNDING of
+    R(w) is also accepted where the residual falls.  None when the search
+    gives up, or when a step is not finite.  The accepted point is the last
+    one evaluated, so ``problem.hessian()`` is its Hessian.
+    """
+    w, t = point.weights, 1.0
+    for _ in range(MAX_HALVINGS):
+        trial = w + t * direction
+        norm = float(row_norms(trial[None, :])[0])
+        if not math.isfinite(norm):
+            return None
+        if point.multiplier > 0.0 or norm > problem.radius:
+            trial *= problem.radius / norm
+        candidate = problem.at(trial)
+        if not math.isfinite(candidate.risk):
+            return None
+        predicted = float(point.grad @ (trial - w))
+        if predicted < 0.0 and candidate.risk <= point.risk + ARMIJO_FRACTION * predicted:
+            return candidate
+        if (candidate.residual < point.residual
+                and candidate.risk <= point.risk + RISK_ROUNDING * abs(point.risk)):
+            return candidate
+        t /= 2.0
+    return None
+
+
+def solve_on_ball(
+    alpha: Alpha, model: LinearModel, data: LabeledDataset, radius: float, max_steps: int
+) -> BallSolution:
+    """Take ``model`` to a KKT point of min R(w) subject to |w| <= radius.
+
+    Each step is Newton's where the Hessian is positive definite: inside the
+    ball on the full Hessian, and on the sphere, where the ball binds with
+    multiplier lambda = -w . grad / |w| > 0, in the sphere's tangent space on
+    the Lagrangian's reduced Hessian.  Where that Hessian is not positive
+    definite, or Newton's step finds no descent, the step follows the
+    (tangential) gradient instead.  Either is backtracked by halving until
+    accepted (see ``_line_search``).  The Hessian, n * d^2 flops, is formed
+    only at accepted points; the dimension may be at most ``NEWTON_MAX_DIM``,
+    about where a solve stops costing less than 300 gradient-descent epochs.
+
+    A point is certified once its KKT residual is at most ``KKT_TOL`` and
+    its Hessian is positive definite with a Newton step of at most
+    ``NEWTON_STEP_TOL`` times max(1, |w|).  The solve stops there, after
+    ``max_steps`` steps, or when no step is accepted or one is not finite.
+    It never raises on the way: an unconverged solve returns the iterate of
+    least residual.
+    """
+    _check_dims(model, data)
+    if data.dim > NEWTON_MAX_DIM:
+        raise ValueError(f"dimension {data.dim} is above NEWTON_MAX_DIM = {NEWTON_MAX_DIM}")
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    if operator.index(max_steps) < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps!r}")
+    problem = _BallRisk(alpha, data, radius)
+    best, steps = None, 0
+    # an overflow or a NaN ends the search through the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = problem.at(model.weights.copy())
+        while True:
+            grad, newton = _newton_step(point, problem.hessian())
+            length = math.inf if newton is None else float(np.linalg.norm(newton))
+            certified = _certified(point.residual, length, point.weights)
+            if best is None or certified or point.residual < best[0].residual:
+                best = point, length
+            if certified or steps == max_steps:
+                break
+            for direction in ([] if newton is None else [-newton]) + [-grad]:
+                accepted = _line_search(problem, point, direction)
+                if accepted is not None:
+                    break
+            else:
+                break
+            point, steps = accepted, steps + 1
+    point, length = best
+    return BallSolution(
+        LinearModel(point.weights), point.risk, point.residual, point.multiplier, length, steps
     )
 
 

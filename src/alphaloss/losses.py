@@ -5,8 +5,9 @@ log-loss, alpha = inf is sigmoid loss (whose expectation is the probability of
 error), and finite alpha in between interpolates continuously.  Every function
 here is a pure function of its scalar inputs.  The array kernels at the end,
 :func:`margin_losses` for the grid searches and risks and ``_margin_terms``
-for the training loop's losses and slopes, share one e = exp(-|m|) and one
-copy of each alpha branch, in the construction :func:`margin_losses` gives.
+for the training loop's losses and slopes (and, for the KKT solver, the
+curvatures), share one e = exp(-|m|) and one copy of each alpha branch, in
+the construction :func:`margin_losses` gives.
 
 Conventions: labels live in {-1, +1}, beliefs are probabilities of the event
 {Y = +1}, margins are y * f(x) on the extended real line.
@@ -130,11 +131,6 @@ def logit(p: float) -> float:
     if p == 1.0:
         return math.inf
     return math.log(p) - math.log1p(-p)
-
-
-def log_sigmoid(z: float) -> float:
-    """log(sigmoid(z)) without overflow for any |z|."""
-    return _split_sigmoid(z)[0]
 
 
 def alpha_loss(alpha: Alpha, y: int, belief_in_label: float) -> float:
@@ -345,12 +341,21 @@ def _margin_workspace(shape) -> tuple[np.ndarray, ...]:
     return tuple(np.empty(shape) for _ in range(4))
 
 
-def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
+def _margin_terms(
+    alpha: Alpha, margins: np.ndarray, work=None, curvature=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and margin derivatives -sigmoid(m)^c * sigmoid(-m).
 
     Built as :func:`margin_losses` describes, with its losses bit for bit.
     ``work`` is a :func:`_margin_workspace` of the margins' shape; the results
     are two of its arrays, overwritten by the next call that shares it.
+
+    ``curvature``, a float array of the margins' shape, receives the second
+    derivative -slope * (sigmoid(m) - c * sigmoid(-m)) when given; the
+    losses and slopes keep their bits either way.  Its factor is
+    (1 + c) * sigmoid(m) - c for finite alpha, with sigmoid(m) =
+    max(e, [m >= 0]) / (1 + e), and sign(m) * (1 - 2 * sigmoid(-|m|)) at
+    alpha = inf.
     """
     e, tail, scaled, losses = work if work is not None else _margin_workspace(margins.shape)
     _exp_and_tail(alpha, margins, e, tail)
@@ -360,13 +365,30 @@ def _margin_terms(alpha: Alpha, margins: np.ndarray, work=None) -> tuple[np.ndar
         np.divide(e, tail, out=e)
         np.divide(-1.0, tail, out=tail)
         tail *= e
+        if curvature is not None:
+            np.multiply(e, -2.0, out=curvature)
+            curvature += 1.0
+            np.copysign(curvature, margins, out=curvature)
+            curvature *= tail
+            np.negative(curvature, out=curvature)
         return losses, tail
     _finite_losses(alpha, margins, tail, losses, scaled)
+    if curvature is not None:
+        np.greater_equal(margins, 0.0, out=curvature)
+        np.maximum(e, curvature, out=curvature)
     # -sigmoid(-m) = max(e, [m < 0]) / -(1 + e)
     np.less(margins, 0.0, out=tail)
     np.maximum(e, tail, out=tail)
     np.subtract(-1.0, e, out=e)
     tail /= e
+    if curvature is not None:
+        # -sigmoid(m), then -((1 + c) * sigmoid(m) - c)
+        curvature /= e
+        if not alpha.is_log:
+            curvature *= 1.0 + alpha.exponent
+            curvature += alpha.exponent
     if not alpha.is_log:
         tail *= np.exp(scaled, out=scaled)
+    if curvature is not None:
+        curvature *= tail
     return losses, tail

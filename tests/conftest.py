@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alphaloss import Alpha, LabeledDataset, LinearModel
+from alphaloss import Alpha, LabeledDataset, LinearModel, empirical_gradient
 from alphaloss.logreg import row_norms
 from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
@@ -53,6 +53,18 @@ def random_instance(rng, d, n, radius=1.0):
     data = LabeledDataset(x, y)
     w = rng.normal(size=d) * 0.4
     return data, LinearModel(w)
+
+
+def kkt_terms(alpha, model, data, radius):
+    """The multiplier -w . grad / |w| (0 inside the ball) and the KKT residual
+    |grad + multiplier * w / |w|| of a model, from ``empirical_gradient``."""
+    w = model.weights
+    grad = empirical_gradient(alpha, model, data)
+    norm = float(np.linalg.norm(w))
+    if norm < radius * (1.0 - 1e-12):
+        return 0.0, float(np.linalg.norm(grad))
+    multiplier = -float(w @ grad) / norm
+    return multiplier, float(np.linalg.norm(grad + multiplier * w / norm))
 
 
 def traced_peak(fn, *args):

@@ -37,9 +37,12 @@ from alphaloss import (
     sample_loss,
     second_deriv_sign_change,
 )
+from alphaloss import landscape
+from alphaloss.logreg import KKT_TOL
 from alphaloss.losses import margin_alpha_loss
 from conftest import (
-    A1, A2, AINF, ETA_GRID, find_real_mnist, grid_minimize_conditional_risk, random_instance,
+    A1, A2, AINF, ETA_GRID, find_real_mnist, grid_minimize_conditional_risk, kkt_terms,
+    random_instance,
 )
 
 
@@ -61,16 +64,34 @@ def report_skip(num, name, reason):
 
 
 @pytest.fixture(scope="module")
-def landscape_result():
+def landscape_run():
+    """The shared landscape experiment, and each model's (n, multiplier, KKT residual)
+    taken from ``empirical_gradient`` as its solve returns it."""
     # 41 trials (criterion needs >= 20) and a 400k holdout keep the slope
     # estimate well away from trial noise and the holdout's own error floor
     spec = SymmetricDataSpec(
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=20240819
     )
-    return risk_gap_experiment(
-        spec, [A2], [100, 1000, 10000], trials=41, holdout_n=400_000, learning_rate=1.0,
-        epochs=300,
-    )
+    kkt = []
+    real_solve = landscape.solve_on_ball
+
+    def recording_solve(alpha, model, data, radius, max_steps):
+        solution = real_solve(alpha, model, data, radius, max_steps)
+        kkt.append((data.n, *kkt_terms(alpha, solution.model, data, radius)))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape, "solve_on_ball", recording_solve)
+        result = risk_gap_experiment(
+            spec, [A2], [100, 1000, 10000], trials=41, holdout_n=400_000, learning_rate=1.0,
+            epochs=300,
+        )
+    return result, kkt
+
+
+@pytest.fixture(scope="module")
+def landscape_result(landscape_run):
+    return landscape_run[0]
 
 
 def test_criterion_01_accuracy_table(tmp_path):
@@ -349,3 +370,14 @@ def test_criterion_11_split_exactness(synthetic_full_corpus):
     )
     report(11, "split sizes 11500/1000/2050 with class balance", sizes_ok and balance_ok,
            source)
+
+
+def test_criterion_12_landscape_models_are_kkt_points(landscape_run):
+    result, kkt = landscape_run
+    failures = [(n, multiplier, residual) for n, multiplier, residual in kkt
+                if not (residual <= KKT_TOL and multiplier >= 0.0)]
+    ok = not failures and len(kkt) == len(result.records) and not result.unconverged
+    report(12, "every landscape model is a KKT point of the ball", ok,
+           f"{len(kkt)} models, max residual {max(r for _, _, r in kkt):.1e}, "
+           f"multipliers {min(m for _, m, _ in kkt):.3f} to {max(m for _, m, _ in kkt):.3f}, "
+           f"{failed(failures)}")

@@ -12,7 +12,6 @@ from alphaloss import (
     calibration_sweep,
     check_calibration_at,
     conditional_risk,
-    inner_derivative,
     logit,
     margin_alpha_loss,
     min_conditional_risk,
@@ -28,20 +27,6 @@ from alphaloss.calibration import (
     calibration_workspace,
 )
 from conftest import A1, A2, AINF, ETA_GRID, forbid, traced_peak
-
-
-def bisect_root(fn, lo, hi, iters=200):
-    """Sign-change bisection oracle; requires fn(lo) > 0 > fn(hi)."""
-    flo, fhi = fn(lo), fn(hi)
-    assert flo > 0 > fhi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class TestCheckCalibrationAt:
@@ -345,65 +330,6 @@ class TestSharedWorkspace:
             for eta in (0.3, 0.7):
                 shared = check_calibration_at(alpha, eta, work=work)
                 assert shared == check_calibration_at(alpha, eta), (alpha, eta)
-
-
-class TestInnerDerivative:
-    def test_symmetric_zero(self):
-        assert inner_derivative(A2, 0.5, 0.0) == 0.0
-
-    def test_zero_at_closed_form_root(self):
-        assert abs(inner_derivative(A2, 0.8, 2.0 * math.log(4.0))) < 1e-10
-
-    def test_matches_scaled_risk_slope(self):
-        # the objective is 1 - (1 - 1/alpha) * conditional risk, so its
-        # derivative is -(1 - 1/alpha) times the risk derivative
-        h = 1e-6
-        for alpha in (Alpha(1.5), A2, Alpha(5)):
-            for eta, f in ((0.8, 0.0), (0.3, 1.0), (0.65, -2.0)):
-                risk_slope = (
-                    conditional_risk(alpha, eta, f + h) - conditional_risk(alpha, eta, f - h)
-                ) / (2 * h)
-                expected = -alpha.exponent * risk_slope
-                assert inner_derivative(alpha, eta, f) == pytest.approx(expected, abs=1e-6)
-        assert inner_derivative(A2, 0.8, 0.0) > 0.0
-
-    def test_root_agreement_with_bisection(self):
-        for a in (1.1, 1.5, 2.0, 5.0):
-            alpha = Alpha(a)
-            for eta in ETA_GRID:
-                fn = lambda f: inner_derivative(alpha, eta, f)
-                if eta > 0.5:
-                    root = bisect_root(fn, -100.0, 100.0)
-                else:
-                    root = -bisect_root(lambda f: -fn(-f), -100.0, 100.0)
-                assert abs(root - a * logit(eta)) < 1e-8
-
-    def test_sign_structure_around_root(self):
-        for alpha in (Alpha(1.5), A2):
-            for eta in (0.6, 0.9):
-                f0 = alpha.value * logit(eta)
-                assert inner_derivative(alpha, eta, f0 - 1.0) > 0.0
-                assert inner_derivative(alpha, eta, f0 + 1.0) < 0.0
-
-    @pytest.mark.parametrize("alpha", [Alpha(1.5), A2, Alpha(10)], ids=str)
-    @pytest.mark.parametrize("eta", [0.3, 0.7])
-    def test_finite_where_exp_of_f_overflows(self, alpha, eta):
-        # exp(f) overflows a double from f = 710 on; the derivative does not
-        for f in (710.0, 1e3, 1e308):
-            for signed in (f, -f):
-                assert math.isfinite(inner_derivative(alpha, eta, signed)), signed
-        f0 = alpha.value * logit(eta)
-        assert -710.0 < f0 < 710.0
-        assert inner_derivative(alpha, eta, -710.0) > 0.0
-        assert inner_derivative(alpha, eta, 710.0) < 0.0
-
-    def test_rejects_endpoints_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            inner_derivative(A1, 0.7, 0.0)
-        with pytest.raises(ValueError):
-            inner_derivative(AINF, 0.7, 0.0)
-        with pytest.raises(ValueError):
-            inner_derivative(A2, 0.7, math.inf)
 
 
 class TestCalibrationSweep:

@@ -510,6 +510,41 @@ class TestLandscapeCommand:
         assert open(out, "rb").read() == first
         assert open(summary, "rb").read() == first_summary
 
+    def test_dim_above_newton_max_dim_is_warned_once(self, tmp_path, capsys):
+        argv = ["landscape", "--dim", "65", "--ns", "40,80", "--trials", "2",
+                "--holdout-n", "500", "--radius", "10", "--noise", "0.05", "--epochs", "5"]
+        assert main(argv + ["--out", str(tmp_path / "land.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: --dim 65 is above 64: each model is trained for --epochs"
+            " gradient-descent epochs and no KKT point is certified"
+        ]
+
+    def test_unconverged_trials_are_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        argv = ["landscape", "--alphas", "1,2", "--ns", "40,80", "--trials", "2",
+                "--holdout-n", "500"]
+        assert main(argv + ["--out", str(tmp_path / "solved.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        real_solve = landscape.solve_on_ball
+
+        def capped(alpha, model, data, radius, max_steps):
+            return real_solve(alpha, model, data, radius, 0)
+
+        monkeypatch.setattr(landscape, "solve_on_ball", capped)
+        out = tmp_path / "land.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: no KKT point certified at alpha={alpha}, n={n}, trial={trial};"
+            " the trial keeps its iterate of least residual"
+            for alpha in (1.0, 2.0) for n in (40, 80) for trial in (0, 1)
+        ]
+        # each trial keeps its row, and neither CSV gains a column
+        header, rows = read_csv(out)
+        assert header == ["alpha", "n", "trial", "gap", "hoeffding_eps", "zero_one_test_risk"]
+        assert len(rows) == 8
+        header, rows = read_csv(tmp_path / "land_summary.csv")
+        assert header == ["alpha", "n", "median_gap", "loglog_slope", "diverged"]
+        assert [row[4] for row in rows] == ["0"] * 4
+
     def test_fresh_process_reproduces_bytes(self, tmp_path):
         out = str(tmp_path / "land.csv")
         argv = ["landscape", "--alphas", "2", "--ns", "40,80", "--trials", "2",
@@ -538,12 +573,14 @@ class TestBenchmarkTracing:
         assert sum(1 for span in spans if span[0] == "logreg.train") == 2
 
     def test_traced_child_runs_settled_landscape(self, tmp_path):
-        """Trials that settle before their last epoch still count n x epochs of work."""
+        """Each model makes one train call, its warm start, which counts n x its epochs of
+        work; the solve that follows it makes none."""
         spans = self.spans(tmp_path, "landscape", "--alphas", "1,inf", "--ns", "100,200",
                            "--trials", "2", "--holdout-n", "1000", "--epochs", "300",
                            "--out", str(tmp_path / "gaps.csv"))
         trains = [span for span in spans if span[0] == "logreg.train"]
-        assert sorted(span[4] for span in trains) == [100 * 300] * 4 + [200 * 300] * 4
+        warm = landscape.WARM_START_EPOCHS
+        assert sorted(span[4] for span in trains) == [100 * warm] * 4 + [200 * warm] * 4
         assert all(span[5] is None for span in trains)
         assert sum(1 for span in spans if span[0] == "landscape.generate") == 9
 
@@ -880,8 +917,10 @@ class TestLandscapeRowOrder:
 class TestLandscapeSummaryCells:
     """The summary has one row per requested (alpha, n), even when every trial diverged."""
 
+    # 30 epochs leave every solve the steps it needs to certify its point, so
+    # stderr names only the diverged trials
     ARGV = ["landscape", "--alphas", "1.5,2", "--ns", "80,40,120", "--trials", "2",
-            "--holdout-n", "500", "--epochs", "5"]
+            "--holdout-n", "500", "--epochs", "30"]
 
     def run(self, tmp_path, monkeypatch, diverges):
         from alphaloss import landscape

@@ -21,7 +21,7 @@ from alphaloss import (
     risk_gap_experiment,
     train,
 )
-from alphaloss.logreg import MAX_EPOCHS, row_norms
+from alphaloss.logreg import MAX_EPOCHS, NEWTON_MAX_DIM, row_norms
 from conftest import A1, A2, forbid, traced_peak
 
 
@@ -366,6 +366,47 @@ class TestRiskGapExperiment:
         assert len(result.records) == 2
         assert result.diverged == [(2.0, 50, 1)]
 
+    def test_unconverged_solves_keep_their_records_and_are_named(self, small_experiment,
+                                                                monkeypatch):
+        spec, result = small_experiment
+        real_solve = landscape_module.solve_on_ball
+
+        def capped(alpha, model, data, radius, max_steps):
+            return real_solve(alpha, model, data, radius, 0)
+
+        monkeypatch.setattr(landscape_module, "solve_on_ball", capped)
+        again = risk_gap_experiment(spec, [A1, A2], [50, 200], trials=3, holdout_n=4000,
+                                    **SCHEDULE)
+        assert result.unconverged == []
+        keys = [(rec.alpha.value, rec.n, rec.trial) for rec in again.records]
+        assert again.unconverged == keys and len(keys) == 12
+        assert again.diverged == []
+
+    @pytest.mark.parametrize("dim", [NEWTON_MAX_DIM, NEWTON_MAX_DIM + 1])
+    def test_models_are_solved_up_to_newton_max_dim(self, monkeypatch, dim):
+        """At NEWTON_MAX_DIM each model is a one-epoch warm start then a certified
+        solve; above it each is trained for all the epochs, as before the solver,
+        and solve_on_ball is not called."""
+        spec = default_spec(dim=dim, radius=10.0, mean_norm=0.8, noise_scale=0.05, seed=5)
+        trained = []
+        real_train = landscape_module.train
+
+        def recording_train(cfg, data):
+            report = real_train(cfg, data)
+            trained.append((cfg.epochs, float(report.empirical_risk_trace[-1])))
+            return report
+
+        monkeypatch.setattr(landscape_module, "train", recording_train)
+        if dim > NEWTON_MAX_DIM:
+            forbid(monkeypatch, landscape_module, "solve_on_ball", "a model was solved")
+        result = risk_gap_experiment(spec, [A2], [200, 2000], trials=1, holdout_n=1000,
+                                     **SCHEDULE)
+        assert result.diverged == result.unconverged == [] and len(result.records) == 2
+        if dim > NEWTON_MAX_DIM:
+            assert trained == [(SCHEDULE["epochs"], rec.empirical_risk) for rec in result.records]
+        else:
+            assert [epochs for epochs, _ in trained] == [landscape_module.WARM_START_EPOCHS] * 2
+
     def test_summary_helpers(self, small_experiment):
         _, result = small_experiment
         medians = median_gaps(result.records, A2)
@@ -396,22 +437,22 @@ class TestRiskGapExperiment:
             log_log_slope([100, 1000], values)
 
     def test_empirical_risk_is_recomputable(self, monkeypatch):
-        """Each record's empirical risk is the risk of its model on its own sample."""
+        """Each record's empirical risk is the risk of its solved model on its own sample."""
         spec = default_spec(dim=3, seed=23)
         fits = []
-        real_train = landscape_module.train
+        real_solve = landscape_module.solve_on_ball
 
-        def recording_train(cfg, data):
-            report = real_train(cfg, data)
-            fits.append((cfg.alpha, report.final_model, data))
-            return report
+        def recording_solve(alpha, model, data, radius, max_steps):
+            solution = real_solve(alpha, model, data, radius, max_steps)
+            fits.append((alpha, solution.model, data))
+            return solution
 
-        monkeypatch.setattr(landscape_module, "train", recording_train)
+        monkeypatch.setattr(landscape_module, "solve_on_ball", recording_solve)
         alphas = [A1, Alpha(1.5), A2, Alpha("inf")]
         result = risk_gap_experiment(
             spec, alphas, [100, 1000], trials=2, holdout_n=2000, learning_rate=1.0, epochs=30
         )
-        # alphas and sizes are given sorted, so training order is record order
+        # alphas and sizes are given sorted, so solving order is record order
         assert len(fits) == len(result.records) == 16
         for rec, (alpha, model, data) in zip(result.records, fits):
             assert rec.empirical_risk == empirical_risk(alpha, model, data)

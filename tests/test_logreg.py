@@ -21,20 +21,22 @@ from alphaloss import (
     margin_alpha_loss_d2,
     margin_alpha_loss_d3,
     predict_proba,
+    risk_and_accuracy,
     sample_loss,
     sigmoid,
+    solve_on_ball,
     train,
 )
 from alphaloss import landscape, logreg
 from alphaloss.landscape import SymmetricDataSpec, generate_symmetric_dataset
-from alphaloss.logreg import MAX_EPOCHS, row_norms
+from alphaloss.logreg import KKT_TOL, MAX_EPOCHS, NEWTON_MAX_DIM, NEWTON_STEP_TOL, row_norms
 from alphaloss.losses import (
     _margin_terms,
     _margin_workspace,
     margin_loss_tail,
     margin_losses,
 )
-from conftest import A1, A2, AINF, random_instance, traced_peak
+from conftest import A1, A2, AINF, kkt_terms, random_instance, traced_peak
 
 ALPHA_CYCLE = [A1, Alpha(1.01), Alpha(1.5), A2, Alpha(10), AINF]
 
@@ -634,6 +636,145 @@ class TestFusedMarginKernel:
             assert all(any(out is buf for buf in work) for out in (losses, slopes))
 
 
+class TestCurvature:
+    """The second derivative _margin_terms writes when asked for it."""
+
+    @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
+    def test_matches_scalar_second_derivative(self, alpha):
+        # L'' is the difference of two terms of size |L'| * (sigmoid(m) + c * sigmoid(-m));
+        # the error against the scalar form was at most 3.7e-15 of that size
+        for name, margins in oracle_margins().items():
+            curvature = np.empty(margins.shape)
+            _, slopes = _margin_terms(alpha, margins, curvature=curvature)
+            expected = np.array([margin_alpha_loss_d2(alpha, float(m)) for m in margins])
+            with np.errstate(over="ignore"):
+                positive = 1.0 / (1.0 + np.exp(-margins))
+            size = np.abs(slopes) * (positive + alpha.exponent * (1.0 - positive))
+            assert np.all(np.abs(curvature - expected) <= 1e-14 * size), name
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_matches_central_differences_of_the_slopes(self, alpha):
+        margins = np.linspace(-30.0, 30.0, 6001)
+        h = 1e-5
+        curvature = np.empty(margins.shape)
+        _margin_terms(alpha, margins, curvature=curvature)
+        ahead = _margin_terms(alpha, margins + h)[1]
+        behind = _margin_terms(alpha, margins - h)[1]
+        # the truncation, h^2 / 6 times the third derivative (at most 2), is
+        # below 1e-10, and the rounding about 1e-16 / h
+        np.testing.assert_allclose(curvature, (ahead - behind) / (2.0 * h), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_losses_and_slopes_keep_their_bits(self, alpha):
+        for name, margins in oracle_margins().items():
+            losses, slopes = _margin_terms(alpha, margins)
+            curved = _margin_terms(alpha, margins, curvature=np.empty(margins.shape))
+            assert same_bits(losses, curved[0]) and same_bits(slopes, curved[1]), name
+        # the results are still buffers of the workspace it is given
+        work = _margin_workspace(MARGIN_EDGES.shape)
+        losses, slopes = _margin_terms(alpha, MARGIN_EDGES, work, np.empty(MARGIN_EDGES.shape))
+        assert all(any(out is buf for buf in work) for out in (losses, slopes))
+
+
+# Starts where the Hessian of the default-law sample below is indefinite.
+INDEFINITE_STARTS = [(Alpha(4), [-0.3, 0.6, 0.0, 0.0, 0.0]), (AINF, [0.0, 0.9, 0.0, 0.0, 0.0])]
+WARM = landscape.WARM_START_EPOCHS
+
+
+def hessian_eigenvalues(alpha, model, data):
+    margins = data.labels * (data.features @ model.weights)
+    curvature = np.array([margin_alpha_loss_d2(alpha, float(m)) for m in margins])
+    return np.linalg.eigvalsh((data.features.T * curvature) @ data.features / data.n)
+
+
+class TestSolveOnBall:
+    """solve_on_ball certifies the KKT points of the landscape command's models."""
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_default_law_point_is_the_gradient_descent_point(self, alpha, n):
+        # after the landscape command's 300 epochs at lr 1 the tangential
+        # gradient is below 1e-16: GD has reached the point too
+        data = landscape_law_dataset(n, n + 3)
+        reached = train(TrainConfig(alpha, 1.0, 300, 5, radius=1.0), data).final_model
+        warm = train(TrainConfig(alpha, 1.0, WARM, 5, radius=1.0), data).final_model
+        solution = solve_on_ball(alpha, warm, data, 1.0, 300 - WARM)
+        multiplier, residual = kkt_terms(alpha, solution.model, data, 1.0)
+        assert solution.converged and solution.residual <= KKT_TOL
+        assert solution.newton_step <= NEWTON_STEP_TOL
+        assert residual <= KKT_TOL and multiplier >= 0.0
+        assert solution.multiplier == pytest.approx(multiplier, rel=1e-12)
+        assert np.linalg.norm(solution.model.weights - reached.weights) <= 1e-12
+        assert solution.risk == empirical_risk(alpha, solution.model, data)
+
+    @pytest.fixture(scope="class")
+    def interior_sample(self):
+        # radius 10, mean 0.5 and noise 1: the population minimizer alpha * e1 is inside
+        spec = SymmetricDataSpec(dim=5, radius=10.0, mean_norm=0.5, noise_scale=1.0, seed=11)
+        return generate_symmetric_dataset(spec, 200_000)
+
+    @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, Alpha(4)], ids=str)
+    def test_interior_law_point_is_near_the_population_minimizer(self, alpha, interior_sample):
+        data = interior_sample
+        warm = train(TrainConfig(alpha, 1.0, WARM, 3, radius=10.0), data).final_model
+        solution = solve_on_ball(alpha, warm, data, 10.0, 300 - WARM)
+        w = solution.model.weights
+        assert solution.converged and solution.multiplier == 0.0
+        assert np.linalg.norm(w) < 10.0
+        assert np.linalg.norm(empirical_gradient(alpha, solution.model, data)) <= KKT_TOL
+        # at n = 200,000 the distances measured 0.013 to 0.014 times alpha
+        assert np.linalg.norm(w - alpha.value * np.eye(5)[0]) <= 0.03 * alpha.value
+
+    @pytest.mark.parametrize("alpha, start", INDEFINITE_STARTS, ids=str)
+    def test_indefinite_start_converges_on_the_unit_ball(self, alpha, start):
+        data = landscape_law_dataset(300, 3)
+        start = LinearModel(np.array(start))
+        eigenvalues = hessian_eigenvalues(alpha, start, data)
+        assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+        solution = solve_on_ball(alpha, start, data, 1.0, 290)
+        multiplier, residual = kkt_terms(alpha, solution.model, data, 1.0)
+        assert solution.risk <= empirical_risk(alpha, start, data)
+        assert solution.converged and residual <= KKT_TOL and multiplier >= 0.0
+        assert np.linalg.norm(solution.model.weights - np.eye(5)[0]) < 0.05
+
+    @pytest.mark.parametrize("alpha, start", INDEFINITE_STARTS + [(A2, [-0.36, 0, 0, 0, 0])],
+                             ids=str)
+    def test_flat_tail_of_an_unbounded_ball_is_not_certified(self, alpha, start):
+        # the sample is separable, so in an unbounded ball the risk has no
+        # minimizer: the solve runs out along a tail where the gradient decays
+        # below KKT_TOL (alpha = 4 once reached 5.6e-13 at |w| = 52) while
+        # each Newton step stays of order 1
+        data = landscape_law_dataset(300, 3)
+        start = LinearModel(np.array(start, dtype=float))
+        solution = solve_on_ball(alpha, start, data, math.inf, 290)
+        assert not solution.converged
+        assert solution.newton_step > NEWTON_STEP_TOL * np.linalg.norm(solution.model.weights)
+        assert solution.risk <= empirical_risk(alpha, start, data)
+
+    def test_no_step_keeps_the_start(self):
+        data = landscape_law_dataset(100, 1)
+        start = LinearModel(np.array([0.1, 0.0, 0.0, 0.0, 0.0]))
+        solution = solve_on_ball(A2, start, data, 1.0, 0)
+        assert solution.steps == 0 and not solution.converged
+        assert np.array_equal(solution.model.weights, start.weights)
+        assert solution.risk == empirical_risk(A2, start, data)
+
+    @pytest.mark.parametrize("weights, radius, steps, text", [
+        (np.zeros(4), 1.0, 5, "dimension"),
+        (np.zeros(5), 0.0, 5, "radius must be positive"),
+        (np.zeros(5), 1.0, -1, "max_steps must be nonnegative"),
+    ], ids=["dim", "radius", "steps"])
+    def test_refuses_bad_arguments(self, weights, radius, steps, text):
+        with pytest.raises(ValueError, match=text):
+            solve_on_ball(A2, LinearModel(weights), landscape_law_dataset(20, 1), radius, steps)
+
+    def test_refuses_a_dimension_above_newton_max_dim(self):
+        d = NEWTON_MAX_DIM + 1
+        data = LabeledDataset(np.eye(d), np.ones(d))
+        with pytest.raises(ValueError, match=f"dimension {d} is above NEWTON_MAX_DIM"):
+            solve_on_ball(A2, LinearModel(np.zeros(d)), data, 1.0, 5)
+
+
 class TestTrainMatchesThreeMatvecLoop:
     @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
     @pytest.mark.parametrize("projected", [False, True])
@@ -800,7 +941,7 @@ class TestHoldoutMemory:
 
     @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
     def test_empirical_risk_holds_two_vectors(self, holdout, alpha):
-        # the margins, which the losses overwrite, and the loss tail
+        # the margins, which the losses overwrite, and a block of the loss tail
         model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
         assert traced_peak(empirical_risk, alpha, model, holdout)[1] <= 2.25 * self.N * 8
 
@@ -813,3 +954,27 @@ class TestHoldoutMemory:
     def test_evaluate_holds_the_scores_and_three_masks(self, holdout):
         model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
         assert traced_peak(evaluate, model, holdout)[1] <= 1.5 * self.N * 8
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_risk_and_accuracy_hold_the_scores_and_three_masks(self, holdout, alpha):
+        # the scores, which become the margins and then the losses, with the
+        # accuracy's masks (freed before the losses) or a block of the loss tail
+        model = LinearModel(np.array([0.6, -0.3, 0.2, 0.1, -0.4]))
+        assert traced_peak(risk_and_accuracy, alpha, model, holdout)[1] <= 1.5 * self.N * 8
+
+
+class TestRiskAndAccuracy:
+    @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
+    def test_same_bits_as_empirical_risk_and_evaluate(self, alpha):
+        rng = np.random.default_rng(14)
+        # 2.5 loss blocks, so the last block is a partial one
+        data = landscape_law_dataset(5 * logreg.LOSS_BLOCK // 2, 2)
+        # a zero model of either sign scores every row a zero, which predicts +1
+        for w in (np.zeros(5), -np.zeros(5), rng.normal(size=5), rng.normal(size=5)):
+            model = LinearModel(w)
+            risk, accuracy = risk_and_accuracy(alpha, model, data)
+            assert same_bits(np.array(risk), np.array(empirical_risk(alpha, model, data)))
+            assert accuracy == evaluate(model, data)
+            # the losses of one margin_losses call over every margin, as before the blocks
+            margins = data.labels * (data.features @ w)
+            assert risk == float(np.mean(margin_losses(alpha, margins)))

@@ -18,7 +18,6 @@ from alphaloss import (
     check_margin,
     check_posterior,
     conditional_risk,
-    log_sigmoid,
     logit,
     margin_alpha_loss,
     margin_alpha_loss_d1,
@@ -31,6 +30,7 @@ from alphaloss import (
     sigmoid,
     tilted_posterior,
 )
+from alphaloss.losses import _split_sigmoid
 from conftest import A1, A2, AINF, naive_margin_loss
 
 ALPHA_SAMPLE = [A1, Alpha(1.01), Alpha(1.1), Alpha(1.5), A2, Alpha(5), Alpha(10), Alpha(1e6), AINF]
@@ -213,12 +213,6 @@ class TestSigmoidBridge:
     @given(st.floats(min_value=1e-9, max_value=1 - 1e-9))
     def test_round_trip(self, p):
         assert sigmoid(logit(p)) == pytest.approx(p, abs=1e-12)
-
-    def test_log_sigmoid_matches_log_of_sigmoid(self):
-        for z in (-30.0, -2.0, 0.0, 1.5, 25.0):
-            assert log_sigmoid(z) == pytest.approx(math.log(sigmoid(z)), rel=1e-13)
-        assert log_sigmoid(-750.0) == -750.0  # naive form overflows here
-        assert log_sigmoid(800.0) == 0.0
 
 
 class TestMarginLoss:
@@ -528,9 +522,10 @@ def oracle_scalar_margins():
 
 class TestScalarFormsMatchBranchwiseReferences:
     def test_sigmoid_and_log_sigmoid(self):
+        # the log sigmoid is the one every scalar margin loss reads from _split_sigmoid
         for z in oracle_scalar_margins():
             assert same_float(sigmoid(z), split_form_sigmoid(z)), z
-            assert same_float(log_sigmoid(z), split_form_log_sigmoid(z)), z
+            assert same_float(_split_sigmoid(z)[0], split_form_log_sigmoid(z)), z
 
     @pytest.mark.parametrize("alpha", ALPHA_CYCLE, ids=str)
     def test_margin_loss_and_derivatives(self, alpha):
@@ -569,7 +564,6 @@ class TestScalarFormsMatchBranchwiseReferences:
     def test_validation_errors_unchanged(self):
         cases = [
             (sigmoid, split_form_sigmoid, (math.nan,)),
-            (log_sigmoid, split_form_log_sigmoid, (math.nan,)),
             (margin_alpha_loss, branchwise_margin_loss, (A2, math.nan)),
             (margin_alpha_loss_d1, branchwise_d1, (A2, math.nan)),
             (margin_alpha_loss_d2, branchwise_d2, (A2, math.nan)),
