@@ -1,6 +1,6 @@
 """Tunable alpha-loss family for binary classification."""
 
-__version__ = "0.3.5"
+__version__ = "0.3.6"
 
 from .losses import (
     Alpha,
@@ -39,7 +39,6 @@ from .logreg import (
     empirical_gradient,
     empirical_risk,
     evaluate,
-    predict_proba,
     risk_and_accuracy,
     sample_loss,
     solve_on_ball,

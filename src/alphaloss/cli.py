@@ -37,7 +37,7 @@ from .landscape import (
     median_gaps,
     risk_gap_experiment,
 )
-from .logreg import NEWTON_MAX_DIM, TrainConfig, TrainingDiverged, evaluate, train
+from .logreg import TrainConfig, TrainingDiverged, evaluate, train
 from .losses import (
     Alpha,
     margin_alpha_loss,
@@ -249,9 +249,6 @@ def cmd_landscape(args) -> dict:
     for alpha, n, trial in result.diverged:
         print(f"warning: training diverged at alpha={alpha!r}, n={n}, trial={trial};"
               " the trial is left out of the gaps and counted in diverged", file=sys.stderr)
-    if args.dim > NEWTON_MAX_DIM:
-        print(f"warning: --dim {args.dim} is above {NEWTON_MAX_DIM}: each model is trained for"
-              " --epochs gradient-descent epochs and no KKT point is certified", file=sys.stderr)
     for alpha, n, trial in result.unconverged:
         print(f"warning: no KKT point certified at alpha={alpha!r}, n={n}, trial={trial};"
               " the trial keeps its iterate of least residual", file=sys.stderr)
@@ -356,13 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--holdout-n", type=int, default=100000,
                         help="held-out rows that estimate the true risk (default: %(default)s)")
     p_land.add_argument("--lr", type=float, default=1.0,
-                        help="learning rate of each model's gradient descent: its warm start,"
-                             f" or above {NEWTON_MAX_DIM} dimensions all its epochs"
+                        help="learning rate of each model's gradient-descent warm start"
                              " (default: %(default)s)")
     p_land.add_argument("--epochs", type=int, default=300,
                         help="most iterations per model: its warm-start epochs, at most 10,"
-                             f" then its KKT solver's steps; above {NEWTON_MAX_DIM} dimensions, its gradient-descent"
-                             " epochs (default: %(default)s)")
+                             " then its KKT solver's steps (default: %(default)s)")
 
     p_curves = command("losscurves", cmd_losscurves, out, "margin loss and derivatives on a z grid")
     p_curves.add_argument("--alphas", default="1,1.5,2,inf", help=alphas)

@@ -19,14 +19,15 @@ import numpy as np
 # empirical_risk and evaluate are unused here but stay bound because
 # perfbench/child.py wraps landscape's bindings by name.
 from .logreg import (
+    MAX_SAMPLE_FLOATS,
     LabeledDataset,
     TrainConfig,
     TrainingDiverged,
+    _check_hessian_size,
     _check_seed,
     empirical_risk,
     evaluate,
     risk_and_accuracy,
-    NEWTON_MAX_DIM,
     row_norms,
     solve_on_ball,
     train,
@@ -37,8 +38,6 @@ _REJECTION_ROUNDS = 1000
 # Candidates drawn per rejection block, counted in floats so that a wide dim
 # keeps the block buffer at 512 KB (one row, where a row is wider).
 _DRAW_BLOCK_FLOATS = 2**16
-# Largest sample, counted as n x dim floats (800 MB), that generation will allocate.
-MAX_SAMPLE_FLOATS = 10**8
 _HOLDOUT_TAG = 0x484F4C44  # distinguishes the holdout seed stream from trials
 # Gradient-descent epochs that start each model before solve_on_ball takes it
 # to its KKT point.  From one epoch the solve also certifies every
@@ -264,10 +263,8 @@ def risk_gap_experiment(
     starts with min(``epochs``, ``WARM_START_EPOCHS``) gradient-descent epochs
     at ``learning_rate`` inside the ball of the law's radius, and
     :func:`solve_on_ball` then takes it to a KKT point of that ball in the
-    epochs left, one step each.  Above ``NEWTON_MAX_DIM`` dimensions, where
-    the solve costs more than the epochs, the model is instead trained for
-    all ``epochs`` and no point is certified.  The true risk and the 0-1
-    risk are estimated on one large fresh holdout.  Records follow
+    epochs left, one step each.  The true risk and the 0-1 risk are
+    estimated on one large fresh holdout.  Records follow
     ``alphas`` in the given order, then n increasing, then trial; the trial
     seeds derive from the spec seed, alpha, n and trial, so no record
     depends on that order.  Diverged trainings are excluded and counted; a
@@ -280,9 +277,9 @@ def risk_gap_experiment(
     _check_sample_size(holdout_n, spec.dim, "holdout_n")
     for n in sample_sizes:
         _check_sample_size(n, spec.dim, "n")
+    _check_hessian_size(spec.dim)
     configs = [TrainConfig(alpha, learning_rate, epochs, 0, radius=spec.radius) for alpha in alphas]
-    solved = spec.dim <= NEWTON_MAX_DIM
-    warm = min(epochs, WARM_START_EPOCHS) if solved else epochs
+    warm = min(epochs, WARM_START_EPOCHS)
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n
     )
@@ -301,22 +298,19 @@ def risk_gap_experiment(
                 except TrainingDiverged:
                     diverged.append((alpha.value, n, trial))
                     continue
-                model = report.final_model
-                # the trace's last entry is the training-sample risk of the final model
-                risk = float(report.empirical_risk_trace[-1])
-                if solved:
-                    solution = solve_on_ball(alpha, model, dataset, spec.radius, epochs - warm)
-                    model, risk = solution.model, solution.risk
-                    if not solution.converged:
-                        unconverged.append((alpha.value, n, trial))
-                true_risk, accuracy = risk_and_accuracy(alpha, model, holdout)
+                solution = solve_on_ball(
+                    alpha, report.final_model, dataset, spec.radius, epochs - warm
+                )
+                if not solution.converged:
+                    unconverged.append((alpha.value, n, trial))
+                true_risk, accuracy = risk_and_accuracy(alpha, solution.model, holdout)
                 records.append(
                     RiskGapRecord(
                         alpha=alpha,
                         n=n,
                         trial=trial,
                         true_risk_estimate=true_risk,
-                        empirical_risk=risk,
+                        empirical_risk=solution.risk,
                         zero_one_risk=1.0 - accuracy,
                     )
                 )

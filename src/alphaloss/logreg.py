@@ -26,7 +26,6 @@ from .losses import (
     margin_alpha_loss,
     margin_loss_tail,
     margin_losses,
-    sigmoid,
     _margin_terms,
     _margin_workspace,
     _sigmoid_array,
@@ -40,18 +39,18 @@ SETTLE_WINDOW = 16
 # Half-width of the initial weights' uniform draw; perfbench draws the same start.
 INIT_SCALE = 0.01
 
+# Largest sample, counted as n x dim floats (800 MB), that landscape draws,
+# and largest d x d Hessian that solve_on_ball forms.
+MAX_SAMPLE_FLOATS = 10**8
+
 # Most epochs a run may request: its risk trace is then 800 MB, the size of
-# landscape.MAX_SAMPLE_FLOATS.
+# MAX_SAMPLE_FLOATS.
 MAX_EPOCHS = 10**8
 
 # KKT residual at or below which solve_on_ball certifies its point, if its
 # Newton step is also at most NEWTON_STEP_TOL times max(1, |w|).
 KKT_TOL = 1e-12
 NEWTON_STEP_TOL = 1e-6
-
-# Largest dimension solve_on_ball takes: it forms a d x d Hessian, n * d^2
-# flops, at each point it accepts.
-NEWTON_MAX_DIM = 64
 
 # The Armijo test's fraction of the predicted decrease, and the most halvings
 # of one step before the line search gives up.
@@ -189,11 +188,6 @@ def _point_score(model: LinearModel, x: np.ndarray) -> float:
     if x.shape != (model.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.dim},)")
     return float(model.weights @ x)
-
-
-def predict_proba(model: LinearModel, x: np.ndarray) -> float:
-    """Probability assigned to label +1 at x: sigmoid(w . x)."""
-    return sigmoid(_point_score(model, x))
 
 
 def sample_loss(alpha: Alpha, model: LinearModel, x: np.ndarray, y: int) -> float:
@@ -404,12 +398,16 @@ class _BallRisk:
     def hessian(self) -> np.ndarray:
         """The Hessian X' diag(L'') X / n at the point of the last :meth:`at`.
 
-        Formed one row at a time through the margins, which are free by then.
+        Summed over blocks of LOSS_BLOCK // d rows (at least one), each
+        X_b' (L''_b * X_b), so that no temporary is larger than one block or
+        the Hessian.
         """
         x, d = self.data.features, self.data.dim
-        hessian = np.empty((d, d))
-        for j in range(d):
-            np.matmul(np.multiply(self.curvature, x[:, j], out=self.margins), x, out=hessian[j])
+        rows = max(1, LOSS_BLOCK // d)
+        hessian = np.zeros((d, d))
+        for start in range(0, self.data.n, rows):
+            block = x[start : start + rows]
+            hessian += block.T @ (self.curvature[start : start + rows, None] * block)
         hessian /= self.data.n
         return hessian
 
@@ -441,7 +439,7 @@ def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     Written out column by column on dot products, because each LAPACK routine
     numpy would call pages its code into the process: the factor, the solve
     and a QR of the tangent space took about 1.5 MB of resident memory.  The
-    loops are d long, d <= NEWTON_MAX_DIM.
+    loops are d long and the factor costs d^3 / 3 flops.
     """
     d = b.size
     low = np.zeros((d, d))
@@ -458,6 +456,15 @@ def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for j in reversed(range(d)):
         x[j] = (x[j] - low[j + 1 :, j] @ x[j + 1 :]) / low[j, j]
     return x
+
+
+def _check_hessian_size(dim: int) -> None:
+    """The rule for the solve's d x d Hessian: at most ``MAX_SAMPLE_FLOATS`` floats."""
+    if dim * dim > MAX_SAMPLE_FLOATS:
+        raise ValueError(
+            f"dim {dim} needs a {dim} x {dim} Hessian, {dim * dim} floats,"
+            f" above the {MAX_SAMPLE_FLOATS} allowed"
+        )
 
 
 def _line_search(problem: _BallRisk, point: _Iterate, direction: np.ndarray) -> _Iterate | None:
@@ -503,8 +510,8 @@ def solve_on_ball(
     definite, or Newton's step finds no descent, the step follows the
     (tangential) gradient instead.  Either is backtracked by halving until
     accepted (see ``_line_search``).  The Hessian, n * d^2 flops, is formed
-    only at accepted points; the dimension may be at most ``NEWTON_MAX_DIM``,
-    about where a solve stops costing less than 300 gradient-descent epochs.
+    only at accepted points, and its d x d floats may be at most
+    ``MAX_SAMPLE_FLOATS``, the largest sample.
 
     A point is certified once its KKT residual is at most ``KKT_TOL`` and
     its Hessian is positive definite with a Newton step of at most
@@ -514,8 +521,7 @@ def solve_on_ball(
     least residual.
     """
     _check_dims(model, data)
-    if data.dim > NEWTON_MAX_DIM:
-        raise ValueError(f"dimension {data.dim} is above NEWTON_MAX_DIM = {NEWTON_MAX_DIM}")
+    _check_hessian_size(data.dim)
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
     if operator.index(max_steps) < 0:

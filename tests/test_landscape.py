@@ -21,7 +21,7 @@ from alphaloss import (
     risk_gap_experiment,
     train,
 )
-from alphaloss.logreg import MAX_EPOCHS, NEWTON_MAX_DIM, row_norms
+from alphaloss.logreg import MAX_EPOCHS, row_norms
 from conftest import A1, A2, forbid, traced_peak
 
 
@@ -382,30 +382,31 @@ class TestRiskGapExperiment:
         assert again.unconverged == keys and len(keys) == 12
         assert again.diverged == []
 
-    @pytest.mark.parametrize("dim", [NEWTON_MAX_DIM, NEWTON_MAX_DIM + 1])
-    def test_models_are_solved_up_to_newton_max_dim(self, monkeypatch, dim):
-        """At NEWTON_MAX_DIM each model is a one-epoch warm start then a certified
-        solve; above it each is trained for all the epochs, as before the solver,
-        and solve_on_ball is not called."""
+    @pytest.mark.parametrize("dim", [5, 65, 128])
+    def test_models_are_solved_at_every_dim(self, monkeypatch, dim):
+        """Each model is one warm start, then a certified solve from its final model."""
         spec = default_spec(dim=dim, radius=10.0, mean_norm=0.8, noise_scale=0.05, seed=5)
-        trained = []
-        real_train = landscape_module.train
+        calls = []
+        real_train, real_solve = landscape_module.train, landscape_module.solve_on_ball
 
         def recording_train(cfg, data):
             report = real_train(cfg, data)
-            trained.append((cfg.epochs, float(report.empirical_risk_trace[-1])))
+            calls.append(("train", cfg.epochs, report.final_model))
             return report
 
+        def recording_solve(alpha, model, data, radius, max_steps):
+            calls.append(("solve", max_steps, model))
+            return real_solve(alpha, model, data, radius, max_steps)
+
         monkeypatch.setattr(landscape_module, "train", recording_train)
-        if dim > NEWTON_MAX_DIM:
-            forbid(monkeypatch, landscape_module, "solve_on_ball", "a model was solved")
+        monkeypatch.setattr(landscape_module, "solve_on_ball", recording_solve)
         result = risk_gap_experiment(spec, [A2], [200, 2000], trials=1, holdout_n=1000,
                                      **SCHEDULE)
         assert result.diverged == result.unconverged == [] and len(result.records) == 2
-        if dim > NEWTON_MAX_DIM:
-            assert trained == [(SCHEDULE["epochs"], rec.empirical_risk) for rec in result.records]
-        else:
-            assert [epochs for epochs, _ in trained] == [landscape_module.WARM_START_EPOCHS] * 2
+        warm = landscape_module.WARM_START_EPOCHS
+        steps = SCHEDULE["epochs"] - warm
+        assert [call[:2] for call in calls] == [("train", warm), ("solve", steps)] * 2
+        assert calls[1][2] is calls[0][2] and calls[3][2] is calls[2][2]
 
     def test_summary_helpers(self, small_experiment):
         _, result = small_experiment

@@ -20,7 +20,6 @@ from alphaloss import (
     margin_alpha_loss_d1,
     margin_alpha_loss_d2,
     margin_alpha_loss_d3,
-    predict_proba,
     risk_and_accuracy,
     sample_loss,
     sigmoid,
@@ -29,7 +28,7 @@ from alphaloss import (
 )
 from alphaloss import landscape, logreg
 from alphaloss.landscape import SymmetricDataSpec, generate_symmetric_dataset
-from alphaloss.logreg import KKT_TOL, MAX_EPOCHS, NEWTON_MAX_DIM, NEWTON_STEP_TOL, row_norms
+from alphaloss.logreg import KKT_TOL, MAX_EPOCHS, MAX_SAMPLE_FLOATS, NEWTON_STEP_TOL, row_norms
 from alphaloss.losses import (
     _margin_terms,
     _margin_workspace,
@@ -148,15 +147,6 @@ class TestLabelFormat:
 
 
 class TestPredictAndLoss:
-    def test_predict_proba(self):
-        model = LinearModel(np.zeros(3))
-        assert predict_proba(model, np.array([0.2, -0.1, 0.9])) == 0.5
-        e1 = LinearModel(np.array([1.0, 0.0]))
-        assert predict_proba(e1, np.array([1.0, 0.0])) == pytest.approx(sigmoid(1.0), abs=1e-15)
-        assert predict_proba(e1, np.array([-50.0, 0.0])) < 0.5
-        with pytest.raises(ValueError):
-            predict_proba(e1, np.ones(3))
-
     def test_sample_loss_examples(self):
         zero = LinearModel(np.zeros(2))
         x = np.array([0.3, 0.4])
@@ -172,7 +162,7 @@ class TestPredictAndLoss:
         for alpha in ALPHA_CYCLE:
             data, model = random_instance(rng, 4, 10)
             for x, y in zip(data.features, data.labels):
-                g = predict_proba(model, x)
+                g = sigmoid(float(model.weights @ x))
                 p_of_y = g if y == 1 else 1.0 - g
                 assert sample_loss(alpha, model, x, int(y)) == pytest.approx(
                     alpha_loss(alpha, int(y), p_of_y), abs=1e-12
@@ -184,7 +174,7 @@ class TestPredictAndLoss:
             alpha = Alpha(a)
             data, model = random_instance(rng, 3, 8)
             for x, y in zip(data.features, data.labels):
-                g = predict_proba(model, x)
+                g = sigmoid(float(model.weights @ x))
                 c = 1.0 - 1.0 / a
                 direct = a / (a - 1.0) * (
                     1.0 - (1 + y) / 2 * g**c - (1 - y) / 2 * (1.0 - g) ** c
@@ -768,11 +758,52 @@ class TestSolveOnBall:
         with pytest.raises(ValueError, match=text):
             solve_on_ball(A2, LinearModel(weights), landscape_law_dataset(20, 1), radius, steps)
 
-    def test_refuses_a_dimension_above_newton_max_dim(self):
-        d = NEWTON_MAX_DIM + 1
-        data = LabeledDataset(np.eye(d), np.ones(d))
-        with pytest.raises(ValueError, match=f"dimension {d} is above NEWTON_MAX_DIM"):
-            solve_on_ball(A2, LinearModel(np.zeros(d)), data, 1.0, 5)
+    def test_refuses_a_hessian_above_max_sample_floats(self):
+        # d^2 = 100,020,001 floats: refused before the Hessian or any per-sample buffer
+        d = 10_001
+        data = LabeledDataset(np.ones((2, d)), np.array([1.0, -1.0]))
+
+        def refused():
+            with pytest.raises(ValueError, match=f"dim {d} needs a {d} x {d} Hessian,"
+                                                 f" {d * d} floats, above the {MAX_SAMPLE_FLOATS}"):
+                solve_on_ball(A2, LinearModel(np.zeros(d)), data, 1.0, 5)
+
+        # a megabyte, against the Hessian's 800 MB
+        assert traced_peak(refused)[1] < 10**6
+
+
+class TestBallHessian:
+    """_BallRisk.hessian sums X_b' (L''_b * X_b) over blocks of LOSS_BLOCK // d rows."""
+
+    @staticmethod
+    def problem(alpha, n, d, order):
+        rng = np.random.default_rng(n + d)
+        x = np.asarray(rng.normal(size=(n, d)), order=order)
+        data = LabeledDataset(x, rng.choice([-1.0, 1.0], size=n))
+        problem = logreg._BallRisk(alpha, data, 1.0)
+        problem.at(rng.normal(size=d) / math.sqrt(d))
+        return problem
+
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    # below one block, and across 3 blocks and a partial one at d = 5 and d = 200
+    @pytest.mark.parametrize("n, d", [(50, 5), (3 * (logreg.LOSS_BLOCK // 5) + 17, 5),
+                                      (3 * (logreg.LOSS_BLOCK // 200) + 17, 200)])
+    def test_matches_one_product(self, alpha, order, n, d):
+        problem = self.problem(alpha, n, d, order)
+        x = problem.data.features
+        expected = (x.T * problem.curvature) @ x / n
+        # measured up to 4.8e-15 of the largest entry
+        error = np.abs(problem.hessian() - expected).max()
+        assert error <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n, d", [(200_000, 5), (20_000, 100)])
+    def test_holds_no_sample_sized_buffer(self, n, d):
+        # the Hessian and one block's product, d x d each, the scaled block, and
+        # numpy's iteration buffers for it, at most a block more: never n x d
+        problem = self.problem(A2, n, d, "F")
+        bound = (2 * d * d + 2 * logreg.LOSS_BLOCK) * 8
+        assert traced_peak(problem.hessian)[1] <= bound < n * d * 8 / 10
 
 
 class TestTrainMatchesThreeMatvecLoop:
