@@ -20,7 +20,6 @@ from .losses import (
     optimal_classifier,
     second_deriv_sign_change,
     sigmoid,
-    tilted_posterior,
 )
 from .calibration import (
     CALIBRATION_TOL,

@@ -318,12 +318,22 @@ def risk_gap_experiment(
 
 
 def median_gaps(records, alpha: Alpha) -> dict[int, float]:
-    """Median gap per sample size for one alpha, keyed by n."""
+    """Median gap per sample size for one alpha, keyed by n.
+
+    The middle sorted gap, or the mean of the middle two: the bits of
+    np.median and statistics.median, without the numpy.ma import of
+    np.median's first call or the decimal and fractions imports of statistics.
+    """
     by_n: dict[int, list[float]] = {}
     for rec in records:
         if rec.alpha.value == alpha.value:
             by_n.setdefault(rec.n, []).append(rec.gap)
-    return {n: float(np.median(g)) for n, g in sorted(by_n.items())}
+    medians = {}
+    for n, gaps in sorted(by_n.items()):
+        gaps.sort()
+        mid = len(gaps) // 2
+        medians[n] = float(gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2)
+    return medians
 
 
 def log_log_slope(sizes, values) -> float:

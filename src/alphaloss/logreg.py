@@ -32,10 +32,6 @@ from .losses import (
 )
 
 
-# How many past iterates train compares each new one with: a run that repeats
-# with a period up to this long stops computing once it does.
-SETTLE_WINDOW = 16
-
 # Half-width of the initial weights' uniform draw; perfbench draws the same start.
 INIT_SCALE = 0.01
 
@@ -257,16 +253,8 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     row-major, since column-major made the sweep slower.  The layout sets the
     BLAS summation order, so the two give weights a few ulps apart.
 
-    The loop's state is w alone: scores, slopes and the risk are recomputed
-    from it each epoch by the same calls in the same buffers.  So once w
-    repeats, bit for bit, the iterate of p epochs back, every later epoch
-    repeats with period p.  Each iterate is compared with the last
-    ``SETTLE_WINDOW`` ones, the initial one included; on a match the rest of
-    the trace is filled by repeating its last p entries and whole periods are
-    skipped, so only the fewer than p epochs left over are computed.  The
-    report has the same bytes as running every epoch.  Its final gradient is
-    ``empirical_gradient(alpha, report.final_model, data)``, which train does
-    not compute.
+    The report's final gradient is ``empirical_gradient(alpha,
+    report.final_model, data)``, which train does not compute.
     """
     rng = np.random.default_rng(config.seed)
     radius = config.radius
@@ -288,10 +276,7 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(x, w, out=scores)
         _, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
-        # the bytes of the last SETTLE_WINDOW iterates, the latest first
-        recent = collections.deque([w.tobytes()], maxlen=SETTLE_WINDOW)
-        epoch = 0
-        while epoch < config.epochs:
+        for epoch in range(config.epochs):
             # y * slopes over the slopes, which the next epoch rewrites
             np.matmul(x.T, np.multiply(y, slopes, out=slopes), out=grad)
             grad /= n
@@ -317,16 +302,6 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
             if not math.isfinite(risk):
                 raise TrainingDiverged(epoch, config)
             trace[epoch] = risk
-            epoch += 1
-            # w passed the divergence checks above, so a skip hides none;
-            # equal bytes are an equal state, hence equal later epochs
-            state = w.tobytes()
-            if state in recent:
-                period = recent.index(state) + 1
-                for phase in range(period):
-                    trace[epoch + phase :: period] = trace[epoch + phase - period]
-                epoch += (config.epochs - epoch) // period * period
-            recent.appendleft(state)
     return TrainReport(
         final_model=LinearModel(weights=w),
         empirical_risk_trace=trace,
@@ -420,6 +395,9 @@ def _newton_step(point: _Iterate, hessian: np.ndarray) -> tuple[np.ndarray, np.n
     and the Hessian is that of the Lagrangian on the tangent space,
     P (H + mu I) P, with eigenvalue 1 along u, so that it is positive definite
     exactly where the reduced Hessian is and its step stays tangent.
+
+    ``hessian`` is overwritten: the tangent Hessian is built in it, a block
+    of rows at a time, and then its Cholesky factor.
     """
     grad = point.grad
     if point.multiplier > 0.0:
@@ -427,8 +405,14 @@ def _newton_step(point: _Iterate, hessian: np.ndarray) -> tuple[np.ndarray, np.n
         mu = point.multiplier / point.norm
         grad = grad - (u @ grad) * u
         hu = hessian @ u
-        hessian = hessian - np.outer(u, hu) - np.outer(hu, u)
-        hessian += (u @ hu + 1.0 - mu) * np.outer(u, u)
+        # H - u hu' - hu u' + (u'hu + 1 - mu) u u', entry by entry in that order
+        scale = u @ hu + 1.0 - mu
+        rows = max(1, LOSS_BLOCK // u.size)
+        for start in range(0, u.size, rows):
+            block = hessian[start : start + rows]
+            block -= u[start : start + rows, None] * hu
+            block -= hu[start : start + rows, None] * u
+            block += scale * (u[start : start + rows, None] * u)
         hessian[np.diag_indices_from(hessian)] += mu
     return grad, _solve_positive_definite(hessian, grad)
 
@@ -439,22 +423,23 @@ def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     Written out column by column on dot products, because each LAPACK routine
     numpy would call pages its code into the process: the factor, the solve
     and a QR of the tangent space took about 1.5 MB of resident memory.  The
-    loops are d long and the factor costs d^3 / 3 flops.
+    loops are d long and the factor costs d^3 / 3 flops.  Only the lower
+    triangle of ``a`` is read, and the factor overwrites it column by column:
+    column j of a is read once, when column j of the factor replaces it.
     """
     d = b.size
-    low = np.zeros((d, d))
     for j in range(d):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        pivot = a[j, j] - a[j, :j] @ a[j, :j]
         # also false for a NaN pivot
         if not pivot > 0.0:
             return None
-        low[j, j] = math.sqrt(pivot)
-        low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+        a[j, j] = math.sqrt(pivot)
+        a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / a[j, j]
     x = np.empty(d)
     for j in range(d):
-        x[j] = (b[j] - low[j, :j] @ x[:j]) / low[j, j]
+        x[j] = (b[j] - a[j, :j] @ x[:j]) / a[j, j]
     for j in reversed(range(d)):
-        x[j] = (x[j] - low[j + 1 :, j] @ x[j + 1 :]) / low[j, j]
+        x[j] = (x[j] - a[j + 1 :, j] @ x[j + 1 :]) / a[j, j]
     return x
 
 
@@ -511,7 +496,9 @@ def solve_on_ball(
     (tangential) gradient instead.  Either is backtracked by halving until
     accepted (see ``_line_search``).  The Hessian, n * d^2 flops, is formed
     only at accepted points, and its d x d floats may be at most
-    ``MAX_SAMPLE_FLOATS``, the largest sample.
+    ``MAX_SAMPLE_FLOATS``, the largest sample.  The tangent Hessian and the
+    Cholesky factor overwrite it, so the solve holds one more d x d matrix
+    only while the Hessian is summed: the product of one block of rows.
 
     A point is certified once its KKT residual is at most ``KKT_TOL`` and
     its Hessian is positive definite with a Newton step of at most

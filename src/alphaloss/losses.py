@@ -242,19 +242,6 @@ def min_conditional_risk(alpha: Alpha, eta: float) -> float:
     return alpha.scale * -math.expm1(math.log1p(-lo) + math.log1p(ratio**a) / a)
 
 
-def tilted_posterior(alpha: Alpha, p: float) -> float:
-    """The belief eta^alpha / (eta^alpha + (1-eta)^alpha) minimizing expected loss.
-
-    Identity at alpha = 1; the hard indicator of p > 1/2 in the infinite limit
-    (1/2 at p = 1/2).  Computed as sigmoid(optimal_classifier(alpha, p)), that
-    is sigmoid(alpha * logit(p)), stable for large alpha; p = 0 and 1 are fixed.
-    """
-    p = check_belief(p)
-    if alpha.is_log or p in (0.0, 1.0):
-        return p
-    return sigmoid(optimal_classifier(alpha, p))
-
-
 def _exp_and_tail(alpha: Alpha, m: np.ndarray, e: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """e = exp(-|m|) into ``e`` and the loss tail into ``tail``, which may be ``e``."""
     # not copysign(m, -1): numpy's copysign loop is slower than abs and negative together

@@ -573,7 +573,7 @@ class TestBenchmarkTracing:
                            "--out", str(tmp_path / "gaps.csv"))
         assert sum(1 for span in spans if span[0] == "logreg.train") == 2
 
-    def test_traced_child_runs_settled_landscape(self, tmp_path):
+    def test_traced_child_runs_warm_started_landscape(self, tmp_path):
         """Each model makes one train call, its warm start, which counts n x its epochs of
         work; the solve that follows it makes none."""
         spans = self.spans(tmp_path, "landscape", "--alphas", "1,inf", "--ns", "100,200",

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from alphaloss import (
     Alpha,
     GenerationFailed,
     LabeledDataset,
+    RiskGapRecord,
     SymmetricDataSpec,
     TrainConfig,
     TrainingDiverged,
@@ -417,6 +419,19 @@ class TestRiskGapExperiment:
         assert slope == pytest.approx(-0.5, abs=1e-12)
         with pytest.raises(ValueError):
             log_log_slope([100], [0.1])
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, 20])
+    def test_median_gaps_have_the_bits_of_np_median(self, trials):
+        # the summary CSV prints each median's shortest repr, so its bits matter
+        rng = np.random.default_rng(trials)
+        records = [RiskGapRecord(alpha, n, trial, true_risk, empirical, 0.0)
+                   for alpha in (A1, A2) for n in (100, 1000) for trial in range(trials)
+                   for true_risk, empirical in [rng.uniform(0.1, 0.7, size=2)]]
+        medians = median_gaps(records, A2)
+        for n in (100, 1000):
+            gaps = [rec.gap for rec in records if rec.alpha is A2 and rec.n == n]
+            assert medians[n] == float(np.median(gaps)) == statistics.median(gaps)
+            assert type(medians[n]) is float
 
     def test_slope_matches_polyfit(self):
         # np.polyfit, the least-squares fit the closed form replaced, is the reference

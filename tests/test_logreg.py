@@ -805,23 +805,117 @@ class TestBallHessian:
         bound = (2 * d * d + 2 * logreg.LOSS_BLOCK) * 8
         assert traced_peak(problem.hessian)[1] <= bound < n * d * 8 / 10
 
+    @staticmethod
+    def separate_newton_step(point, hessian):
+        """Newton's step with the tangent Hessian and the factor as new matrices."""
+        grad = point.grad
+        if point.multiplier > 0.0:
+            u = point.weights / point.norm
+            mu = point.multiplier / point.norm
+            grad = grad - (u @ grad) * u
+            hu = hessian @ u
+            hessian = hessian - np.outer(u, hu) - np.outer(hu, u)
+            hessian += (u @ hu + 1.0 - mu) * np.outer(u, u)
+            hessian[np.diag_indices_from(hessian)] += mu
+        d = grad.size
+        low = np.zeros((d, d))
+        for j in range(d):
+            low[j, j] = math.sqrt(hessian[j, j] - low[j, :j] @ low[j, :j])
+            low[j + 1 :, j] = (hessian[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+        x = np.empty(d)
+        for j in range(d):
+            x[j] = (grad[j] - low[j, :j] @ x[:j]) / low[j, j]
+        for j in reversed(range(d)):
+            x[j] = (x[j] - low[j + 1 :, j] @ x[j + 1 :]) / low[j, j]
+        return grad, x
+
+    # d = 200 builds the tangent Hessian in 3 blocks of rows
+    @pytest.mark.parametrize("d", [5, 200])
+    @pytest.mark.parametrize("radius, start", [(1.0, 1.0), (math.inf, 0.1)],
+                             ids=["sphere", "inside"])
+    def test_in_place_step_has_the_bits_of_separate_matrices(self, d, radius, start):
+        rng = np.random.default_rng(d)
+        x = np.asfortranarray(rng.normal(size=(5 * d, d)) / math.sqrt(d))
+        data = LabeledDataset(x, np.where(x[:, 0] + 0.3 * rng.normal(size=5 * d) >= 0.0, 1, -1))
+        problem = logreg._BallRisk(A1, data, radius)
+        # a direction with no zero or unit entry, so that a reassociated
+        # product would show in the last bits
+        direction = np.eye(d)[0] + 0.3 * rng.normal(size=d) / math.sqrt(d)
+        point = problem.at(start * direction / np.linalg.norm(direction))
+        assert (point.multiplier > 0.0) == (radius == 1.0)
+        expected = self.separate_newton_step(point, problem.hessian())
+        got = logreg._newton_step(point, problem.hessian())
+        assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+    # on the sphere at alpha = 2, and inside the ball at alpha = 1, where the
+    # Hessian is positive definite so that the whole factor is formed
+    @pytest.mark.parametrize("alpha, radius, start", [(A2, 1.0, 1.0), (A1, math.inf, 0.1)],
+                             ids=["sphere", "inside"])
+    def test_solve_holds_the_hessian_and_one_product(self, alpha, radius, start):
+        # the tangent Hessian and its factor overwrite the Hessian, so the peak
+        # is hessian()'s: the Hessian and one block's product, with the
+        # per-sample buffers and a scaled block
+        n, d = 1000, 300
+        rng = np.random.default_rng(d)
+        x = np.asfortranarray(rng.normal(size=(n, d)) / math.sqrt(d))
+        data = LabeledDataset(x, np.where(x[:, 0] + 0.3 * rng.normal(size=n) >= 0.0, 1, -1))
+        solution, peak = traced_peak(solve_on_ball, alpha, LinearModel(start * np.eye(d)[0]),
+                                     data, radius, 2)
+        assert solution.steps == 2 and solution.newton_step < math.inf
+        assert (solution.multiplier > 0.0) == (radius == 1.0)
+        assert peak <= (2 * d * d + 8 * n + 2 * logreg.LOSS_BLOCK) * 8 < 2.5 * d * d * 8
+
+
+def noisy_case(alpha, projected, sort_by_class):
+    data = noisy_linear_dataset(21, sort_by_class=sort_by_class)
+    radius = 1.0 if projected else math.inf
+    return TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5, radius=radius), data
+
+
+def landscape_case(alpha, n, seed, epochs=300, data_seed=None):
+    """A landscape trial: default law, lr 1, the unit ball, whose iterate ends on the sphere."""
+    data = landscape_law_dataset(n, seed if data_seed is None else data_seed)
+    return TrainConfig(alpha, learning_rate=1.0, epochs=epochs, seed=seed, radius=1.0), data
+
+
+def nine_cycle_case():
+    # trial 6 of the default landscape run (alpha = 2, n = 100, spec seed 0)
+    # ends in an exact cycle of period 9
+    entropy = (0, landscape._alpha_bits(A2), 100, 6)
+    return landscape_case(A2, 100, landscape._derive_seed(*entropy, 1),
+                          data_seed=landscape._derive_seed(*entropy, 0))
+
+
+TRAIN_CASES = [
+    pytest.param(partial(noisy_case, alpha, projected, sort_by_class),
+                 id=f"{sort_by_class}-{projected}-{alpha}")
+    for sort_by_class in (False, True)
+    for projected in (False, True)
+    for alpha in (A1, Alpha(1.5), A2, AINF)
+] + [
+    # runs that end at an exact fixed point, or in an exact 2-cycle after an
+    # odd and an even number of epochs
+    pytest.param(partial(landscape_case, alpha, 100, 0), id=f"fixed-point-{alpha}")
+    for alpha in (A1, A2, AINF)
+] + [
+    pytest.param(partial(landscape_case, alpha, n, seed, epochs), id=f"two-cycle-{alpha}-{epochs}")
+    for alpha, n, seed in ((A1, 20, 3), (A2, 40, 0), (AINF, 40, 2))
+    for epochs in (299, 300)
+] + [pytest.param(nine_cycle_case, id="nine-cycle")]
+
 
 class TestTrainMatchesThreeMatvecLoop:
-    @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, AINF], ids=str)
-    @pytest.mark.parametrize("projected", [False, True])
-    @pytest.mark.parametrize("sort_by_class", [False, True])
-    def test_bit_identical(self, alpha, projected, sort_by_class):
-        data = noisy_linear_dataset(21, sort_by_class=sort_by_class)
-        radius = 1.0 if projected else math.inf
-        cfg = TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5, radius=radius)
+    @pytest.mark.parametrize("case", TRAIN_CASES)
+    def test_bit_identical(self, case):
+        cfg, data = case()
         weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
-        if projected:  # the ball constraint must actually bind
+        if cfg.radius < math.inf:  # the ball constraint must actually bind
             unprojected = three_matvec_train(replace(cfg, radius=math.inf), data)[0]
             assert np.linalg.norm(unprojected) > cfg.radius
         report = train(cfg, data)
         assert np.array_equal(report.final_model.weights, weights)
         assert np.array_equal(report.empirical_risk_trace, trace)
-        assert final_gradient_norm(alpha, report, data) == grad_norm
+        assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
         assert report.train_accuracy == accuracy
 
     # From w = 0 the iterate on these conflicting colinear rows alternates in
@@ -846,87 +940,6 @@ def landscape_law_dataset(n, seed):
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=seed
     )
     return generate_symmetric_dataset(spec, n)
-
-
-def counted_train(monkeypatch, cfg, data):
-    """train's report and the number of _margin_terms calls it made."""
-    calls = []
-    kernel = logreg._margin_terms
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return kernel(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(logreg, "_margin_terms", counting)
-        report = train(cfg, data)
-    return report, len(calls)
-
-
-class TestSettledEpochsAreSkipped:
-    """Once w repeats an iterate up to SETTLE_WINDOW epochs back, train stops recomputing.
-
-    Each fixture is a landscape trial that settles well before its last epoch;
-    three_matvec_train never skips, so equal bits show the skip changed nothing.
-    """
-
-    def check_skip(self, monkeypatch, cfg, data):
-        weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
-        report, calls = counted_train(monkeypatch, cfg, data)
-        # without the skip, train calls the kernel once per epoch and once before
-        assert calls < cfg.epochs + 1
-        assert np.array_equal(report.final_model.weights, weights)
-        assert np.array_equal(report.empirical_risk_trace, trace)
-        assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
-        assert report.train_accuracy == accuracy
-        return trace
-
-    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
-    def test_fixed_point(self, monkeypatch, alpha):
-        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=0, radius=1.0)
-        trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(100, 0))
-        assert trace[-1] == trace[-2]
-
-    # two epoch counts of opposite parity: one leaves an epoch over after the
-    # whole periods, the other none
-    @pytest.mark.parametrize("epochs", [299, 300])
-    @pytest.mark.parametrize("alpha, n, seed", [(A1, 20, 3), (A2, 40, 0), (AINF, 40, 2)],
-                             ids=["1", "2", "inf"])
-    def test_two_cycle(self, monkeypatch, alpha, n, seed, epochs):
-        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=epochs, seed=seed, radius=1.0)
-        trace = self.check_skip(monkeypatch, cfg, landscape_law_dataset(n, seed))
-        assert trace[-1] == trace[-3] != trace[-2]
-
-    def test_nine_cycle(self, monkeypatch):
-        # trial 6 of the default landscape run (alpha = 2, n = 100, spec seed
-        # 0) ends in a cycle of period 9, longer than one or two epochs
-        entropy = (0, landscape._alpha_bits(A2), 100, 6)
-        data = landscape_law_dataset(100, landscape._derive_seed(*entropy, 0))
-        cfg = TrainConfig(A2, learning_rate=1.0, epochs=300,
-                          seed=landscape._derive_seed(*entropy, 1), radius=1.0)
-        trace = self.check_skip(monkeypatch, cfg, data)
-        assert trace[-1] == trace[-10]
-
-    def test_growing_iterate_computes_every_epoch(self, monkeypatch):
-        # unprojected, the alpha = inf iterate keeps growing and never repeats
-        data = noisy_linear_dataset(21)
-        cfg = TrainConfig(AINF, learning_rate=6.0, epochs=300, seed=5)
-        halfway = train(replace(cfg, epochs=150), data).final_model.weights
-        report, calls = counted_train(monkeypatch, cfg, data)
-        assert np.linalg.norm(report.final_model.weights) > np.linalg.norm(halfway) + 1.0
-        assert calls == cfg.epochs + 1
-
-    def test_zero_rate_settles_at_the_first_compare(self, monkeypatch):
-        data = landscape_law_dataset(100, 0)
-        cfg = TrainConfig(A2, learning_rate=0.0, epochs=300, seed=0, radius=1.0)
-        weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
-        report, calls = counted_train(monkeypatch, cfg, data)
-        assert calls == 2
-        assert np.array_equal(report.final_model.weights, weights)
-        assert np.array_equal(report.empirical_risk_trace, np.full(300, trace[0]))
-        assert np.array_equal(report.empirical_risk_trace, trace)
-        assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
-        assert report.train_accuracy == accuracy
 
 
 class TestEvaluate:

@@ -28,7 +28,6 @@ from alphaloss import (
     optimal_classifier,
     second_deriv_sign_change,
     sigmoid,
-    tilted_posterior,
 )
 from alphaloss.losses import _split_sigmoid
 from conftest import A1, A2, AINF, naive_margin_loss
@@ -377,38 +376,6 @@ class TestMinConditionalRisk:
                     assert abs(value - exact) <= decimal.Decimal("4e-15") * exact, (alpha_value, eta)
 
 
-class TestTiltedPosterior:
-    def test_examples(self):
-        assert tilted_posterior(A1, 0.7) == 0.7
-        assert tilted_posterior(A2, 0.5) == 0.5
-        assert tilted_posterior(A2, 0.75) == pytest.approx(0.9, abs=1e-12)
-
-    def test_matches_direct_power_formula(self):
-        for a in (1.5, 2.0, 7.0):
-            for p in (0.2, 0.4, 0.6, 0.97):
-                direct = p**a / (p**a + (1 - p) ** a)
-                assert tilted_posterior(Alpha(a), p) == pytest.approx(direct, abs=1e-12)
-
-    def test_infinite_alpha_is_hard_indicator(self):
-        assert tilted_posterior(AINF, 0.51) == 1.0
-        assert tilted_posterior(AINF, 0.49) == 0.0
-        assert tilted_posterior(AINF, 0.5) == 0.5
-
-    def test_endpoints_are_fixed_points(self):
-        for alpha in (A1, A2, AINF):
-            assert tilted_posterior(alpha, 0.0) == 0.0
-            assert tilted_posterior(alpha, 1.0) == 1.0
-
-    @given(
-        st.sampled_from(ALPHA_SAMPLE),
-        st.floats(min_value=1e-6, max_value=1 - 1e-6),
-    )
-    def test_argmax_side_is_invariant(self, alpha, p):
-        tilted = tilted_posterior(alpha, p)
-        if p != 0.5:
-            assert (tilted - 0.5 > 0) == (p - 0.5 > 0) or tilted == 0.5 and abs(p - 0.5) < 1e-12
-
-
 def test_probability_of_error_identity():
     rng = np.random.default_rng(7)
     beliefs_in_label = rng.uniform(0, 1, size=200)
@@ -486,17 +453,6 @@ def branchwise_conditional_risk(alpha, eta, f):
     return eta * branchwise_margin_loss(alpha, f) + (1.0 - eta) * branchwise_margin_loss(alpha, -f)
 
 
-def branchwise_tilted_posterior(alpha, p):
-    p = check_belief(p)
-    if alpha.is_log:
-        return p
-    if alpha.is_infinite:
-        if p == 0.5:
-            return 0.5
-        return 1.0 if p > 0.5 else 0.0
-    return split_form_sigmoid(alpha.value * logit(p))
-
-
 def branchwise_second_deriv_sign_change(alpha):
     if alpha.is_log:
         raise ValueError("the log-loss margin form is convex: no sign change")
@@ -549,17 +505,11 @@ class TestScalarFormsMatchBranchwiseReferences:
             for y in (1, -1):
                 assert same_float(alpha_loss(alpha, y, p), branchwise_alpha_loss(alpha, y, p)), p
 
-    def test_tilted_posterior_and_sign_change(self):
-        rng = np.random.default_rng(14)
-        ps = [0.0, 5e-324, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
-              1.0 - 2.0**-53, 1.0] + [float(u) for u in rng.uniform(size=200)]
+    def test_second_deriv_sign_change(self):
         for alpha in ALPHA_CYCLE + [Alpha(1.0 + 1e-7)]:
             if not alpha.is_log:
                 expected = branchwise_second_deriv_sign_change(alpha)
                 assert same_float(second_deriv_sign_change(alpha), expected), alpha.value
-            for p in ps:
-                expected = branchwise_tilted_posterior(alpha, p)
-                assert same_float(tilted_posterior(alpha, p), expected), (alpha.value, p)
 
     def test_validation_errors_unchanged(self):
         cases = [
@@ -572,9 +522,6 @@ class TestScalarFormsMatchBranchwiseReferences:
             (conditional_risk, branchwise_conditional_risk, (A2, 0.3, math.nan)),
             (alpha_loss, branchwise_alpha_loss, (A2, 0, 0.5)),
             (alpha_loss, branchwise_alpha_loss, (A2, 1, 1.5)),
-            (tilted_posterior, branchwise_tilted_posterior, (A2, 1.5)),
-            (tilted_posterior, branchwise_tilted_posterior, (AINF, math.nan)),
-            (tilted_posterior, branchwise_tilted_posterior, (A1, -0.25)),
             (second_deriv_sign_change, branchwise_second_deriv_sign_change, (A1,)),
         ]
         for fn, reference, args in cases:
