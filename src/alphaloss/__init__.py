@@ -32,6 +32,7 @@ from .logreg import (
     BallSolution,
     LabeledDataset,
     LinearModel,
+    SeededStart,
     TrainConfig,
     TrainReport,
     TrainingDiverged,

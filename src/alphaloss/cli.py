@@ -37,7 +37,7 @@ from .landscape import (
     median_gaps,
     risk_gap_experiment,
 )
-from .logreg import TrainConfig, TrainingDiverged, evaluate, train
+from .logreg import SeededStart, TrainConfig, TrainingDiverged, evaluate, train
 from .losses import (
     Alpha,
     margin_alpha_loss,
@@ -196,11 +196,15 @@ def cmd_sweep(args) -> dict:
     grid = [[TrainConfig(alpha=alpha, learning_rate=lr, epochs=args.epochs, seed=args.seed)
              for lr in lr_grid] for alpha in alphas]
     task = _load_task(args)
+    # every model starts from one w0, so x @ w0 and each alpha's first
+    # gradient are computed once; config and data stay positional, where
+    # perfbench's tracer reads them
+    start = SeededStart(task.train, args.seed)
     rows = []
     for configs in grid:
         best = None
         for cfg in configs:
-            report = train(cfg, task.train)
+            report = train(cfg, task.train, start=start)
             val_acc = evaluate(report.final_model, task.validation)
             if best is None or val_acc > best[1]:
                 best = (cfg.learning_rate, val_acc, evaluate(report.final_model, task.test))

@@ -237,7 +237,42 @@ def _check_dims(model: LinearModel, data: LabeledDataset) -> None:
         raise ValueError(f"model dimension {model.dim} != data dimension {data.dim}")
 
 
-def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
+class SeededStart:
+    """The start that every model trained on one dataset from one seed shares.
+
+    ``weights`` are drawn as :func:`train` draws them, i.i.d. uniform in
+    [-INIT_SCALE, INIT_SCALE] from ``seed``, and ``scores`` = x @ w0 is
+    computed once.  :meth:`gradient` computes an alpha's first gradient on
+    its first call and keeps it, so the models of a sweep that share an alpha
+    pay for it once.  Every array is read-only.
+    """
+
+    def __init__(self, data: LabeledDataset, seed: int):
+        _check_seed(seed)
+        self.data, self.seed = data, seed
+        self.weights = np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size=data.dim)
+        # a product of finite w0 and x may overflow; train turns that into
+        # TrainingDiverged in its first epoch
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scores = data.features @ self.weights
+        self.weights.flags.writeable = self.scores.flags.writeable = False
+        self._gradients: dict[Alpha, np.ndarray] = {}
+
+    def gradient(self, alpha: Alpha) -> np.ndarray:
+        """The empirical gradient of the risk of ``alpha`` at w0, with train's bits."""
+        grad = self._gradients.get(alpha)
+        if grad is None:
+            x, y = self.data.features, self.data.labels
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, slopes = _margin_terms(alpha, y * self.scores)
+                grad = x.T @ np.multiply(y, slopes, out=slopes)
+                grad /= self.data.n
+            grad.flags.writeable = False
+            self._gradients[alpha] = grad
+        return grad
+
+
+def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None = None) -> TrainReport:
     """Full-batch gradient descent from a seeded random initialization.
 
     One gradient step per epoch; the risk trace records the empirical risk
@@ -245,8 +280,11 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     ever becomes non-finite.  The iterate is kept in the ball of
     ``config.radius``.
 
-    The scores x @ w that give an epoch's risk are also the next epoch's
-    gradient input, so each epoch costs two matvecs, x @ w and x.T @ c.
+    Training starts from ``start``, a :class:`SeededStart` of ``data`` and
+    ``config.seed``, which models of one sweep share; without it train builds
+    its own.  Epoch 0 takes its gradient from the start.  The scores x @ w
+    that give an epoch's risk are also the next epoch's gradient input, so
+    each later epoch costs two matvecs, x @ w and x.T @ c, and epoch 0 one.
     They run on the features in the layout the dataset holds: the synthetic
     landscape sets (n >> d) are column-major, which at 10,000 x 5 makes the
     pair about 2.5x faster than row-major; the MNIST splits (d = 785) are
@@ -256,30 +294,39 @@ def train(config: TrainConfig, data: LabeledDataset) -> TrainReport:
     The report's final gradient is ``empirical_gradient(alpha,
     report.final_model, data)``, which train does not compute.
     """
-    rng = np.random.default_rng(config.seed)
+    if start is None:
+        start = SeededStart(data, config.seed)
+    elif start.data is not data:
+        raise ValueError(
+            f"start was built for the {start.data.n} x {start.data.dim} dataset at"
+            f" {id(start.data):#x}, not the {data.n} x {data.dim} dataset at {id(data):#x}"
+        )
+    elif start.seed != config.seed:
+        raise ValueError(f"start was drawn from seed {start.seed}, not config seed {config.seed}")
+    alpha = config.alpha
+    # the start's gradient, read before this run's buffers are allocated
+    grad = start.gradient(alpha)
     radius = config.radius
-    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=data.dim)
+    w = start.weights.copy()
     x = data.features
     n = data.n
     # every per-sample array is allocated once and rewritten in place each epoch
     y = data.labels
     scores = np.empty(n)
     margins = np.empty(n)
-    grad = np.empty(data.dim)
+    grad_buffer = np.empty(data.dim)
     work = _margin_workspace(n)
     trace = np.empty(config.epochs)
 
-    alpha = config.alpha
     # Overflow to inf is the divergence signal itself, not a numerical accident.
     # So is a NaN score from inf - inf in a product of finite w and x; the
     # risk check below turns it into TrainingDiverged.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(x, w, out=scores)
-        _, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
         for epoch in range(config.epochs):
-            # y * slopes over the slopes, which the next epoch rewrites
-            np.matmul(x.T, np.multiply(y, slopes, out=slopes), out=grad)
-            grad /= n
+            if epoch:
+                # y * slopes over the slopes, which this epoch rewrites
+                grad = np.matmul(x.T, np.multiply(y, slopes, out=slopes), out=grad_buffer)
+                grad /= n
             w -= config.learning_rate * grad
             norm = math.sqrt(float(w @ w))
             if not math.isfinite(norm):

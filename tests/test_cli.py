@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from alphaloss import __version__, cli, landscape
+from alphaloss import __version__, cli, landscape, logreg
 from alphaloss.calibration import calibration_workspace
 from alphaloss.cli import build_parser, main, manifest_path_for, replay
 from alphaloss.logreg import MAX_EPOCHS
@@ -437,19 +437,50 @@ class TestTrainCommand:
 
 class TestSweepCommand:
     def test_degenerate_sweep_matches_train(self, tmp_path, synthetic_mnist_dir):
+        # the sweep's models share one start; each separate train run draws its
+        # own.  Rates this small keep the accuracies below 1 and apart, where a
+        # model trained from another start would move them.
+        alphas, lrs = ["1", "2", "inf"], ["0.0001", "0.0004"]
         sweep_out = str(tmp_path / "sweep.csv")
-        train_out = str(tmp_path / "train.csv")
         common = ["--epochs", "2", "--seed", "5", "--mnist-dir", synthetic_mnist_dir]
-        assert main(["sweep", "--alphas", "2", "--lr-grid", "0.7",
+        assert main(["sweep", "--alphas", ",".join(alphas), "--lr-grid", ",".join(lrs),
                      "--out", sweep_out] + common) == 0
-        assert main(["train", "--alpha", "2", "--lr", "0.7",
-                     "--out", train_out] + common) == 0
         sweep_header, sweep_rows = read_csv(sweep_out)
-        _, train_rows = read_csv(train_out)
         assert sweep_header == ["alpha", "best_lr", "val_acc", "test_acc"]
-        assert sweep_rows[0][1] == "0.69999999999999996"
-        assert sweep_rows[0][2] == train_rows[0][5]  # val_acc
-        assert sweep_rows[0][3] == train_rows[0][6]  # test_acc
+        assert len(sweep_rows) == len(alphas)
+        for alpha, sweep_row in zip(alphas, sweep_rows):
+            train_rows = []
+            for lr in lrs:
+                train_out = str(tmp_path / f"train-{alpha}-{lr}.csv")
+                assert main(["train", "--alpha", alpha, "--lr", lr,
+                             "--out", train_out] + common) == 0
+                train_rows += read_csv(train_out)[1]
+            # the first of the best validation accuracies, as the sweep picks
+            best = max(train_rows, key=lambda row: float(row[5]))
+            # lr, val_acc and test_acc
+            assert sweep_row[1:] == [best[1], best[5], best[6]]
+        # not a vacuous match of equal accuracies
+        assert len({row[2] for row in sweep_rows}) == len(alphas)
+
+    def test_models_share_one_start(self, tmp_path, synthetic_mnist_dir, monkeypatch):
+        # 4 models of 3 epochs make one loss pass per epoch, 12, and the start
+        # one first gradient per alpha, 2
+        counts = {"_margin_terms": 0, "train": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(logreg, "_margin_terms")
+        counted(cli, "train")
+        assert main(["sweep", "--alphas", "1,2", "--lr-grid", "0.1,0.5", "--epochs", "3",
+                     "--mnist-dir", synthetic_mnist_dir, "--out", str(tmp_path / "s.csv")]) == 0
+        assert counts == {"_margin_terms": 14, "train": 4}
 
     def test_selects_best_validation_lr(self, tmp_path, synthetic_mnist_dir):
         out = str(tmp_path / "sweep.csv")

@@ -10,6 +10,7 @@ from alphaloss import (
     Alpha,
     LabeledDataset,
     LinearModel,
+    SeededStart,
     TrainConfig,
     TrainingDiverged,
     alpha_loss,
@@ -912,11 +913,11 @@ class TestTrainMatchesThreeMatvecLoop:
         if cfg.radius < math.inf:  # the ball constraint must actually bind
             unprojected = three_matvec_train(replace(cfg, radius=math.inf), data)[0]
             assert np.linalg.norm(unprojected) > cfg.radius
-        report = train(cfg, data)
-        assert np.array_equal(report.final_model.weights, weights)
-        assert np.array_equal(report.empirical_risk_trace, trace)
-        assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
-        assert report.train_accuracy == accuracy
+        for report in (train(cfg, data), train(cfg, data, start=SeededStart(data, cfg.seed))):
+            assert np.array_equal(report.final_model.weights, weights)
+            assert np.array_equal(report.empirical_risk_trace, trace)
+            assert final_gradient_norm(cfg.alpha, report, data) == grad_norm
+            assert report.train_accuracy == accuracy
 
     # From w = 0 the iterate on these conflicting colinear rows alternates in
     # sign with growing amplitude: the misclassified score after epoch k is
@@ -932,6 +933,48 @@ class TestTrainMatchesThreeMatvecLoop:
         with pytest.raises(TrainingDiverged) as got:
             train(cfg, data)
         assert got.value.epoch == expected.value.epoch == epoch
+
+
+class TestSeededStart:
+    def test_one_start_shared_in_any_order(self):
+        data = noisy_linear_dataset(21)
+        configs = [TrainConfig(alpha, learning_rate, epochs=30, seed=5, radius=radius)
+                   for alpha in (A1, Alpha(1.5), A2, AINF)
+                   for learning_rate in (0.5, 6.0)
+                   for radius in (1.0, math.inf)]
+        start = SeededStart(data, 5)
+        before = [start.weights.copy(), start.scores.copy()]
+        # each alpha's gradient is computed by the first train to need it
+        order = np.random.default_rng(0).permutation(len(configs))
+        # every config twice, the second pass in the reverse order
+        for index in [*order, *order[::-1]]:
+            cfg = configs[index]
+            shared, fresh = train(cfg, data, start=start), train(cfg, data)
+            assert np.array_equal(shared.final_model.weights, fresh.final_model.weights)
+            assert np.array_equal(shared.empirical_risk_trace, fresh.empirical_risk_trace)
+            assert shared.train_accuracy == fresh.train_accuracy
+        fresh_start = SeededStart(data, 5)
+        before += [fresh_start.gradient(alpha) for alpha in (A1, Alpha(1.5), A2, AINF)]
+        after = [start.weights, start.scores]
+        after += [start.gradient(alpha) for alpha in (A1, Alpha(1.5), A2, AINF)]
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+            assert not new.flags.writeable
+
+    def test_start_of_another_dataset_refused(self):
+        data = noisy_linear_dataset(21)
+        # equal contents, but another dataset
+        other = LabeledDataset(data.features.copy(), data.labels.copy())
+        cfg = TrainConfig(A2, 1.0, 3, seed=5)
+        with pytest.raises(ValueError) as refused:
+            train(cfg, data, start=SeededStart(other, 5))
+        assert f"{id(other):#x}" in str(refused.value) and f"{id(data):#x}" in str(refused.value)
+        assert "300 x 6" in str(refused.value)
+
+    def test_start_of_another_seed_refused(self):
+        data = noisy_linear_dataset(21)
+        with pytest.raises(ValueError, match="seed 4, not config seed 5"):
+            train(TrainConfig(A2, 1.0, 3, seed=5), data, start=SeededStart(data, 4))
 
 
 def landscape_law_dataset(n, seed):
