@@ -1,6 +1,6 @@
 """Tunable alpha-loss family for binary classification."""
 
-__version__ = "0.3.6"
+__version__ = "0.3.7"
 
 from .losses import (
     Alpha,

@@ -39,10 +39,10 @@ _REJECTION_ROUNDS = 1000
 # keeps the block buffer at 512 KB (one row, where a row is wider).
 _DRAW_BLOCK_FLOATS = 2**16
 _HOLDOUT_TAG = 0x484F4C44  # distinguishes the holdout seed stream from trials
-# Gradient-descent epochs that start each model before solve_on_ball takes it
-# to its KKT point.  From one epoch the solve also certifies every
-# landscape-grid model, in 3 or 4 steps, but stops at residuals up to 1e-12;
-# from ten, 2 steps reach residuals below 1e-16.
+# Unconstrained gradient-descent epochs that start each model before
+# solve_on_ball takes it to its KKT point.  From one epoch the solve also
+# certifies every landscape-grid model, in 3 or 4 steps, but stops at
+# residuals up to 1e-12; from ten, 2 steps reach residuals below 3e-16.
 WARM_START_EPOCHS = 10
 
 
@@ -260,14 +260,14 @@ def risk_gap_experiment(
     """Measure |true risk - empirical risk| at the KKT points of the empirical risk.
 
     For each (alpha, n, trial) a fresh training set is drawn.  Its model
-    starts with min(``epochs``, ``WARM_START_EPOCHS``) gradient-descent epochs
-    at ``learning_rate`` inside the ball of the law's radius, and
-    :func:`solve_on_ball` then takes it to a KKT point of that ball in the
-    epochs left, one step each.  The true risk and the 0-1 risk are
-    estimated on one large fresh holdout.  Records follow
-    ``alphas`` in the given order, then n increasing, then trial; the trial
-    seeds derive from the spec seed, alpha, n and trial, so no record
-    depends on that order.  Diverged trainings are excluded and counted; a
+    starts with min(``epochs``, ``WARM_START_EPOCHS``) unconstrained
+    gradient-descent epochs at ``learning_rate``, and :func:`solve_on_ball`
+    then scales it onto the ball of the law's radius if it lies outside and
+    takes it to a KKT point of that ball in the epochs left, one step each.
+    The true risk and the 0-1 risk are estimated on one large fresh holdout.
+    Records follow ``alphas`` in the given order, then n increasing, then
+    trial; the trial seeds derive from the spec seed, alpha, n and trial, so
+    no record depends on that order.  Diverged trainings are excluded and counted; a
     solve that certifies no KKT point keeps its record, at its iterate of
     least residual, and is named in ``unconverged``.  Every argument is
     checked before any draw.
@@ -278,7 +278,7 @@ def risk_gap_experiment(
     for n in sample_sizes:
         _check_sample_size(n, spec.dim, "n")
     _check_hessian_size(spec.dim)
-    configs = [TrainConfig(alpha, learning_rate, epochs, 0, radius=spec.radius) for alpha in alphas]
+    configs = [TrainConfig(alpha, learning_rate, epochs, 0) for alpha in alphas]
     warm = min(epochs, WARM_START_EPOCHS)
     holdout = generate_symmetric_dataset(
         replace(spec, seed=_derive_seed(spec.seed, _HOLDOUT_TAG)), holdout_n

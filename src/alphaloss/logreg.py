@@ -148,16 +148,13 @@ def _check_seed(seed: int) -> None:
 class TrainConfig:
     """Full-batch gradient-descent settings.
 
-    Weights start i.i.d. uniform in [-INIT_SCALE, INIT_SCALE] drawn from
-    ``seed``; the iterate is rescaled back onto the ball of ``radius``
-    whenever it leaves it, which at the default infinite radius is never.
+    Weights start i.i.d. uniform in [-INIT_SCALE, INIT_SCALE] drawn from ``seed``.
     """
 
     alpha: Alpha
     learning_rate: float
     epochs: int
     seed: int
-    radius: float = math.inf
 
     def __post_init__(self):
         rate, epochs = self.learning_rate, self.epochs
@@ -168,8 +165,6 @@ class TrainConfig:
         if epochs > MAX_EPOCHS:
             raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {epochs!r}")
         _check_seed(self.seed)
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +272,8 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
 
     One gradient step per epoch; the risk trace records the empirical risk
     after each update and training aborts with :class:`TrainingDiverged` if it
-    ever becomes non-finite.  The iterate is kept in the ball of
-    ``config.radius``.
+    ever becomes non-finite, or the iterate does.  The iterate is
+    unconstrained; :func:`solve_on_ball` is where a ball is kept.
 
     Training starts from ``start``, a :class:`SeededStart` of ``data`` and
     ``config.seed``, which models of one sweep share; without it train builds
@@ -306,7 +301,6 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
     alpha = config.alpha
     # the start's gradient, read before this run's buffers are allocated
     grad = start.gradient(alpha)
-    radius = config.radius
     w = start.weights.copy()
     x = data.features
     n = data.n
@@ -320,7 +314,9 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
 
     # Overflow to inf is the divergence signal itself, not a numerical accident.
     # So is a NaN score from inf - inf in a product of finite w and x; the
-    # risk check below turns it into TrainingDiverged.
+    # risk check below turns it into TrainingDiverged.  An infinite iterate
+    # is caught before x @ w, where its margins may all be +inf and its risk
+    # 0; w @ w cannot tell, as it overflows past |w| ~ 1.3e154 on finite w.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             if epoch:
@@ -328,20 +324,8 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
                 grad = np.matmul(x.T, np.multiply(y, slopes, out=slopes), out=grad_buffer)
                 grad /= n
             w -= config.learning_rate * grad
-            norm = math.sqrt(float(w @ w))
-            if not math.isfinite(norm):
-                # w @ w overflows past |w| ~ 1.3e154; max|w| is infinite or NaN
-                # only when w is, and such a w never reaches x @ w
-                peak = float(np.abs(w).max())
-                if not math.isfinite(peak):
-                    raise TrainingDiverged(epoch, config)
-                # the norm of w / max|w| does not overflow
-                unit = w / peak
-                norm = math.sqrt(float(unit @ unit))
-                if norm > radius / peak:
-                    np.multiply(unit, radius / norm, out=w)
-            elif norm > radius:
-                w *= radius / norm
+            if not np.isfinite(w).all():
+                raise TrainingDiverged(epoch, config)
             np.matmul(x, w, out=scores)
             losses, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
             # the pairwise sum and division of np.mean, without its call overhead
@@ -535,6 +519,9 @@ def solve_on_ball(
 ) -> BallSolution:
     """Take ``model`` to a KKT point of min R(w) subject to |w| <= radius.
 
+    A start outside the ball is first scaled onto the sphere, so that no
+    returned model lies outside it, even after no step.
+
     Each step is Newton's where the Hessian is positive definite: inside the
     ball on the full Hessian, and on the sphere, where the ball binds with
     multiplier lambda = -w . grad / |w| > 0, in the sphere's tangent space on
@@ -562,9 +549,14 @@ def solve_on_ball(
         raise ValueError(f"max_steps must be nonnegative, got {max_steps!r}")
     problem = _BallRisk(alpha, data, radius)
     best, steps = None, 0
+    w = model.weights.copy()
+    if row_norms(w[None, :])[0] > radius:
+        # through w / max|w|, whose norm is finite where that of w overflows
+        w /= np.abs(w).max()
+        w *= radius / float(row_norms(w[None, :])[0])
     # an overflow or a NaN ends the search through the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        point = problem.at(model.weights.copy())
+        point = problem.at(w)
         while True:
             grad, newton = _newton_step(point, problem.hessian())
             length = math.inf if newton is None else float(np.linalg.norm(newton))

@@ -21,6 +21,7 @@ from alphaloss import (
     median_gaps,
     morse_epsilon,
     risk_gap_experiment,
+    solve_on_ball,
     train,
 )
 from alphaloss.logreg import MAX_EPOCHS, row_norms
@@ -206,18 +207,20 @@ class TestLayout:
         assert peak <= 1.5 * (data.features.nbytes + data.labels.nbytes)
 
     @pytest.mark.parametrize("alpha", [A1, A2, Alpha("inf")], ids=str)
-    @pytest.mark.parametrize("projected", [False, True])
-    def test_training_does_not_depend_on_the_layout(self, alpha, projected):
+    @pytest.mark.parametrize("solved", [False, True])
+    def test_training_does_not_depend_on_the_layout(self, alpha, solved):
         # only the BLAS reduction order differs: 2.6e-16 apart at most, measured
         spec = SymmetricDataSpec(5, 1.0, 0.8, 0.14, 3)
         data = generate_symmetric_dataset(spec, 2000)
         row_major = LabeledDataset(np.ascontiguousarray(data.features), data.labels)
         assert row_major.features.flags.c_contiguous
-        radius = spec.radius if projected else math.inf
-        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=4, radius=radius)
+        cfg = TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=4)
         got, expected = train(cfg, data), train(cfg, row_major)
         assert got.train_accuracy == expected.train_accuracy
         w, w_ref = got.final_model.weights, expected.final_model.weights
+        if solved:  # then taken to a KKT point of the law's ball, as landscape does
+            w = solve_on_ball(alpha, got.final_model, data, spec.radius, 10).model.weights
+            w_ref = solve_on_ball(alpha, expected.final_model, row_major, spec.radius, 10).model.weights
         assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
 
 
@@ -346,7 +349,7 @@ class TestRiskGapExperiment:
     def test_gap_vanishes_when_true_risk_uses_training_sample(self, small_experiment):
         spec, _ = small_experiment
         data = generate_symmetric_dataset(spec, 500)
-        report = train(TrainConfig(A2, seed=0, radius=spec.radius, **SCHEDULE), data)
+        report = train(TrainConfig(A2, seed=0, **SCHEDULE), data)
         emp = empirical_risk(A2, report.final_model, data)
         # with the holdout reused as the training sample the gap is exactly zero
         true_estimate = empirical_risk(A2, report.final_model, data)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from functools import partial
 
@@ -75,10 +75,10 @@ class TestTypes:
         with pytest.raises(ValueError, match="features must be finite"):
             LabeledDataset(np.array([[entry, 0.0], [0.1, 0.2]]), np.array([1, -1]))
         # the refusal is the entry's, not the ball's: with a finite entry the
-        # same rows train under either radius
+        # same rows train, and solve on a ball of either radius
         data = LabeledDataset(np.array([[0.5, 0.0], [0.1, 0.2]]), np.array([1, -1]))
-        cfg = TrainConfig(A2, learning_rate=0.1, epochs=2, seed=0, radius=radius)
-        assert np.all(np.isfinite(train(cfg, data).final_model.weights))
+        warm = train(TrainConfig(A2, learning_rate=0.1, epochs=2, seed=0), data).final_model
+        assert np.all(np.isfinite(solve_on_ball(A2, warm, data, radius, 2).model.weights))
 
     def test_dataset_admits_a_finite_row_whose_norm_overflows(self):
         # the squares of the first row overflow, and the norm of the second
@@ -100,14 +100,8 @@ class TestTypes:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS + 1, seed=0)
         TrainConfig(A2, learning_rate=0.1, epochs=MAX_EPOCHS, seed=0)
-
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
-    def test_config_refuses_a_radius_that_is_not_positive(self, radius):
-        with pytest.raises(ValueError, match="radius"):
-            TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, radius=radius)
-        # the default, an infinite radius, is no ball at all
-        unbounded = TrainConfig(A2, learning_rate=0.1, epochs=1, seed=0, radius=math.inf)
-        assert unbounded.radius == math.inf
+        # no ball: solve_on_ball takes the radius
+        assert [f.name for f in fields(TrainConfig)] == ["alpha", "learning_rate", "epochs", "seed"]
 
 
 class TestLabelFormat:
@@ -294,54 +288,35 @@ class TestTrain:
         rep = train(TrainConfig(A1, learning_rate=lr, epochs=200, seed=5), data)
         assert np.all(np.diff(rep.empirical_risk_trace) <= 1e-12)
 
-    def test_projection_keeps_weights_in_ball(self):
-        data = toy_separable()
-        cfg = TrainConfig(A1, learning_rate=5.0, epochs=300, seed=2, radius=1.2)
-        rep = train(cfg, data)
-        assert np.linalg.norm(rep.final_model.weights) <= cfg.radius + 1e-12
-
-    @pytest.mark.parametrize("learning_rate", [1e160, 1e308])
-    def test_projection_of_an_overflowing_norm(self, learning_rate):
-        # w @ w overflows past |w| ~ 1.3e154: the step still lands on the sphere,
-        # in the direction a rate of 1e150, whose w @ w is finite, gives
-        x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        data = LabeledDataset(x, np.array([1, 1, -1, -1]))
-        cfg = TrainConfig(A2, 1e150, 1, seed=0, radius=1.0)
-        expected = train(cfg, data).final_model.weights
-        got = train(replace(cfg, learning_rate=learning_rate), data).final_model.weights
-        assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_projection_of_an_infinite_iterate_diverges_without_warning(self):
-        import warnings
-
-        # the first gradient is -17.7 per coordinate, so 1e308 times it is -inf
-        x = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0]])
-        data = LabeledDataset(x, np.array([1, 1, -1, -1]))
-        cfg = TrainConfig(A2, 1e308, 3, seed=0, radius=100.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(TrainingDiverged) as exc:
-                train(cfg, data)
-        assert exc.value.epoch == 0
-
-    @pytest.mark.parametrize("projected", [False, True])
-    def test_infinite_iterate_diverges_before_the_product(self, projected):
+    def test_infinite_iterate_diverges_before_the_product(self):
         import warnings
 
         # 1e308 times the first gradient is infinite, and the zero row's score
         # would be inf * 0 = NaN if the iterate reached x @ w
         x = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0], [0.0, 0.0]])
         data = LabeledDataset(x, np.array([1, 1, -1, -1, 1]))
-        cfg = TrainConfig(A2, 1e308, 3, seed=0, radius=100.0 if projected else math.inf)
+        cfg = TrainConfig(A2, 1e308, 3, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
                 train(cfg, data)
         assert exc.value.epoch == 0
 
-    @pytest.mark.parametrize("projected", [False, True])
-    def test_inf_minus_inf_score_diverges_without_warning(self, projected, monkeypatch):
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_infinite_iterate_of_zero_risk_diverges(self, alpha):
+        import warnings
+
+        # 1e308 times the first gradient makes w_1 infinite, so both margins
+        # are +inf and the risk is 0: only the iterate shows the divergence
+        data = LabeledDataset(np.array([[100.0, 0.0], [-100.0, 0.0]]), np.array([1, -1]))
+        cfg = TrainConfig(alpha, 1e308, 3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as exc:
+                train(cfg, data)
+        assert exc.value.epoch == 0
+
+    def test_inf_minus_inf_score_diverges_without_warning(self, monkeypatch):
         import warnings
 
         # Finite initial weights near 1e307 against rows of +-100 whose signs
@@ -354,9 +329,8 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isnan(x @ w0).all():
                 pytest.skip("this BLAS sums each row in one accumulator: no inf - inf")
-        radius = 400.0 if projected else math.inf
         monkeypatch.setattr(logreg, "INIT_SCALE", 1e307)
-        cfg = TrainConfig(A2, 1.0, 3, seed=0, radius=radius)
+        cfg = TrainConfig(A2, 1.0, 3, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
@@ -442,13 +416,14 @@ def masked_coefficients(alpha, scores, labels):
     return np.where(labels == 1, -g_c * h, g * h_c)
 
 
-def three_matvec_train(config, data):
+def three_matvec_train(config, data, radius=math.inf):
     """Reference loop: fresh scores for the gradient, the risk and the final report.
 
-    Returns (weights, risk trace, final gradient norm, train accuracy).
+    Each step is projected onto the ball of ``radius``, which at the default
+    infinite radius is never.  Returns (weights, risk trace, final gradient
+    norm, train accuracy).
     """
     rng = np.random.default_rng(config.seed)
-    radius = config.radius
     w = rng.uniform(-logreg.INIT_SCALE, logreg.INIT_SCALE, size=data.dim)
     x, y, n = data.features, data.labels, data.n
     trace = np.empty(config.epochs)
@@ -670,6 +645,8 @@ class TestCurvature:
 # Starts where the Hessian of the default-law sample below is indefinite.
 INDEFINITE_STARTS = [(Alpha(4), [-0.3, 0.6, 0.0, 0.0, 0.0]), (AINF, [0.0, 0.9, 0.0, 0.0, 0.0])]
 WARM = landscape.WARM_START_EPOCHS
+# A unit vector with no entry near 1.
+UNIT = np.array([0.6, -0.48, 0.0, 0.64, 0.0])
 
 
 def hessian_eigenvalues(alpha, model, data):
@@ -684,18 +661,19 @@ class TestSolveOnBall:
     @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
     @pytest.mark.parametrize("n", [100, 1000, 10_000])
     def test_default_law_point_is_the_gradient_descent_point(self, alpha, n):
-        # after the landscape command's 300 epochs at lr 1 the tangential
-        # gradient is below 1e-16: GD has reached the point too
+        # after 300 epochs of projected GD at lr 1 the tangential gradient is
+        # below 1e-16: GD has reached the point that the solve reaches from
+        # the landscape command's unconstrained warm start
         data = landscape_law_dataset(n, n + 3)
-        reached = train(TrainConfig(alpha, 1.0, 300, 5, radius=1.0), data).final_model
-        warm = train(TrainConfig(alpha, 1.0, WARM, 5, radius=1.0), data).final_model
+        reached = three_matvec_train(TrainConfig(alpha, 1.0, 300, 5), data, radius=1.0)[0]
+        warm = train(TrainConfig(alpha, 1.0, WARM, 5), data).final_model
         solution = solve_on_ball(alpha, warm, data, 1.0, 300 - WARM)
         multiplier, residual = kkt_terms(alpha, solution.model, data, 1.0)
         assert solution.converged and solution.residual <= KKT_TOL
         assert solution.newton_step <= NEWTON_STEP_TOL
         assert residual <= KKT_TOL and multiplier >= 0.0
         assert solution.multiplier == pytest.approx(multiplier, rel=1e-12)
-        assert np.linalg.norm(solution.model.weights - reached.weights) <= 1e-12
+        assert np.linalg.norm(solution.model.weights - reached) <= 1e-12
         assert solution.risk == empirical_risk(alpha, solution.model, data)
 
     @pytest.fixture(scope="class")
@@ -707,7 +685,7 @@ class TestSolveOnBall:
     @pytest.mark.parametrize("alpha", [A1, Alpha(1.5), A2, Alpha(4)], ids=str)
     def test_interior_law_point_is_near_the_population_minimizer(self, alpha, interior_sample):
         data = interior_sample
-        warm = train(TrainConfig(alpha, 1.0, WARM, 3, radius=10.0), data).final_model
+        warm = train(TrainConfig(alpha, 1.0, WARM, 3), data).final_model
         solution = solve_on_ball(alpha, warm, data, 10.0, 300 - WARM)
         w = solution.model.weights
         assert solution.converged and solution.multiplier == 0.0
@@ -749,6 +727,26 @@ class TestSolveOnBall:
         assert solution.steps == 0 and not solution.converged
         assert np.array_equal(solution.model.weights, start.weights)
         assert solution.risk == empirical_risk(A2, start, data)
+
+    # starts at |w| = 1.5, 4 and 20 along a unit direction, and one of finite
+    # entries whose norm overflows, along (1, ..., 1) / sqrt(5)
+    @pytest.mark.parametrize("weights, direction", [
+        (scale * UNIT, UNIT) for scale in (1.5, 4.0, 20.0)
+    ] + [(np.full(5, 1e308), np.full(5, math.sqrt(0.2)))], ids=["1.5", "4", "20", "overflow"])
+    @pytest.mark.parametrize("alpha", [A1, A2, AINF], ids=str)
+    def test_start_outside_the_ball_is_scaled_onto_the_sphere(self, alpha, weights, direction):
+        data = landscape_law_dataset(100, 1)
+        start = LinearModel(weights)
+        kept = solve_on_ball(alpha, start, data, 1.0, 0)
+        assert kept.steps == 0
+        assert np.linalg.norm(kept.model.weights - direction) <= 1e-15
+        assert kept.risk == empirical_risk(alpha, kept.model, data)
+        solved = solve_on_ball(alpha, start, data, 1.0, 290)
+        projected = solve_on_ball(alpha, LinearModel(direction), data, 1.0, 290)
+        assert solved.converged and projected.converged
+        assert np.linalg.norm(solved.model.weights - projected.model.weights) <= 1e-12
+        for solution in (kept, solved):
+            assert np.linalg.norm(solution.model.weights) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("weights, radius, steps, text", [
         (np.zeros(4), 1.0, 5, "dimension"),
@@ -867,42 +865,21 @@ class TestBallHessian:
         assert peak <= (2 * d * d + 8 * n + 2 * logreg.LOSS_BLOCK) * 8 < 2.5 * d * d * 8
 
 
-def noisy_case(alpha, projected, sort_by_class):
+def noisy_case(alpha, sort_by_class):
     data = noisy_linear_dataset(21, sort_by_class=sort_by_class)
-    radius = 1.0 if projected else math.inf
-    return TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5, radius=radius), data
+    return TrainConfig(alpha, learning_rate=6.0, epochs=40, seed=5), data
 
 
-def landscape_case(alpha, n, seed, epochs=300, data_seed=None):
-    """A landscape trial: default law, lr 1, the unit ball, whose iterate ends on the sphere."""
-    data = landscape_law_dataset(n, seed if data_seed is None else data_seed)
-    return TrainConfig(alpha, learning_rate=1.0, epochs=epochs, seed=seed, radius=1.0), data
-
-
-def nine_cycle_case():
-    # trial 6 of the default landscape run (alpha = 2, n = 100, spec seed 0)
-    # ends in an exact cycle of period 9
-    entropy = (0, landscape._alpha_bits(A2), 100, 6)
-    return landscape_case(A2, 100, landscape._derive_seed(*entropy, 1),
-                          data_seed=landscape._derive_seed(*entropy, 0))
+def landscape_case(alpha):
+    """300 epochs at lr 1 on a sample of the landscape command's law, column-major."""
+    return TrainConfig(alpha, learning_rate=1.0, epochs=300, seed=0), landscape_law_dataset(100, 0)
 
 
 TRAIN_CASES = [
-    pytest.param(partial(noisy_case, alpha, projected, sort_by_class),
-                 id=f"{sort_by_class}-{projected}-{alpha}")
+    pytest.param(partial(noisy_case, alpha, sort_by_class), id=f"{sort_by_class}-{alpha}")
     for sort_by_class in (False, True)
-    for projected in (False, True)
     for alpha in (A1, Alpha(1.5), A2, AINF)
-] + [
-    # runs that end at an exact fixed point, or in an exact 2-cycle after an
-    # odd and an even number of epochs
-    pytest.param(partial(landscape_case, alpha, 100, 0), id=f"fixed-point-{alpha}")
-    for alpha in (A1, A2, AINF)
-] + [
-    pytest.param(partial(landscape_case, alpha, n, seed, epochs), id=f"two-cycle-{alpha}-{epochs}")
-    for alpha, n, seed in ((A1, 20, 3), (A2, 40, 0), (AINF, 40, 2))
-    for epochs in (299, 300)
-] + [pytest.param(nine_cycle_case, id="nine-cycle")]
+] + [pytest.param(partial(landscape_case, alpha), id=f"landscape-{alpha}") for alpha in (A1, A2, AINF)]
 
 
 class TestTrainMatchesThreeMatvecLoop:
@@ -910,9 +887,6 @@ class TestTrainMatchesThreeMatvecLoop:
     def test_bit_identical(self, case):
         cfg, data = case()
         weights, trace, grad_norm, accuracy = three_matvec_train(cfg, data)
-        if cfg.radius < math.inf:  # the ball constraint must actually bind
-            unprojected = three_matvec_train(replace(cfg, radius=math.inf), data)[0]
-            assert np.linalg.norm(unprojected) > cfg.radius
         for report in (train(cfg, data), train(cfg, data, start=SeededStart(data, cfg.seed))):
             assert np.array_equal(report.final_model.weights, weights)
             assert np.array_equal(report.empirical_risk_trace, trace)
@@ -938,10 +912,9 @@ class TestTrainMatchesThreeMatvecLoop:
 class TestSeededStart:
     def test_one_start_shared_in_any_order(self):
         data = noisy_linear_dataset(21)
-        configs = [TrainConfig(alpha, learning_rate, epochs=30, seed=5, radius=radius)
+        configs = [TrainConfig(alpha, learning_rate, epochs=30, seed=5)
                    for alpha in (A1, Alpha(1.5), A2, AINF)
-                   for learning_rate in (0.5, 6.0)
-                   for radius in (1.0, math.inf)]
+                   for learning_rate in (0.5, 6.0)]
         start = SeededStart(data, 5)
         before = [start.weights.copy(), start.scores.copy()]
         # each alpha's gradient is computed by the first train to need it
