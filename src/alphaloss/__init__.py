@@ -63,8 +63,6 @@ from .mnist import (
     IdxFormatError,
     InsufficientClassError,
     build_binary_task,
-    dump_idx_images,
-    dump_idx_labels,
     load_idx_images,
     load_idx_labels,
     load_mnist_dir,

@@ -343,7 +343,7 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
 # The solve's records are namedtuples, which cost a tenth of a dataclass to
 # create when the package is imported.
 class BallSolution(
-    collections.namedtuple("BallSolution", "model risk residual multiplier newton_step steps")
+    collections.namedtuple("BallSolution", "model risk residual multiplier newton_step steps converged")
 ):
     """Where :func:`solve_on_ball` stopped: a model, its risk and its KKT terms.
 
@@ -351,21 +351,11 @@ class BallSolution(
     inside it; ``residual`` is |grad + lambda * w / |w||.  ``newton_step`` is
     the length of the Newton step from the model, on the sphere's tangent
     space where the ball binds, and inf where that Hessian is not positive
-    definite.  ``steps`` counts the steps taken.
+    definite.  ``steps`` counts the steps taken, and ``converged`` says
+    whether the model is certified (see :func:`solve_on_ball`).
     """
 
     __slots__ = ()
-
-    @property
-    def converged(self) -> bool:
-        return _certified(self.residual, self.newton_step, self.model.weights)
-
-
-def _certified(residual: float, newton_step: float, weights: np.ndarray) -> bool:
-    # a small residual alone also holds far out on a flat tail, where the
-    # Newton step is of order 1
-    scale = max(1.0, float(row_norms(weights[None, :])[0]))
-    return residual <= KKT_TOL and newton_step <= NEWTON_STEP_TOL * scale
 
 
 # One point of a solve.
@@ -560,9 +550,12 @@ def solve_on_ball(
         while True:
             grad, newton = _newton_step(point, problem.hessian())
             length = math.inf if newton is None else float(np.linalg.norm(newton))
-            certified = _certified(point.residual, length, point.weights)
+            # a small residual alone also holds far out on a flat tail, where
+            # the Newton step is of order 1
+            certified = (point.residual <= KKT_TOL
+                         and length <= NEWTON_STEP_TOL * max(1.0, point.norm))
             if best is None or certified or point.residual < best[0].residual:
-                best = point, length
+                best = point, length, certified
             if certified or steps == max_steps:
                 break
             for direction in ([] if newton is None else [-newton]) + [-grad]:
@@ -572,9 +565,10 @@ def solve_on_ball(
             else:
                 break
             point, steps = accepted, steps + 1
-    point, length = best
+    point, length, certified = best
     return BallSolution(
-        LinearModel(point.weights), point.risk, point.residual, point.multiplier, length, steps
+        LinearModel(point.weights), point.risk, point.residual, point.multiplier, length, steps,
+        certified,
     )
 
 

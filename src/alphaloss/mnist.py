@@ -2,8 +2,9 @@
 
 The IDX container is big-endian: images files carry magic 2051 then count,
 rows, cols as u32 and raw u8 pixels; label files carry magic 2049, count, and
-one u8 digit per item.  Parsing is bit-exact (serializing back reproduces the
-input) and gzip inputs are detected by their two-byte prefix.
+one u8 digit per item.  The reader returns the payload bytes unchanged,
+refuses a file whose size differs from what its header declares, and detects
+gzip inputs by their two-byte prefix.
 
 The binary task keeps digits 1 (label +1) and 7 (label -1), normalizes pixels
 to [0, 1], appends a constant bias feature, subsamples to a 12,500-row
@@ -76,32 +77,11 @@ def load_idx_images(data: bytes) -> np.ndarray:
     return payload.reshape(count, rows, cols).copy()
 
 
-def _as_bytes(values, top: int, what: str) -> np.ndarray:
-    """``values`` as uint8, refusing any value the cast would change or that is above top."""
-    values = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        cast = values.astype(np.uint8, copy=False)
-    bad = (cast != values) | (cast > top)
-    if bad.any():
-        raise ValueError(f"{what} {values[bad][0]} is not an integer in 0..{top}")
-    return cast
-
-
-def dump_idx_images(images: np.ndarray) -> bytes:
-    images = _as_bytes(images, 255, "pixel")
-    return struct.pack(">IIII", IMAGES_MAGIC, *images.shape) + images.tobytes()
-
-
 def load_idx_labels(data: bytes) -> np.ndarray:
     labels = _idx_payload(data, LABELS_MAGIC, 1, "labels")[1].copy()
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"label byte {labels.max()} outside 0..9")
     return labels
-
-
-def dump_idx_labels(labels: np.ndarray) -> bytes:
-    labels = _as_bytes(labels, 9, "label")
-    return struct.pack(">II", LABELS_MAGIC, labels.size) + labels.tobytes()
 
 
 def read_idx_bytes(path: str) -> bytes:

@@ -1,6 +1,7 @@
 import gzip
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import settings
 
 from alphaloss import Alpha, LabeledDataset, LinearModel, empirical_gradient
 from alphaloss.logreg import row_norms
-from alphaloss.mnist import dump_idx_images, dump_idx_labels
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -127,6 +127,18 @@ def damaged_gzip(raw: bytes, damage: str) -> bytes:
     return z[:at] + bytes([z[at] ^ 0xFF]) + z[at + 1 :]
 
 
+def images_bytes(count=3, rows=2, cols=2, magic=2051, pixels=None, pad=b""):
+    """An IDX images file: its big-endian header, then the pixel bytes and any padding."""
+    if pixels is None:
+        pixels = bytes(range(count * rows * cols))
+    return struct.pack(">IIII", magic, count, rows, cols) + pixels + pad
+
+
+def labels_bytes(values, magic=2049, pad=b""):
+    """An IDX labels file: its big-endian header, one byte per value, then any padding."""
+    return struct.pack(">II", magic, len(values)) + bytes(values) + pad
+
+
 def _render_digit(rng, digit, rows, cols):
     img = rng.integers(0, 30, size=(rows, cols), dtype=np.int64)
     if digit == 1:
@@ -178,8 +190,10 @@ def synthetic_mnist_dir(tmp_path_factory, synthetic_full_corpus):
     """The synthetic corpus written as IDX files (labels gzipped)."""
     train_images, train_labels, test_images, test_labels = synthetic_full_corpus
     directory = tmp_path_factory.mktemp("mnist")
-    (directory / "train-images-idx3-ubyte").write_bytes(dump_idx_images(train_images))
-    (directory / "train-labels-idx1-ubyte.gz").write_bytes(gzip.compress(dump_idx_labels(train_labels)))
-    (directory / "t10k-images-idx3-ubyte").write_bytes(dump_idx_images(test_images))
-    (directory / "t10k-labels-idx1-ubyte.gz").write_bytes(gzip.compress(dump_idx_labels(test_labels)))
+    (directory / "train-images-idx3-ubyte").write_bytes(
+        images_bytes(*train_images.shape, pixels=train_images.tobytes()))
+    (directory / "train-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels_bytes(train_labels)))
+    (directory / "t10k-images-idx3-ubyte").write_bytes(
+        images_bytes(*test_images.shape, pixels=test_images.tobytes()))
+    (directory / "t10k-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels_bytes(test_labels)))
     return str(directory)

@@ -7,6 +7,8 @@ files are not available (point ALPHALOSS_MNIST_DIR at them to enable).
 
 import math
 import time
+from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from alphaloss import (
     margin_alpha_loss_d1,
     margin_alpha_loss_d2,
     margin_alpha_loss_d3,
+    margin_losses,
     median_gaps,
     min_conditional_risk,
     optimal_classifier,
@@ -312,28 +315,58 @@ def test_criterion_08_risk_gap_scaling(landscape_result):
            f"{time.time() - start:.0f}s after shared experiment")
 
 
-def test_criterion_09_hoeffding_bound_validity():
+@pytest.fixture(scope="module")
+def frozen_model_deviations():
+    """A fixed model's empirical-risk deviations from its holdout risk over 1,000
+    samples of n = 5,000, the standard deviation of its holdout losses, and n."""
     n = 5000
-    delta = 0.05
-    eps = hoeffding_epsilon(A2, n, 1, delta)
     spec = SymmetricDataSpec(
         dim=5, radius=1.0, mean_norm=0.8, noise_scale=0.14, seed=777
     )
     theta = np.array([0.6, 0.1, -0.1, 0.05, 0.0])
     model = LinearModel(theta)
-    from dataclasses import replace
-
     holdout = generate_symmetric_dataset(replace(spec, seed=1_000_001), 200_000)
     true_risk = empirical_risk(A2, model, holdout)
-    violations = 0
-    for k in range(1000):
-        sample = generate_symmetric_dataset(replace(spec, seed=2_000_000 + k), n)
-        if abs(empirical_risk(A2, model, sample) - true_risk) > eps:
-            violations += 1
-    fraction = violations / 1000.0
-    ok = fraction <= delta / 2 + 0.02
+    sigma = float(np.std(margin_losses(A2, holdout.labels * (holdout.features @ theta)), ddof=1))
+    deviations = np.array([
+        empirical_risk(A2, model, generate_symmetric_dataset(replace(spec, seed=2_000_000 + k), n))
+        - true_risk
+        for k in range(1000)
+    ])
+    return deviations, sigma, n
+
+
+# How far, either way, the 97.5% quantile of the |deviations| may lie from
+# its normal approximation: the ratio reads 1.03, and the asymptotic standard
+# error of that quantile of 1,000 draws is about 3.5% of it.
+WIDTH_FACTOR = 1.25
+
+
+def width_check(deviations, sigma, n):
+    """Whether the 97.5% quantile of |deviations| is within WIDTH_FACTOR of
+    z * sigma / sqrt(n), z the 97.5% quantile of |Z| for a standard normal Z;
+    and a detail naming both."""
+    quantile = float(np.quantile(np.abs(deviations), 0.975))
+    normal = NormalDist().inv_cdf((1 + 0.975) / 2) * sigma / math.sqrt(n)
+    ok = 1 / WIDTH_FACTOR <= quantile / normal <= WIDTH_FACTOR
+    return ok, f"97.5% |deviation| {quantile:.2e} vs normal {normal:.2e}, within {WIDTH_FACTOR}x"
+
+
+def test_criterion_09_hoeffding_bound_validity(frozen_model_deviations):
+    deviations, sigma, n = frozen_model_deviations
+    delta = 0.05
+    eps = hoeffding_epsilon(A2, n, 1, delta)
+    fraction = np.count_nonzero(np.abs(deviations) > eps) / deviations.size
+    width_ok, width_detail = width_check(deviations, sigma, n)
+    ok = fraction <= delta / 2 + 0.02 and width_ok
     report(9, "frozen-model risk deviations respect the concentration width", ok,
-           f"violations {fraction:.3f} vs allowance {delta / 2 + 0.02:.3f}, eps {eps:.4f}")
+           f"violations {fraction:.3f} vs allowance {delta / 2 + 0.02:.3f}, eps {eps:.4f}; "
+           + width_detail)
+
+
+def test_criterion_09_width_fails_on_doubled_deviations(frozen_model_deviations):
+    deviations, sigma, n = frozen_model_deviations
+    assert not width_check(2 * deviations, sigma, n)[0]
 
 
 def test_criterion_10_zero_one_risk_trend(landscape_result):
