@@ -24,7 +24,6 @@ from .losses import (
     Alpha,
     check_label,
     margin_alpha_loss,
-    margin_loss_tail,
     margin_losses,
     _margin_terms,
     _margin_workspace,
@@ -174,23 +173,17 @@ class TrainReport:
     train_accuracy: float
 
 
-def _point_score(model: LinearModel, x: np.ndarray) -> float:
+def sample_loss(alpha: Alpha, model: LinearModel, x: np.ndarray, y: int) -> float:
+    """Loss of the model's belief on one labeled sample, via the margin form."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.dim},)")
-    return float(model.weights @ x)
-
-
-def sample_loss(alpha: Alpha, model: LinearModel, x: np.ndarray, y: int) -> float:
-    """Loss of the model's belief on one labeled sample, via the margin form."""
-    score = _point_score(model, x)
-    return margin_alpha_loss(alpha, check_label(y) * score)
+    return margin_alpha_loss(alpha, check_label(y) * float(model.weights @ x))
 
 
 def empirical_risk(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> float:
     """Mean per-sample loss over the dataset."""
-    _check_dims(model, data)
-    return _mean_loss(alpha, data.features @ model.weights, data.labels)
+    return risk_and_accuracy(alpha, model, data)[0]
 
 
 def risk_and_accuracy(
@@ -203,33 +196,80 @@ def risk_and_accuracy(
     _check_dims(model, data)
     scores = data.features @ model.weights
     accuracy = _accuracy(scores, data.labels)
-    return _mean_loss(alpha, scores, data.labels), accuracy
-
-
-def _mean_loss(alpha: Alpha, scores: np.ndarray, labels: np.ndarray) -> float:
-    # the margins and then the losses overwrite the scores, and the loss tail
-    # is built one block at a time, so the call holds one n-vector and a
-    # block; each loss has the bits of one margin_losses call on all margins
-    scores *= labels
-    tail = np.empty(min(LOSS_BLOCK, scores.size))
+    # the margins and then the losses overwrite the scores, a block at a time,
+    # so the call holds one n-vector and a block of the loss tail; each loss
+    # has the bits of one margin_losses call on all margins
+    scores *= data.labels
     for start in range(0, scores.size, LOSS_BLOCK):
         block = scores[start : start + LOSS_BLOCK]
-        block_tail = margin_loss_tail(alpha, block, tail[: block.size])
-        margin_losses(alpha, block, out=block, tail=block_tail)
-    return float(np.mean(scores))
+        margin_losses(alpha, block, out=block)
+    return float(np.mean(scores)), accuracy
 
 
 def empirical_gradient(alpha: Alpha, model: LinearModel, data: LabeledDataset) -> np.ndarray:
     """Mean of the per-sample gradients, (1/n) sum coefficient_i * x_i."""
     _check_dims(model, data)
-    y = data.labels
-    _, slopes = _margin_terms(alpha, y * (data.features @ model.weights))
-    return (data.features.T @ (y * slopes)) / data.n
+    risk = _Risk(alpha, data)
+    risk.at(model.weights)
+    return risk.gradient()
 
 
 def _check_dims(model: LinearModel, data: LabeledDataset) -> None:
     if model.dim != data.dim:
         raise ValueError(f"model dimension {model.dim} != data dimension {data.dim}")
+
+
+class _Risk:
+    """The empirical risk of one dataset of ``alpha``, its gradient and, if ``curved``, its Hessian.
+
+    Every evaluation rewrites the same per-sample buffers, allocated once:
+    the margins, a :func:`_margin_workspace` and, if curved, the curvatures.
+    """
+
+    def __init__(self, alpha: Alpha, data: LabeledDataset, curved: bool = False):
+        self.alpha, self.data = alpha, data
+        self.margins = np.empty(data.n)
+        self.work = _margin_workspace(data.n)
+        self.curvature = np.empty(data.n) if curved else None
+
+    def at(self, w: np.ndarray, scores: np.ndarray | None = None) -> float:
+        """The risk at w, from ``scores`` = x @ w where they are already computed.
+
+        The margins y * (x @ w), the losses and the slopes stay in the buffers
+        until the next call.
+        """
+        if scores is None:
+            scores = np.matmul(self.data.features, w, out=self.margins)
+        margins = np.multiply(scores, self.data.labels, out=self.margins)
+        losses, self.slopes = _margin_terms(self.alpha, margins, self.work, self.curvature)
+        # the pairwise sum and division of np.mean, without its call overhead
+        return float(losses.sum() / self.data.n)
+
+    def gradient(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The gradient x' (y * slopes) / n at the point of the last :meth:`at`.
+
+        y * slopes overwrites the slopes, so it is computed once per point.
+        """
+        x, y = self.data.features, self.data.labels
+        grad = np.matmul(x.T, np.multiply(y, self.slopes, out=self.slopes), out=out)
+        grad /= self.data.n
+        return grad
+
+    def hessian(self) -> np.ndarray:
+        """The Hessian X' diag(L'') X / n at the point of the last :meth:`at`.
+
+        Summed over blocks of LOSS_BLOCK // d rows (at least one), each
+        X_b' (L''_b * X_b), so that no temporary is larger than one block or
+        the Hessian.
+        """
+        x, d = self.data.features, self.data.dim
+        rows = max(1, LOSS_BLOCK // d)
+        hessian = np.zeros((d, d))
+        for start in range(0, self.data.n, rows):
+            block = x[start : start + rows]
+            hessian += block.T @ (self.curvature[start : start + rows, None] * block)
+        hessian /= self.data.n
+        return hessian
 
 
 class SeededStart:
@@ -257,11 +297,10 @@ class SeededStart:
         """The empirical gradient of the risk of ``alpha`` at w0, with train's bits."""
         grad = self._gradients.get(alpha)
         if grad is None:
-            x, y = self.data.features, self.data.labels
+            risk = _Risk(alpha, self.data)
             with np.errstate(over="ignore", invalid="ignore"):
-                _, slopes = _margin_terms(alpha, y * self.scores)
-                grad = x.T @ np.multiply(y, slopes, out=slopes)
-                grad /= self.data.n
+                risk.at(self.weights, self.scores)
+                grad = risk.gradient()
             grad.flags.writeable = False
             self._gradients[alpha] = grad
         return grad
@@ -277,9 +316,10 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
 
     Training starts from ``start``, a :class:`SeededStart` of ``data`` and
     ``config.seed``, which models of one sweep share; without it train builds
-    its own.  Epoch 0 takes its gradient from the start.  The scores x @ w
-    that give an epoch's risk are also the next epoch's gradient input, so
-    each later epoch costs two matvecs, x @ w and x.T @ c, and epoch 0 one.
+    its own.  Epoch 0 takes its gradient from the start.  The margins
+    y * (x @ w) that give an epoch's risk also give the next epoch's
+    gradient, so each later epoch costs two matvecs, x @ w and x.T @ c, and
+    epoch 0 one.
     They run on the features in the layout the dataset holds: the synthetic
     landscape sets (n >> d) are column-major, which at 10,000 x 5 makes the
     pair about 2.5x faster than row-major; the MNIST splits (d = 785) are
@@ -302,14 +342,8 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
     # the start's gradient, read before this run's buffers are allocated
     grad = start.gradient(alpha)
     w = start.weights.copy()
-    x = data.features
-    n = data.n
-    # every per-sample array is allocated once and rewritten in place each epoch
-    y = data.labels
-    scores = np.empty(n)
-    margins = np.empty(n)
+    risk = _Risk(alpha, data)
     grad_buffer = np.empty(data.dim)
-    work = _margin_workspace(n)
     trace = np.empty(config.epochs)
 
     # Overflow to inf is the divergence signal itself, not a numerical accident.
@@ -320,23 +354,19 @@ def train(config: TrainConfig, data: LabeledDataset, start: SeededStart | None =
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             if epoch:
-                # y * slopes over the slopes, which this epoch rewrites
-                grad = np.matmul(x.T, np.multiply(y, slopes, out=slopes), out=grad_buffer)
-                grad /= n
+                grad = risk.gradient(out=grad_buffer)
             w -= config.learning_rate * grad
             if not np.isfinite(w).all():
                 raise TrainingDiverged(epoch, config)
-            np.matmul(x, w, out=scores)
-            losses, slopes = _margin_terms(alpha, np.multiply(y, scores, out=margins), work)
-            # the pairwise sum and division of np.mean, without its call overhead
-            risk = float(losses.sum() / n)
-            if not math.isfinite(risk):
+            trace[epoch] = risk.at(w)
+            if not math.isfinite(trace[epoch]):
                 raise TrainingDiverged(epoch, config)
-            trace[epoch] = risk
+    # margins * y are the scores bit for bit, as y = +-1 and, at a finite
+    # risk, no margin is NaN
     return TrainReport(
         final_model=LinearModel(weights=w),
         empirical_risk_trace=trace,
-        train_accuracy=_accuracy(scores, data.labels),
+        train_accuracy=_accuracy(risk.margins * data.labels, data.labels),
     )
 
 
@@ -362,50 +392,15 @@ class BallSolution(
 _Iterate = collections.namedtuple("_Iterate", "weights norm risk grad multiplier residual")
 
 
-class _BallRisk:
-    """The empirical risk of one dataset and its KKT terms on one ball.
-
-    Every evaluation rewrites the same per-sample buffers, as in :func:`train`:
-    the margins, a :func:`_margin_workspace` and the curvatures.
-    """
-
-    def __init__(self, alpha: Alpha, data: LabeledDataset, radius: float):
-        self.alpha, self.data, self.radius = alpha, data, radius
-        self.margins = np.empty(data.n)
-        self.work = _margin_workspace(data.n)
-        self.curvature = np.empty(data.n)
-
-    def at(self, w: np.ndarray) -> _Iterate:
-        x, y, n = self.data.features, self.data.labels, self.data.n
-        # the margins, losses and risk of train's loop, so the risk has the
-        # bits empirical_risk gives
-        margins = np.matmul(x, w, out=self.margins)
-        margins *= y
-        losses, slopes = _margin_terms(self.alpha, margins, self.work, self.curvature)
-        risk = float(losses.sum() / n)
-        grad = x.T @ np.multiply(y, slopes, out=slopes)
-        grad /= n
-        norm = float(row_norms(w[None, :])[0])
-        pull = -float(w @ grad) / norm if norm >= self.radius * (1.0 - SPHERE_TOL) else 0.0
-        multiplier = max(pull, 0.0)
-        kkt = grad + (multiplier / norm) * w if multiplier > 0.0 else grad
-        return _Iterate(w, norm, risk, grad, multiplier, float(np.linalg.norm(kkt)))
-
-    def hessian(self) -> np.ndarray:
-        """The Hessian X' diag(L'') X / n at the point of the last :meth:`at`.
-
-        Summed over blocks of LOSS_BLOCK // d rows (at least one), each
-        X_b' (L''_b * X_b), so that no temporary is larger than one block or
-        the Hessian.
-        """
-        x, d = self.data.features, self.data.dim
-        rows = max(1, LOSS_BLOCK // d)
-        hessian = np.zeros((d, d))
-        for start in range(0, self.data.n, rows):
-            block = x[start : start + rows]
-            hessian += block.T @ (self.curvature[start : start + rows, None] * block)
-        hessian /= self.data.n
-        return hessian
+def _ball_point(problem: _Risk, w: np.ndarray, radius: float) -> _Iterate:
+    """The risk at w and its KKT terms on the ball of ``radius``."""
+    risk = problem.at(w)
+    grad = problem.gradient()
+    norm = float(row_norms(w[None, :])[0])
+    pull = -float(w @ grad) / norm if norm >= radius * (1.0 - SPHERE_TOL) else 0.0
+    multiplier = max(pull, 0.0)
+    kkt = grad + (multiplier / norm) * w if multiplier > 0.0 else grad
+    return _Iterate(w, norm, risk, grad, multiplier, float(np.linalg.norm(kkt)))
 
 
 def _newton_step(point: _Iterate, hessian: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -473,7 +468,9 @@ def _check_hessian_size(dim: int) -> None:
         )
 
 
-def _line_search(problem: _BallRisk, point: _Iterate, direction: np.ndarray) -> _Iterate | None:
+def _line_search(
+    problem: _Risk, radius: float, point: _Iterate, direction: np.ndarray
+) -> _Iterate | None:
     """The first of w + t * direction, t = 1, 1/2, ..., kept on the ball, that is accepted.
 
     A point on the sphere that the ball binds is kept on it; elsewhere a point
@@ -489,9 +486,9 @@ def _line_search(problem: _BallRisk, point: _Iterate, direction: np.ndarray) -> 
         norm = float(row_norms(trial[None, :])[0])
         if not math.isfinite(norm):
             return None
-        if point.multiplier > 0.0 or norm > problem.radius:
-            trial *= problem.radius / norm
-        candidate = problem.at(trial)
+        if point.multiplier > 0.0 or norm > radius:
+            trial *= radius / norm
+        candidate = _ball_point(problem, trial, radius)
         if not math.isfinite(candidate.risk):
             return None
         predicted = float(point.grad @ (trial - w))
@@ -537,7 +534,7 @@ def solve_on_ball(
         raise ValueError(f"radius must be positive, got {radius!r}")
     if operator.index(max_steps) < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps!r}")
-    problem = _BallRisk(alpha, data, radius)
+    problem = _Risk(alpha, data, curved=True)
     best, steps = None, 0
     w = model.weights.copy()
     if row_norms(w[None, :])[0] > radius:
@@ -546,7 +543,7 @@ def solve_on_ball(
         w *= radius / float(row_norms(w[None, :])[0])
     # an overflow or a NaN ends the search through the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        point = problem.at(w)
+        point = _ball_point(problem, w, radius)
         while True:
             grad, newton = _newton_step(point, problem.hessian())
             length = math.inf if newton is None else float(np.linalg.norm(newton))
@@ -559,7 +556,7 @@ def solve_on_ball(
             if certified or steps == max_steps:
                 break
             for direction in ([] if newton is None else [-newton]) + [-grad]:
-                accepted = _line_search(problem, point, direction)
+                accepted = _line_search(problem, radius, point, direction)
                 if accepted is not None:
                     break
             else:

@@ -280,6 +280,19 @@ class TestTrain:
         expected_init = np.random.default_rng(77).uniform(-scale, scale, size=2)
         assert np.array_equal(rep.final_model.weights, expected_init)
 
+    def test_accuracy_at_zero_scores_matches_evaluate(self, monkeypatch):
+        # w stays 0, so every score is zero, which predicts +1 for either
+        # label; labels of both signs make the margins y * (x @ w), from
+        # which train counts its accuracy, +0 and -0
+        monkeypatch.setattr(logreg, "INIT_SCALE", 0.0)
+        x = np.array([[1.0, 2.0], [3.0, 0.5], [-1.0, -2.0], [-0.5, -3.0], [2.0, 2.0]])
+        data = LabeledDataset(x, np.array([1, -1, 1, -1, -1]))
+        report = train(TrainConfig(A2, learning_rate=0.0, epochs=3, seed=0), data)
+        scores = x @ report.final_model.weights
+        signs = np.signbit(data.labels * scores)
+        assert np.all(scores == 0.0) and signs.any() and not signs.all()
+        assert report.train_accuracy == evaluate(report.final_model, data) == 0.4
+
     def test_trace_monotone_for_convex_log_loss(self):
         data = toy_separable()
         # descent step below 1 / (r^2 / 4), the curvature bound, for rows in
@@ -772,14 +785,14 @@ class TestSolveOnBall:
 
 
 class TestBallHessian:
-    """_BallRisk.hessian sums X_b' (L''_b * X_b) over blocks of LOSS_BLOCK // d rows."""
+    """_Risk.hessian sums X_b' (L''_b * X_b) over blocks of LOSS_BLOCK // d rows."""
 
     @staticmethod
     def problem(alpha, n, d, order):
         rng = np.random.default_rng(n + d)
         x = np.asarray(rng.normal(size=(n, d)), order=order)
         data = LabeledDataset(x, rng.choice([-1.0, 1.0], size=n))
-        problem = logreg._BallRisk(alpha, data, 1.0)
+        problem = logreg._Risk(alpha, data, curved=True)
         problem.at(rng.normal(size=d) / math.sqrt(d))
         return problem
 
@@ -836,11 +849,12 @@ class TestBallHessian:
         rng = np.random.default_rng(d)
         x = np.asfortranarray(rng.normal(size=(5 * d, d)) / math.sqrt(d))
         data = LabeledDataset(x, np.where(x[:, 0] + 0.3 * rng.normal(size=5 * d) >= 0.0, 1, -1))
-        problem = logreg._BallRisk(A1, data, radius)
+        problem = logreg._Risk(A1, data, curved=True)
         # a direction with no zero or unit entry, so that a reassociated
         # product would show in the last bits
         direction = np.eye(d)[0] + 0.3 * rng.normal(size=d) / math.sqrt(d)
-        point = problem.at(start * direction / np.linalg.norm(direction))
+        w = start * direction / np.linalg.norm(direction)
+        point = logreg._ball_point(problem, w, radius)
         assert (point.multiplier > 0.0) == (radius == 1.0)
         expected = self.separate_newton_step(point, problem.hessian())
         got = logreg._newton_step(point, problem.hessian())
