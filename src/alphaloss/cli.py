@@ -66,20 +66,23 @@ def manifest_path_for(out: str) -> str:
     return out + ".manifest.json"
 
 
-def load_manifest(path: str) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunManifest(**json.load(fh))
-
-
 def replay(manifest_path: str) -> int:
-    """Re-run the command recorded in a manifest with its exact flags."""
-    manifest = load_manifest(manifest_path)
+    """Re-run the command recorded in a manifest with its exact flags, less any it no longer has."""
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        manifest = RunManifest(**json.load(fh))
     if manifest.version != __version__:
         print(f"warning: manifest written by alphaloss {manifest.version}, replaying under"
               f" {__version__}: the outputs may differ from the recorded run", file=sys.stderr)
     # one token per flag, so a value that starts with "-" is not read as a flag
     argv = [manifest.command] + [f"--{key}={value}" for key, value in manifest.flags.items()]
-    return main(argv)
+    try:
+        retired = build_parser().parse_known_args(argv)[1]
+    except SystemExit:
+        return 1
+    for token in retired:
+        print(f"warning: replaying without {token}, which {manifest.command} no longer has:"
+              " the outputs may differ from the recorded run", file=sys.stderr)
+    return main([token for token in argv if token not in retired])
 
 
 def _fmt(value) -> str:
@@ -247,9 +250,7 @@ def cmd_landscape(args) -> dict:
     alphas = _parse_list(args.alphas, Alpha)
     sizes = _parse_list(args.ns, int)
     spec = SymmetricDataSpec(args.dim, args.radius, args.mean_norm, args.noise, args.seed)
-    result = risk_gap_experiment(
-        spec, alphas, sizes, args.trials, args.holdout_n, args.lr, args.epochs
-    )
+    result = risk_gap_experiment(spec, alphas, sizes, args.trials, args.holdout_n, args.epochs)
     for alpha, n, trial in result.diverged:
         print(f"warning: training diverged at alpha={alpha!r}, n={n}, trial={trial};"
               " the trial is left out of the gaps and counted in diverged", file=sys.stderr)
@@ -356,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scale of the Gaussian noise (default: %(default)s)")
     p_land.add_argument("--holdout-n", type=int, default=100000,
                         help="held-out rows that estimate the true risk (default: %(default)s)")
-    p_land.add_argument("--lr", type=float, default=1.0,
-                        help="learning rate of each model's gradient-descent warm start"
-                             " (default: %(default)s)")
     p_land.add_argument("--epochs", type=int, default=300,
                         help="most iterations per model: its warm-start epochs, at most 10,"
                              " then its KKT solver's steps (default: %(default)s)")

@@ -194,7 +194,9 @@ def risk_and_accuracy(
     The accuracy is counted from the scores before they become the margins.
     """
     _check_dims(model, data)
-    scores = data.features @ model.weights
+    # an overflowing score is an infinite margin, as in train and solve_on_ball
+    with np.errstate(over="ignore"):
+        scores = data.features @ model.weights
     accuracy = _accuracy(scores, data.labels)
     # the margins and then the losses overwrite the scores, a block at a time,
     # so the call holds one n-vector and a block of the loss tail; each loss

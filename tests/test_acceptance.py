@@ -86,8 +86,7 @@ def landscape_run():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(landscape, "solve_on_ball", recording_solve)
         result = risk_gap_experiment(
-            spec, [A2], [100, 1000, 10000], trials=41, holdout_n=400_000, learning_rate=1.0,
-            epochs=300,
+            spec, [A2], [100, 1000, 10000], trials=41, holdout_n=400_000, epochs=300
         )
     return result, kkt
 

@@ -110,11 +110,17 @@ REFUSALS = [
     # a rate that is not finite is a bad flag, exit 1, not a training divergence, exit 2
     ("train", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
     ("sweep", ["--lr-grid", "1,inf"], "learning_rate must be finite and nonnegative, got inf"),
-    ("landscape", ["--lr", "inf"], "learning_rate must be finite and nonnegative, got inf"),
     *((command, ["--seed", seed], f"seed must fit in 64 unsigned bits, got {seed}")
       for command in ["train", "sweep", "landscape"] for seed in ["-1", str(2**64)]),
     ("landscape", ["--radius", "inf", "--noise", "inf"], "noise_scale must be finite"),
     ("landscape", ["--radius", "inf", "--mean-norm", "inf"], "mean_norm must be finite"),
+    ("landscape", ["--trials", "0"], "trials must be positive"),
+    ("landscape", ["--radius", "0"], "radius must be positive"),
+    ("landscape", ["--radius", "nan"], "radius must be positive"),
+    ("landscape", ["--mean-norm", "0"], "mean_norm must be finite and positive"),
+    ("landscape", ["--noise", "-1"], "noise_scale must be finite and nonnegative"),
+    ("landscape", ["--holdout-n", "1"], "holdout_n must be at least 2"),
+    ("landscape", ["--epochs", "0"], "epochs must be a positive integer, got 0"),
 ]
 
 
@@ -543,6 +549,34 @@ class TestLandscapeCommand:
         assert open(out, "rb").read() == first
         assert open(summary, "rb").read() == first_summary
 
+    def test_replay_drops_the_retired_lr_flag(self, tmp_path, capsys):
+        """Earlier landscape manifests record the warm start's --lr; landscape no longer has it."""
+        out, summary = str(tmp_path / "land.csv"), str(tmp_path / "land_summary.csv")
+        argv = BASE["landscape"] + ["--epochs", "20", "--out", out]
+        assert main(argv + ["--lr", "1"]) == 1
+        assert "unrecognized arguments: --lr 1" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        first = [open(path, "rb").read() for path in (out, summary)]
+        with open(manifest_path_for(out), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+
+        def replay_with(**flags):
+            manifest["flags"].update(flags)
+            with open(manifest_path_for(out), "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh)
+            return replay(manifest_path_for(out))
+
+        for lr in (1.0, 0.5):
+            assert replay_with(lr=lr) == 0
+            assert [open(path, "rb").read() for path in (out, summary)] == first
+            assert capsys.readouterr().err == (
+                f"warning: replaying without --lr={lr}, which landscape no longer has:"
+                " the outputs may differ from the recorded run\n")
+        # a recorded value the parser refuses still exits 1
+        assert replay_with(lr=1.0, trials="x") == 1
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
     def test_dim_65_is_solved_without_a_warning(self, tmp_path, capsys):
         # every model is certified, so stderr names none; below n = d the Hessian
         # is singular and a model inside the ball is left to gradient steps
@@ -690,7 +724,7 @@ MANIFEST_FLAGS = {
     "sweep": (3, {"alphas": "2", "lr-grid": "0.5", "epochs": 1}),
     "calibration": (None, {"alphas": "2", "eta-grid": "0.7", "f-range": 5.0, "grid-step": 0.01}),
     "landscape": (5, {"alphas": "2", "ns": "40", "trials": 1, "dim": 5, "radius": 1.0,
-                      "mean-norm": 0.8, "noise": 0.14, "holdout-n": 500, "lr": 1.0, "epochs": 5}),
+                      "mean-norm": 0.8, "noise": 0.14, "holdout-n": 500, "epochs": 5}),
     "losscurves": (None, {"alphas": "1,1.5,2,inf", "z-min": -10.0, "z-max": 10.0, "steps": 3}),
 }
 
@@ -740,21 +774,38 @@ class TestReplayMnistCommands:
         assert open(out, "rb").read() == first
 
 
-class TestProjectionOverflow:
-    def test_overflowing_iterates_diverge_silently(self, tmp_path, capfd):
+class TestOverflowingLaws:
+    """Laws whose products overflow exit 0; stderr names trials and holds no numpy warning."""
+
+    def test_warm_starts_diverge_silently(self, tmp_path, capfd):
         out = tmp_path / "gaps.csv"
-        argv = ["landscape", "--alphas", "2", "--ns", "100,1000", "--trials", "2",
-                "--lr", "1e308", "--radius", "10", "--mean-norm", "8", "--noise", "1",
-                "--holdout-n", "1000", "--out", str(out)]
+        argv = ["landscape", "--alphas", "1", "--ns", "100,1000", "--trials", "2",
+                "--holdout-n", "1000", "--mean-norm", "1e200", "--radius", "1e201",
+                "--noise", "1e200", "--out", str(out)]
         assert main(argv) == 0
-        # no numpy warning: the only lines name the diverged trials
         assert capfd.readouterr().err == "".join(
-            f"warning: training diverged at alpha=2.0, n={n}, trial={trial};"
+            f"warning: training diverged at alpha=1.0, n={n}, trial={trial};"
             " the trial is left out of the gaps and counted in diverged\n"
             for n in (100, 1000) for trial in (0, 1)
         )
         _, rows = read_csv(tmp_path / "gaps_summary.csv")
         assert [row[4] for row in rows] == ["4", "4"]
+
+    def test_holdout_scores_overflow_silently(self, tmp_path, capfd):
+        # trial 0 ends at |w| ~ 1e300, where every holdout score overflows to an
+        # infinite margin; trial 1's margins are all above 1e297; the log-loss of
+        # both, in training and on the holdout, is 0
+        out = tmp_path / "gaps.csv"
+        argv = ["landscape", "--alphas", "1", "--ns", "100", "--trials", "2",
+                "--holdout-n", "1000", "--mean-norm", "1e300", "--radius", "1e301",
+                "--noise", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert capfd.readouterr().err == "".join(
+            f"warning: no KKT point certified at alpha=1.0, n=100, trial={trial};"
+            " the trial keeps its iterate of least residual\n" for trial in (0, 1)
+        )
+        _, rows = read_csv(out)
+        assert rows == [["1", "100", str(trial), "0", "", "0"] for trial in (0, 1)]
 
 
 class TestUndefinedSlope:

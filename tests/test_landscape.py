@@ -301,8 +301,8 @@ class TestMorseEpsilon:
             morse_epsilon(1.0, 0.0)
 
 
-# the training settings of the small experiment's trials
-SCHEDULE = dict(learning_rate=1.0, epochs=60)
+# the iteration cap of the small experiment's trials
+SCHEDULE = dict(epochs=60)
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +349,7 @@ class TestRiskGapExperiment:
     def test_gap_vanishes_when_true_risk_uses_training_sample(self, small_experiment):
         spec, _ = small_experiment
         data = generate_symmetric_dataset(spec, 500)
-        report = train(TrainConfig(A2, seed=0, **SCHEDULE), data)
+        report = train(TrainConfig(A2, learning_rate=1.0, seed=0, **SCHEDULE), data)
         emp = empirical_risk(A2, report.final_model, data)
         # with the holdout reused as the training sample the gap is exactly zero
         true_estimate = empirical_risk(A2, report.final_model, data)
@@ -469,7 +469,7 @@ class TestRiskGapExperiment:
         monkeypatch.setattr(landscape_module, "solve_on_ball", recording_solve)
         alphas = [A1, Alpha(1.5), A2, Alpha("inf")]
         result = risk_gap_experiment(
-            spec, alphas, [100, 1000], trials=2, holdout_n=2000, learning_rate=1.0, epochs=30
+            spec, alphas, [100, 1000], trials=2, holdout_n=2000, epochs=30
         )
         # alphas and sizes are given sorted, so solving order is record order
         assert len(fits) == len(result.records) == 16
@@ -492,17 +492,12 @@ class TestRiskGapExperiment:
         with pytest.raises(ValueError, match="floats"):
             risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, **SCHEDULE)
 
-    @pytest.mark.parametrize("schedule, text", [
-        (dict(learning_rate=math.nan, epochs=60), "learning_rate"),
-        (dict(learning_rate=1.0, epochs=MAX_EPOCHS + 1), "epochs must be at most"),
-    ])
-    def test_schedule_checked_before_any_draw(self, small_experiment, monkeypatch, schedule,
-                                              text):
+    def test_epochs_checked_before_any_draw(self, small_experiment, monkeypatch):
         spec, _ = small_experiment
 
         forbid(monkeypatch, landscape_module, "generate_symmetric_dataset", "a sample was drawn")
-        with pytest.raises(ValueError, match=text):
-            risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, **schedule)
+        with pytest.raises(ValueError, match="epochs must be at most"):
+            risk_gap_experiment(spec, [A2], [50], trials=1, holdout_n=100, epochs=MAX_EPOCHS + 1)
 
     @pytest.mark.parametrize("call", [
         lambda: default_spec(dim=2.5),
@@ -516,7 +511,7 @@ class TestRiskGapExperiment:
         lambda: risk_gap_experiment(default_spec(), [A2], [50], trials=1, holdout_n=100_000.0,
                                     **SCHEDULE),
         lambda: risk_gap_experiment(default_spec(), [A2], [50], trials=1, holdout_n=100_000,
-                                    learning_rate=1.0, epochs=60.0),
+                                    epochs=60.0),
     ], ids=["dim", "spec-seed", "epochs", "train-seed", "trials", "n", "holdout_n",
             "experiment-epochs"])
     def test_non_integer_whole_number_refused_before_any_draw(self, monkeypatch, call):

@@ -741,6 +741,40 @@ class TestSolveOnBall:
         assert np.array_equal(solution.model.weights, start.weights)
         assert solution.risk == empirical_risk(A2, start, data)
 
+    @staticmethod
+    def gives_up_at(alpha, start, data, radius, kept):
+        """The solve stops with no step accepted, unconverged and without raising, at
+        ``kept``: its start on the ball, the one iterate and so that of least residual."""
+        solution = solve_on_ball(alpha, start, data, radius, 290)
+        assert solution.steps == 0 and not solution.converged
+        assert np.array_equal(solution.model.weights, kept)
+        assert np.linalg.norm(kept) <= radius
+        assert solution.risk == empirical_risk(alpha, solution.model, data)
+        return solution
+
+    def test_gives_up_when_no_halving_is_left(self, monkeypatch):
+        monkeypatch.setattr(logreg, "MAX_HALVINGS", 0)
+        data = landscape_law_dataset(100, 1)
+        # a start outside the ball is first scaled onto the sphere, and kept there
+        kept = solve_on_ball(A2, LinearModel(4.0 * UNIT), data, 1.0, 0).model.weights
+        solution = self.gives_up_at(A2, LinearModel(4.0 * UNIT), data, 1.0, kept)
+        residual = kkt_terms(A2, solution.model, data, 1.0)[1]
+        assert solution.residual == pytest.approx(residual, rel=1e-12) and residual > KKT_TOL
+
+    def test_gives_up_on_an_overflowing_step(self):
+        # the Hessian at 0 is infinite, with no Cholesky factor, so the only step
+        # is along the gradient, 0.85e308 in each of 5 entries: a norm past the
+        # largest float
+        data = LabeledDataset(np.full((2, 5), 1.7e308), np.array([1.0, 1.0]))
+        self.gives_up_at(A1, LinearModel(np.zeros(5)), data, 1.0, np.zeros(5))
+
+    def test_gives_up_on_an_infinite_risk(self):
+        # at w = 1e-300 the margins are +-1e8, where the log-loss has no curvature
+        # left, so the only step is the gradient's, 3.3e307 long; scaled onto the
+        # sphere of radius 10 it sends two margins to -inf, and the risk with them
+        data = LabeledDataset(np.array([[1e308], [1e308], [-1e308]]), np.ones(3))
+        self.gives_up_at(A1, LinearModel(np.array([1e-300])), data, 10.0, [1e-300])
+
     # starts at |w| = 1.5, 4 and 20 along a unit direction, and one of finite
     # entries whose norm overflows, along (1, ..., 1) / sqrt(5)
     @pytest.mark.parametrize("weights, direction", [
